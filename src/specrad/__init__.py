@@ -40,7 +40,7 @@ from .matrix import (
     spectral_mapping_check,
     spectrum_scan,
 )
-from .reports import ConvergenceReport, ReportEntry, RootReport
+from .reports import ReportEntry, RootReport
 from .shift import (
     FiniteVector,
     WeightedShift,
@@ -66,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra",
     "BudgetExceeded",
-    "ConvergenceReport",
     "FiniteVector",
     "GridSpec",
     "MatrixAlgebra",

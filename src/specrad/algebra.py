@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import BudgetExceeded, NotConvergent
-from .reports import ConvergenceReport, build_report
+from .reports import RootReport, build_report
 
 DEFAULT_PROBE_DEPTH = 32
 
@@ -115,7 +115,7 @@ def normalized_powers(alg: Algebra, x, n: int):
         yield NormalizedPower(direction, log_norm)
 
 
-def power_norms(alg: Algebra, x, n: int) -> ConvergenceReport:
+def power_norms(alg: Algebra, x, n: int) -> RootReport:
     """Table of norm(x^k), its k-th root, and the running minimum, k = 1..n.
 
     The value sequence is submultiplicative (up to roundoff), so the
@@ -131,16 +131,10 @@ def spectral_radius_upper(alg: Algebra, x, n: int) -> float:
     return power_norms(alg, x, n).certified_upper
 
 
-def neumann_inverse(
-    alg: Algebra,
-    x,
-    tol: float = 1e-10,
-    max_terms: int = 100_000,
-    probe_depth: int = DEFAULT_PROBE_DEPTH,
-):
+def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = 100_000):
     """Inverse of (e - x) as the truncated geometric series sum of x^j.
 
-    Powers up to ``probe_depth`` are probed for a certificate
+    Powers up to DEFAULT_PROBE_DEPTH are probed for a certificate
     q = norm(x^k) < 1; without one the series has no convergence
     guarantee and NotConvergent is raised.  With a certificate, partial
     sums grouped in blocks of k have tail bounded by
@@ -150,15 +144,13 @@ def neumann_inverse(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if probe_depth < 1:
-        raise ValueError("probe_depth must be >= 1")
 
     # Probe powers, keeping the certificate k with the fastest per-term decay.
     norms = [1.0]  # norm(x^0)
     term = alg.one
     best_k = None
     best_rate = math.inf
-    for k in range(1, probe_depth + 1):
+    for k in range(1, DEFAULT_PROBE_DEPTH + 1):
         term = alg.mul(term, x)
         nk = alg.norm(term)
         if nk == 0.0:
@@ -176,10 +168,10 @@ def neumann_inverse(
                 best_rate = rate
                 best_k = k
     if best_k is None:
-        min_root = min(norms[k] ** (1.0 / k) for k in range(1, probe_depth + 1))
+        min_root = min(norms[k] ** (1.0 / k) for k in range(1, DEFAULT_PROBE_DEPTH + 1))
         raise NotConvergent(
             "no k <= %d has norm(x^k) < 1 (min norm(x^k)^(1/k) = %.6g)"
-            % (probe_depth, min_root)
+            % (DEFAULT_PROBE_DEPTH, min_root)
         )
 
     k = best_k

@@ -8,39 +8,16 @@ the output, so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import fekete, matrix, shift, wiener
+from . import fekete, matrix, selftest, shift, wiener
 from .algebra import neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular, Unsupported
-from .selftest import run_selftest
+from .reports import _json_number
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; equal configs give identical bytes."""
-
-    subcommand: str
-    gen: str | None = None
-    input_path: str | None = None
-    element: str | None = None
-    weights: str | None = None
-    weights_path: str | None = None
-    n: int = 32
-    max_power: int = 64
-    prefix_len: int = 0
-    lam: complex = 0j
-    tol: float = 1e-10
-    max_terms: int = 100_000
-    norm_kind: str = "inf"
-    grid: tuple[float, float, float, float, float] | None = None
-    out_format: str = "csv"
-    seed: int = 0
-    out_path: str | None = None
 
 
 def _parse_sequence_gen(spec: str, n: int) -> fekete.PrefixSequence:
@@ -73,90 +50,104 @@ def _read_matrix(path: str):
     return matrix.read_matrix_csv(text)
 
 
-def _load_sequence(config: RunConfig) -> fekete.PrefixSequence:
-    if (config.gen is None) == (config.input_path is None):
-        raise ValueError("provide exactly one of --gen or --input")
-    if config.gen is not None:
-        return _parse_sequence_gen(config.gen, config.n)
-    return fekete.read_sequence_csv(Path(config.input_path).read_text())
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path:
-        Path(config.out_path).write_text(text)
+def _emit(args, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _report_text(config: RunConfig, report) -> str:
-    return report.to_json() if config.out_format == "json" else report.to_csv()
+def _report_text(args, report) -> str:
+    return report.to_json() if args.format == "json" else report.to_csv()
 
 
-def _matrix_text(config: RunConfig, m) -> str:
-    if config.out_format == "json":
+def _matrix_text(args, m) -> str:
+    if args.format == "json":
         return matrix.matrix_to_json(m)
     return matrix.matrix_to_csv(m)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    if config.subcommand == "fekete":
-        seq = _load_sequence(config)
-        _emit(config, _report_text(config, fekete.root_report(seq)))
-    elif config.subcommand == "convolve":
-        if config.gen is None or config.element is None:
-            raise ValueError("convolve needs --a and --b generators")
-        a = _parse_sequence_gen(config.gen, config.n)
-        b = _parse_sequence_gen(config.element, config.n)
-        c = fekete.binomial_convolve(a, b, config.n)
-        if config.out_format == "json":
-            rows = ", ".join(
-                '{"k": %d, "value": %s}' % (k, fekete.fmt17(v))
-                for k, v in enumerate(c.values, start=1)
-            )
-            _emit(config, "[" + rows + "]\n")
-        else:
-            _emit(config, fekete.sequence_to_csv(c))
-    elif config.subcommand == "power":
-        a = _read_matrix(config.input_path)
-        alg = matrix.MatrixAlgebra(a.shape[0], config.norm_kind)
-        _emit(config, _report_text(config, power_norms(alg, a, config.n)))
-    elif config.subcommand == "neumann":
-        a = _read_matrix(config.input_path)
-        alg = matrix.MatrixAlgebra(a.shape[0], config.norm_kind)
-        inv = neumann_inverse(alg, a, tol=config.tol, max_terms=config.max_terms)
-        _emit(config, _matrix_text(config, inv))
-    elif config.subcommand == "resolvent":
-        a = _read_matrix(config.input_path)
-        alg = matrix.MatrixAlgebra(a.shape[0], config.norm_kind)
-        res = resolvent(alg, a, config.lam, tol=config.tol)
-        _emit(config, _matrix_text(config, res))
-    elif config.subcommand == "spectrum":
-        a = _read_matrix(config.input_path)
-        spec = matrix.GridSpec(*config.grid)
-        result = matrix.spectrum_scan(a, spec, norm_kind=config.norm_kind)
-        _emit(config, result.to_csv())
-    elif config.subcommand == "wiener":
-        f = wiener.parse_inline(config.element)
-        _emit(config, _report_text(config, wiener.wiener_spectral_radius(f, config.n)))
-    elif config.subcommand == "shift":
-        if config.weights_path:
-            t = shift.read_weights_csv(Path(config.weights_path).read_text())
-        elif config.weights:
-            t = _parse_weights(config.weights, config.prefix_len or config.max_power)
-        else:
-            raise ValueError("shift needs --weights or --weights-file")
-        _emit(config, _report_text(config, shift.shift_limit_experiment(t, config.max_power)))
-    elif config.subcommand == "selftest":
-        import io
-
-        buffer = io.StringIO()
-        ok = run_selftest(config.seed, buffer)
-        _emit(config, buffer.getvalue())
-        return 0 if ok else 1
+def run_fekete(args) -> int:
+    if (args.gen is None) == (args.input is None):
+        raise ValueError("provide exactly one of --gen or --input")
+    if args.gen is not None:
+        seq = _parse_sequence_gen(args.gen, args.n)
     else:
-        raise ValueError("unknown subcommand %r" % config.subcommand)
+        seq = fekete.read_sequence_csv(Path(args.input).read_text())
+    _emit(args, _report_text(args, fekete.root_report(seq)))
     return 0
+
+
+def run_convolve(args) -> int:
+    a = _parse_sequence_gen(args.a, args.n)
+    b = _parse_sequence_gen(args.b, args.n)
+    c = fekete.binomial_convolve(a, b, args.n)
+    if args.format == "json":
+        rows = ", ".join(
+            '{"k": %d, "value": %s}' % (k, _json_number(v))
+            for k, v in enumerate(c.values, start=1)
+        )
+        _emit(args, "[" + rows + "]\n")
+    else:
+        _emit(args, fekete.sequence_to_csv(c))
+    return 0
+
+
+def run_power(args) -> int:
+    a = _read_matrix(args.matrix)
+    alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
+    _emit(args, _report_text(args, power_norms(alg, a, args.n)))
+    return 0
+
+
+def run_neumann(args) -> int:
+    a = _read_matrix(args.matrix)
+    alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
+    inv = neumann_inverse(alg, a, tol=args.tol, max_terms=args.max_terms)
+    _emit(args, _matrix_text(args, inv))
+    return 0
+
+
+def run_resolvent(args) -> int:
+    try:
+        lam = complex(args.lam.replace(" ", ""))
+    except ValueError:
+        raise ValueError("--lam must be a complex number, got %r" % args.lam) from None
+    a = _read_matrix(args.matrix)
+    alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
+    _emit(args, _matrix_text(args, resolvent(alg, a, lam, tol=args.tol)))
+    return 0
+
+
+def run_spectrum(args) -> int:
+    a = _read_matrix(args.matrix)
+    spec = matrix.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.step)
+    _emit(args, matrix.spectrum_scan(a, spec, norm_kind=args.norm).to_csv())
+    return 0
+
+
+def run_wiener(args) -> int:
+    f = wiener.parse_inline(args.f)
+    _emit(args, _report_text(args, wiener.wiener_spectral_radius(f, args.n)))
+    return 0
+
+
+def run_shift(args) -> int:
+    if args.weights_file:
+        t = shift.read_weights_csv(Path(args.weights_file).read_text())
+    elif args.weights:
+        t = _parse_weights(args.weights, args.m or args.l)
+    else:
+        raise ValueError("shift needs --weights or --weights-file")
+    _emit(args, _report_text(args, shift.shift_limit_experiment(t, args.l)))
+    return 0
+
+
+def run_selftest(args) -> int:
+    buffer = io.StringIO()
+    ok = selftest.run_selftest(args.seed, buffer)
+    _emit(args, buffer.getvalue())
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,28 +165,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", help="inline generator: %s" % SEQUENCE_GENERATORS)
     p.add_argument("--input", help="CSV file with header k,value")
     p.add_argument("--n", type=int, default=64, help="prefix length for --gen")
+    p.set_defaults(handler=run_fekete)
 
     p = sub.add_parser("convolve", help="binomial convolution of two generated prefixes")
     p.add_argument("--a", required=True, help="generator for the first sequence")
     p.add_argument("--b", required=True, help="generator for the second sequence")
     p.add_argument("--n", type=int, default=30)
+    p.set_defaults(handler=run_convolve)
 
     p = sub.add_parser("power", help="power-norm convergence table for a matrix")
     p.add_argument("--matrix", required=True, help="matrix file (CSV re+imj or JSON)")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--norm", choices=("inf", "one"), default="inf")
+    p.set_defaults(handler=run_power)
 
     p = sub.add_parser("neumann", help="geometric-series inverse of (I - X)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-terms", type=int, default=100_000)
     p.add_argument("--norm", choices=("inf", "one"), default="inf")
+    p.set_defaults(handler=run_neumann)
 
     p = sub.add_parser("resolvent", help="(lambda I - X)^(-1)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--lam", required=True, help="complex scalar, e.g. 2 or 1+0.5j")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--norm", choices=("inf", "one"), default="inf")
+    p.set_defaults(handler=run_resolvent)
 
     p = sub.add_parser("spectrum", help="grid scan for noninvertible lambda I - X")
     p.add_argument("--matrix", required=True)
@@ -205,58 +201,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--norm", choices=("inf", "one"), default="inf")
+    p.set_defaults(handler=run_spectrum)
 
     p = sub.add_parser("wiener", help="l1 power-norm roots of a Laurent element")
     p.add_argument("--f", required=True, help="deg:coeff pairs, e.g. '1:0.5,-1:0.5'")
     p.add_argument("--n", type=int, default=64)
+    p.set_defaults(handler=run_wiener)
 
     p = sub.add_parser("shift", help="weighted-shift power-norm root table")
     p.add_argument("--weights", help="weight generator harmonic:a,b")
     p.add_argument("--weights-file", help="CSV file with header j,alpha")
     p.add_argument("--m", type=int, default=0, help="weight prefix length (default: L)")
     p.add_argument("--l", type=int, default=64, help="maximum power")
+    p.set_defaults(handler=run_shift)
 
-    sub.add_parser("selftest", help="run the seeded invariant battery")
+    p = sub.add_parser("selftest", help="run the seeded invariant battery")
+    p.set_defaults(handler=run_selftest)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    def get(name, default=None):
-        value = getattr(args, name, None)
-        return default if value is None else value
-
-    lam_text = get("lam")
-    return RunConfig(
-        subcommand=args.subcommand,
-        gen=get("gen", get("a")),
-        input_path=get("input", get("matrix")),
-        element=get("f", get("b")),
-        weights=get("weights"),
-        weights_path=get("weights_file"),
-        n=get("n", 32),
-        max_power=get("l", 64),
-        prefix_len=get("m", 0),
-        lam=complex(lam_text.replace(" ", "")) if lam_text else 0j,
-        tol=get("tol", 1e-10),
-        max_terms=get("max_terms", 100_000),
-        norm_kind=get("norm", "inf"),
-        grid=(
-            (args.re_min, args.re_max, args.im_min, args.im_max, args.step)
-            if get("step") is not None
-            else None
-        ),
-        out_format=args.format,
-        seed=args.seed,
-        out_path=args.out,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return args.handler(args)
     except (ValueError, Unsupported, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .reports import RootReport, build_report, fmt17
+from .reports import RootReport, build_report, csv_rows, fmt17
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -202,18 +202,6 @@ def sequence_to_csv(seq: PrefixSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_sequence_csv(text: str, has_unit_head: bool = False) -> PrefixSequence:
+def read_sequence_csv(text: str) -> PrefixSequence:
     """Parse `k,value` rows (header required, k must run 1..N in order)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "k,value":
-        raise ValueError("expected header 'k,value'")
-    values = []
-    for i, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError("bad row %r" % ln)
-        k = int(parts[0])
-        if k != i:
-            raise ValueError("row %d has index k = %d; indices must run 1..N" % (i, k))
-        values.append(float(parts[1]))
-    return PrefixSequence(tuple(values), has_unit_head=has_unit_head)
+    return PrefixSequence(tuple(float(v) for _, v in csv_rows(text, "k,value", indexed=True)))

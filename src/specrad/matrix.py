@@ -7,13 +7,12 @@ engine assumes throughout.  The Frobenius norm would not.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, spectral_radius_upper
+from .algebra import DEFAULT_PROBE_DEPTH, Algebra, spectral_radius_upper
 from .errors import Singular, Unsupported
 from .reports import fmt17
 
@@ -158,61 +157,6 @@ def _peval(p: list[complex], z: complex) -> tuple[complex, complex]:
     return val, dval
 
 
-def _newton_root(p: list[complex]) -> complex | None:
-    bound = 1.0 + max(abs(c) for c in p[:-1])
-    scale = max(abs(c) for c in p)
-    starts = [0.35 * bound * cmath.exp(1j * (0.7 + 1.9 * s)) for s in range(10)]
-    starts.append(0j)
-    for z0 in starts:
-        z = z0
-        for _ in range(200):
-            val, dval = _peval(p, z)
-            if dval == 0:
-                z += 0.11 + 0.07j
-                continue
-            step = val / dval
-            z -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(z)):
-                return z
-        val, _ = _peval(p, z)
-        if abs(val) <= 1e-12 * scale * max(1.0, abs(z)) ** (len(p) - 1):
-            return z
-    return None
-
-
-def _durand_kerner(p: list[complex]) -> list[complex]:
-    deg = len(p) - 1
-    bound = 1.0 + max(abs(c) for c in p[:-1])
-    zs = [0.7 * bound * cmath.exp(1j * (2 * math.pi * m / deg + 0.4)) for m in range(deg)]
-    for _ in range(500):
-        moved = 0.0
-        for m in range(deg):
-            val, _ = _peval(p, zs[m])
-            denom = 1.0 + 0j
-            for l in range(deg):
-                if l != m:
-                    denom *= zs[m] - zs[l]
-            if denom == 0:
-                zs[m] += 1e-8
-                continue
-            step = val / denom
-            zs[m] -= step
-            moved = max(moved, abs(step))
-        if moved <= 1e-15 * (1.0 + max(abs(z) for z in zs)):
-            break
-    return zs
-
-
-def _deflate(p: list[complex], root: complex) -> list[complex]:
-    """Synthetic division of p by (z - root); p is monic, so is the quotient."""
-    deg = len(p) - 1
-    q = [0j] * deg
-    q[deg - 1] = p[deg]
-    for i in range(deg - 2, -1, -1):
-        q[i] = p[i + 1] + root * q[i + 1]
-    return q
-
-
 def _polish(p: list[complex], z: complex) -> complex:
     best = z
     best_val = abs(_peval(p, z)[0])
@@ -230,36 +174,9 @@ def _polish(p: list[complex], z: complex) -> complex:
 
 
 def _poly_roots(p: list[complex]) -> list[complex]:
-    deg = len(p) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-p[0]]
-    if deg == 2:
-        half = -p[1] / 2.0
-        disc = cmath.sqrt(half * half - p[0])
-        r1, r2 = half + disc, half - disc
-        # Vieta refinement: recover the smaller root from the product
-        if abs(r1) >= abs(r2) and r1 != 0:
-            r2 = p[0] / r1
-        elif r2 != 0:
-            r1 = p[0] / r2
-        return [r1, r2]
-    work = list(p)
-    roots: list[complex] = []
-    failed = False
-    while len(work) - 1 > 2:
-        z = _newton_root(work)
-        if z is None:
-            failed = True
-            break
-        roots.append(z)
-        work = _deflate(work, z)
-    if failed:
-        roots = _durand_kerner(p)
-    else:
-        roots.extend(_poly_roots(work))
-    return [_polish(p, z) for z in roots]
+    # companion-matrix roots are backward stable; Newton polishing on p
+    # itself then tightens each root's residual
+    return [_polish(p, complex(z)) for z in np.roots(p[::-1])]
 
 
 def eigen_oracle(a) -> list[complex]:
@@ -267,8 +184,9 @@ def eigen_oracle(a) -> list[complex]:
 
     Restricted to n <= 4 so the oracle stays independent of the
     power-norm machinery it cross-checks: triangular matrices read their
-    diagonal exactly, closed forms anchor n <= 2, and Newton deflation
-    with final polishing covers n in {3, 4}.  Accuracy is about 1e-8 on
+    diagonal exactly, and any other matrix gets companion-matrix roots
+    of its characteristic polynomial (numpy.roots), each polished by
+    Newton steps on that polynomial.  Accuracy is about 1e-8 on
     well-conditioned desk-scale inputs; repeated eigenvalues of a full
     matrix sit at the rootfinding conditioning floor (~eps^(1/m)).
     """
@@ -368,13 +286,7 @@ class SpectrumGrid:
         return "\n".join(lines) + "\n"
 
 
-def spectrum_scan(
-    a,
-    grid: GridSpec,
-    norm_kind: str = "inf",
-    certify_outside: bool = True,
-    probe_depth: int = 32,
-) -> SpectrumGrid:
+def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     """Classify every grid point as resolvent or spectrum candidate.
 
     Cells with |lambda| above the certified radius bound are marked
@@ -386,12 +298,10 @@ def spectrum_scan(
     a = as_matrix(a)
     n = a.shape[0]
     norm = NORMS[norm_kind]
-    upper = math.inf
-    if certify_outside:
-        upper = spectral_radius_upper(MatrixAlgebra(n, norm_kind), a, probe_depth)
-        # the bound is computed through exp/log and may sit an ulp below
-        # the true radius: inflate before using it to skip elimination
-        upper *= 1.0 + 1e-12
+    upper = spectral_radius_upper(MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
+    # the bound is computed through exp/log and may sit an ulp below
+    # the true radius: inflate before using it to skip elimination
+    upper *= 1.0 + 1e-12
     eye = np.eye(n, dtype=complex)
     cells = []
     for re in grid.re_points():
@@ -445,7 +355,8 @@ def read_matrix_json(text: str) -> np.ndarray:
     import json
 
     data = json.loads(text)
-    rows = []
-    for row in data:
-        rows.append([complex(cell[0], cell[1]) for cell in row])
+    try:
+        rows = [[complex(cell[0], cell[1]) for cell in row] for row in data]
+    except (TypeError, IndexError) as exc:
+        raise ValueError("expected a JSON array of rows of [re, im] pairs: %s" % exc) from None
     return as_matrix(rows)

@@ -3,7 +3,8 @@
 Every convergence table in the package is a list of rows
 ``(k, value, value^(1/k), running minimum of the roots)``.  The running
 minimum is the certified upper bound for the limit of the root sequence
-after k steps.
+after k steps.  The number writers and the headed-CSV row reader that the
+other modules share live here too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,32 @@ def _json_number(x: float) -> str:
     if math.isfinite(x):
         return fmt17(x)
     return '"%s"' % fmt17(x)
+
+
+def csv_rows(text: str, header: str, indexed: bool = False):
+    """Yield the data rows of a headed CSV text, each split into its fields.
+
+    Blank lines are skipped and the header is matched case- and
+    space-insensitively.  Every row must have as many fields as the
+    header; with ``indexed`` the first field must count 1, 2, ... in order.
+    Rows are checked as they are yielded, so the first bad row is the one
+    reported.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].lower().replace(" ", "") != header:
+        raise ValueError("expected header %r" % header)
+    names = header.split(",")
+    for i, ln in enumerate(lines[1:], start=1):
+        parts = ln.split(",")
+        if len(parts) != len(names):
+            raise ValueError("bad row %r" % ln)
+        if indexed:
+            k = int(parts[0])
+            if k != i:
+                raise ValueError(
+                    "row %d has index %s = %d; indices must run 1..N" % (i, names[0], k)
+                )
+        yield parts
 
 
 @dataclass(frozen=True)
@@ -83,10 +110,6 @@ class RootReport:
                 )
             )
         return "[\n" + ",\n".join(rows) + "\n]\n"
-
-
-# Power-norm reports share the row shape; only the value column differs.
-ConvergenceReport = RootReport
 
 
 def build_report(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import ConvergenceReport, build_report, fmt17
+from .reports import RootReport, build_report, csv_rows, fmt17
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def op_norm_empirical(
     return attained, best
 
 
-def shift_limit_experiment(shift: WeightedShift, max_power: int) -> ConvergenceReport:
+def shift_limit_experiment(shift: WeightedShift, max_power: int) -> RootReport:
     """Roots of the power-norm products for l = 1..max_power.
 
     The roots are geometric means of the leading weights; their running
@@ -178,11 +178,6 @@ def constant_weights(c: float, m: int) -> WeightedShift:
     return WeightedShift((c,) * m)
 
 
-def geometric_weights(r: float, m: int) -> WeightedShift:
-    """alpha_j = r^j; needs r <= 1 to be nonincreasing."""
-    return WeightedShift(tuple(r**j for j in range(1, m + 1)))
-
-
 def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
     """alpha_j = a + b/j, decaying toward a; needs a, b >= 0."""
     if a < 0 or b < 0:
@@ -200,15 +195,5 @@ def weights_to_csv(shift: WeightedShift) -> str:
 
 
 def read_weights_csv(text: str) -> WeightedShift:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "j,alpha":
-        raise ValueError("expected header 'j,alpha'")
-    weights = []
-    for i, ln in enumerate(lines[1:], start=1):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError("bad row %r" % ln)
-        if int(parts[0]) != i:
-            raise ValueError("weight indices must run 1..M in order")
-        weights.append(float(parts[1]))
-    return WeightedShift(tuple(weights))
+    """Parse `j,alpha` rows (header required, j must run 1..M in order)."""
+    return WeightedShift(tuple(float(w) for _, w in csv_rows(text, "j,alpha", indexed=True)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import ConvergenceReport, fmt17
+from .reports import RootReport, csv_rows, fmt17
 
 Element = dict[int, complex]
 
@@ -180,7 +180,7 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
 
 def wiener_spectral_radius(
     f: Element, n: int, cap: int = COEFF_CAP
-) -> ConvergenceReport:
+) -> RootReport:
     """Roots of the l1 norms of f^k for k = 1..n; the running minimum
     converges to the sup norm of f (downward, being an upper bound at
     every k)."""
@@ -217,16 +217,9 @@ def element_to_csv(f: Element) -> str:
 
 
 def read_element_csv(text: str) -> Element:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].lower().replace(" ", "") != "degree,re,im":
-        raise ValueError("expected header 'degree,re,im'")
-    out: Element = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError("bad row %r" % ln)
-        out[int(parts[0])] = complex(float(parts[1]), float(parts[2]))
-    return clean(out)
+    """Parse `degree,re,im` rows (header required; a repeated degree keeps its last row)."""
+    rows = csv_rows(text, "degree,re,im")
+    return clean({int(k): complex(float(re), float(im)) for k, re, im in rows})
 
 
 def element_to_json(f: Element) -> str:

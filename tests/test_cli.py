@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -208,3 +209,95 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "power", "--matrix", "/nonexistent/x.csv")
     assert code == 1
     assert "error:" in err
+
+
+def test_resolvent_bad_lam_exits_one(tmp_path, capsys):
+    path = tmp_path / "nilp.csv"
+    path.write_text(NILPOTENT_CSV)
+    code, out, err = run_cli(capsys, "resolvent", "--matrix", str(path), "--lam", "foo")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[[1,2],[3,4]]", "[1]"])
+def test_matrix_json_wrong_shape_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "power", "--matrix", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_convolve_json_non_finite_parses(capsys):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "convolve", "--a", "geom:3e102", "--b", "geom:3e102",
+        "--n", "3",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert [row["k"] for row in data] == [1, 2, 3]
+    assert data[2]["value"] == "inf"
+
+
+# --- README invocations, byte for byte ---------------------------------------
+
+GOLDEN_MATRIX = np.array(
+    [
+        [0.25, 0.5 + 0.125j, 0],
+        [0.125, -0.375, 0.5j],
+        [0.0625, 0.25, 0.125 - 0.25j],
+    ]
+)
+
+# "{m}" stands for a CSV file holding GOLDEN_MATRIX
+README_INVOCATIONS = {
+    "fekete": ["fekete", "--gen", "poly:1", "--n", "1000"],
+    "convolve": ["convolve", "--a", "geom:0.5", "--b", "geom:0.25", "--n", "30"],
+    "power": ["power", "--matrix", "{m}", "--n", "64", "--norm", "inf"],
+    "neumann": ["neumann", "--matrix", "{m}", "--tol", "1e-10"],
+    "resolvent": ["resolvent", "--matrix", "{m}", "--lam", "1+0.5j"],
+    "spectrum": [
+        "spectrum", "--matrix", "{m}", "--re-min", "-2", "--re-max", "2",
+        "--im-min", "-2", "--im-max", "2", "--step", "0.25",
+    ],
+    "wiener": ["wiener", "--f", "1:0.5,-1:0.5", "--n", "64"],
+    "shift": ["shift", "--weights", "harmonic:0.5,1", "--m", "4000", "--l", "2000"],
+    "selftest": ["selftest"],
+}
+
+# SHA-256 of each invocation's stdout.  A mismatch means published output
+# changed; update a digest only for an intended, documented output change.
+GOLDEN_SHA256 = {
+    ("convolve", "csv"): "4b5025c49297f8bd6ece1ce077b22c102ed6e527c567edf0848eeaf87fb7fbcd",
+    ("convolve", "json"): "eb70c9e8e1457b59029d3ba0fdbcee9054e19938dd7f6c386e59e531e6293709",
+    ("fekete", "csv"): "4de4e581a833bffc241108bbce544217ecbb8fb21bedce545c548c39a2c1c013",
+    ("fekete", "json"): "5f10e2aac535510828a6c91323fc354db1e704ae7b1a316b9487c572a4f7ed0d",
+    ("neumann", "csv"): "60749b85c78d00a022b09fd381bd324cfc6d1098037e31199c640b0ae2965320",
+    ("neumann", "json"): "43842501947f44dc59075cc34ffb5a2de1fd83033eca64bbfbb4b856fd59753e",
+    ("power", "csv"): "616b1edadde2f577c8a13e2df362f74807d3d4a5da4e8db3066d5a5f8b1f8705",
+    ("power", "json"): "542f205cd335b0fcc38c41f3a401083c2a2372bd2f660804065ced505f6a64a7",
+    ("resolvent", "csv"): "4c5517cd179af91895c71d318acd9df378c81155f282a1a1f8d6581af02cfa29",
+    ("resolvent", "json"): "c2d443917327361bcfd8791d74213eaf6bce2ee27c45e1138dab35cd6ed46e07",
+    ("selftest", "csv"): "5f3ad9ffc0b89d3a0c9ffde262a1358475dee6e2735c90c37bbf083d89d2698b",
+    ("selftest", "json"): "5f3ad9ffc0b89d3a0c9ffde262a1358475dee6e2735c90c37bbf083d89d2698b",
+    ("shift", "csv"): "56120a04eaf50f5e4e1dbefcf2e59668b59a7d0c3c67eb4360716b9c36b35e05",
+    ("shift", "json"): "d0a8401a078dac72e8ee5911c27aabc13dbb190ff2cba520cc86fc949c6db307",
+    ("spectrum", "csv"): "874834afe2aec8d9d332b248b1d98adedcf0678dde16dadf30040957dffbb8cc",
+    ("spectrum", "json"): "874834afe2aec8d9d332b248b1d98adedcf0678dde16dadf30040957dffbb8cc",
+    ("wiener", "csv"): "364fc66b08d65ebb78f55b32379c449837a5cae91432621033581f3e830b76b1",
+    ("wiener", "json"): "135604a1496489d9cfa59a015be6fb068c2bc02571e2251dc5ce203cfc3bbdd9",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+def test_readme_invocation_output_is_unchanged(tmp_path, capsys, name, fmt):
+    path = tmp_path / "m.csv"
+    path.write_text(matrix.matrix_to_csv(GOLDEN_MATRIX))
+    argv = [arg.replace("{m}", str(path)) for arg in README_INVOCATIONS[name]]
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, fmt]

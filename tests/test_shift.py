@@ -181,3 +181,8 @@ def test_weights_csv_round_trip():
 def test_weights_csv_header_required():
     with pytest.raises(ValueError, match="header"):
         shift.read_weights_csv("x,y\n1,0.5\n")
+
+
+def test_weights_csv_indices_must_count_up():
+    with pytest.raises(ValueError, match="row 2 has index j = 3"):
+        shift.read_weights_csv("j,alpha\n1,0.5\n3,0.4\n")
