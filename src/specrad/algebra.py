@@ -139,8 +139,15 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = 100_00
     guarantee and NotConvergent is raised.  With a certificate, partial
     sums grouped in blocks of k have tail bounded by
     B * q^M / (1 - q) after M blocks, where B is the sum of norm(x^r)
-    over r < k, and M is chosen to push that bound below ``tol``.  The
-    returned sum y then satisfies norm((e - x) * y - e) <= tol.
+    over r < k, and M is chosen to push that bound below ``tol``; the
+    series needs n_terms = M * k terms.
+
+    The sum is formed in product form by repeated squaring,
+    sum_{j<2^m} x^j = prod_{i<m} (e + x^(2^i)) with 2^m >= n_terms,
+    which takes 2(m - 1) products instead of n_terms.  The residual
+    norm((e - x) * y - e) is then measured, and NotConvergent is raised
+    when it exceeds ``tol`` (rounding can defeat a tolerance near
+    machine precision), so a returned y meets its contract.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -188,14 +195,24 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = 100_00
             % (n_terms, k, q, max_terms)
         )
 
-    total = alg.one
-    term = alg.one
-    for _ in range(1, n_terms):
-        term = alg.mul(term, x)
-        if alg.is_zero(term):
+    # smallest m with 2^m >= n_terms; after i squarings s = x^(2^i) and
+    # y = sum_{j<2^(i+1)} x^j
+    squarings = max((n_terms - 1).bit_length() - 1, 0)
+    y = alg.add(alg.one, x)
+    s = x
+    for _ in range(squarings):
+        s = alg.mul(s, s)
+        if alg.is_zero(s):
             break
-        total = alg.add(total, term)
-    return total
+        y = alg.add(y, alg.mul(y, s))
+    residual = alg.norm(alg.sub(alg.mul(alg.sub(alg.one, x), y), alg.one))
+    if residual > tol:
+        raise NotConvergent(
+            "residual norm((e - x) y - e) = %.6g exceeds tol %.6g "
+            "(k=%d, q=%.6g, n_terms=%d, squarings=%d)"
+            % (residual, tol, k, q, n_terms, squarings)
+        )
+    return y
 
 
 def invert_near(alg: Algebra, x_inv, x, y, tol: float = 1e-10):

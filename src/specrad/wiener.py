@@ -194,6 +194,9 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
     plain norm(f - e) < 1 hypothesis, then runs the Neumann series on g.
     Raises NotConvergent when no probed power of g has l1 norm below 1;
     the factorization needs a nonzero degree-0 coefficient to start.
+    The series is summed by repeated squaring, so its support rounds up
+    to a power of two and ``cap`` can be reached up to 2x sooner than
+    the term count of the tail bound suggests.
     """
     f = clean(f)
     c = f.get(0, 0j)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from specrad import fekete
 from specrad.algebra import (
+    DEFAULT_PROBE_DEPTH,
     invert_near,
     neumann_inverse,
     normalized_powers,
@@ -163,6 +166,46 @@ class TestNeumannInverse:
             neumann_inverse(alg, x, tol=1e-10)
             values = power_norms(alg, x, 32).values()
             assert all(v < 1.0 for v in values[10:])
+
+
+class CountingMatrixAlgebra(MatrixAlgebra):
+    def __init__(self, n):
+        super().__init__(n)
+        self.muls = 0
+
+    def mul(self, x, y):
+        self.muls += 1
+        return super().mul(x, y)
+
+
+class TestNeumannProductForm:
+    def test_slow_decay_takes_logarithmically_many_products(self):
+        alg = CountingMatrixAlgebra(2)
+        q, tol = 0.9995, 1e-10
+        x = q * np.array([[0, 1j], [1, 0]])
+        y = neumann_inverse(alg, x, tol=tol)
+        assert alg.norm((alg.one - x) @ y - alg.one) <= tol
+        # the tail bound with k = 1 asks for about 6.1e4 terms
+        n_terms = math.ceil(math.log(tol * (1 - q)) / math.log(q))
+        assert alg.muls <= DEFAULT_PROBE_DEPTH + 2 * math.ceil(math.log2(n_terms)) + 2
+
+    def test_tight_tolerance_met_or_refused(self):
+        rng = np.random.default_rng(0)
+        alg = MatrixAlgebra(8)
+        tol = 1e-15
+        for _ in range(50):
+            x = random_matrix(rng, 8)
+            x = x * (0.999 / alg.norm(x))
+            try:
+                y = neumann_inverse(alg, x, tol=tol)
+            except NotConvergent:
+                continue
+            assert alg.norm((alg.one - x) @ y - alg.one) <= tol
+
+    def test_unattainable_tolerance_refused(self):
+        x = np.array([[0, 1.5], [0.1, 0]], dtype=complex)
+        with pytest.raises(NotConvergent, match="residual"):
+            neumann_inverse(ALG2, x, tol=1e-18)
 
 
 class TestInvertNear:

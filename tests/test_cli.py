@@ -114,6 +114,16 @@ def test_neumann_identity_exits_two(tmp_path, capsys):
     assert "NotConvergent" in err
 
 
+def test_neumann_unattainable_tol_exits_two(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("0+0j,1.5+0j\n0.1+0j,0+0j\n")
+    code, out, err = run_cli(capsys, "neumann", "--matrix", str(path), "--tol", "1e-18")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("NotConvergent: residual")
+    assert err.count("\n") == 1
+
+
 def test_resolvent_nilpotent(tmp_path, capsys):
     path = tmp_path / "nilp.csv"
     path.write_text(NILPOTENT_CSV)
@@ -275,8 +285,8 @@ GOLDEN_SHA256 = {
     ("convolve", "json"): "eb70c9e8e1457b59029d3ba0fdbcee9054e19938dd7f6c386e59e531e6293709",
     ("fekete", "csv"): "4de4e581a833bffc241108bbce544217ecbb8fb21bedce545c548c39a2c1c013",
     ("fekete", "json"): "5f10e2aac535510828a6c91323fc354db1e704ae7b1a316b9487c572a4f7ed0d",
-    ("neumann", "csv"): "60749b85c78d00a022b09fd381bd324cfc6d1098037e31199c640b0ae2965320",
-    ("neumann", "json"): "43842501947f44dc59075cc34ffb5a2de1fd83033eca64bbfbb4b856fd59753e",
+    ("neumann", "csv"): "cecc408651c63eb3f75dd658b9d4c030961a5e47070407dae8805b5812264559",
+    ("neumann", "json"): "9a09257ead8474173918c458ed5cb6647b46cb433d1539c1f0982c76402af6f3",
     ("power", "csv"): "616b1edadde2f577c8a13e2df362f74807d3d4a5da4e8db3066d5a5f8b1f8705",
     ("power", "json"): "542f205cd335b0fcc38c41f3a401083c2a2372bd2f660804065ced505f6a64a7",
     ("resolvent", "csv"): "4c5517cd179af91895c71d318acd9df378c81155f282a1a1f8d6581af02cfa29",

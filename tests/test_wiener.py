@@ -177,6 +177,19 @@ class TestWienerInverse:
         for j in range(0, 10):
             assert inv[j] == pytest.approx(2.0**-j, rel=1e-12)
 
+    def test_slow_geometric_series_closed_form(self):
+        f = {0: 1.0 + 0j, 1: -0.9 + 0j}  # e - 0.9 z
+        tol = 1e-10
+        inv = wiener.wiener_inverse(f, tol=tol)
+        residual = wiener.add(wiener.multiply(f, inv), wiener.scale(-1.0, E))
+        assert wiener.l1_norm(residual) <= tol
+        n = max(inv) + 1
+        closed_form = {j: 0.9**j for j in range(n)}
+        dropped_tail = 0.9**n / (1 - 0.9)
+        assert min(inv) == 0
+        assert wiener.l1_norm(wiener.add(inv, wiener.scale(-1.0, closed_form))) <= tol
+        assert dropped_tail <= tol
+
     def test_vanishing_symbol_not_convergent(self):
         with pytest.raises(NotConvergent):
             wiener.wiener_inverse({0: 1.0 + 0j, 1: -1.0 + 0j})
