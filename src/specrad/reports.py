@@ -121,6 +121,7 @@ def build_report(
 
     When the raw values are available, pass them through ``values`` so the
     value column carries them verbatim instead of an exp/log round trip.
+    A value past the float range is reported as inf; its root stays finite.
     """
     entries = []
     running = math.inf
@@ -129,7 +130,10 @@ def build_report(
         if values is not None:
             value = values[i]
         else:
-            value = math.exp(lv) if lv != -math.inf else 0.0
+            try:
+                value = math.exp(lv) if lv != -math.inf else 0.0
+            except OverflowError:
+                value = math.inf
         root = math.exp(lv / k) if lv != -math.inf else 0.0
         running = min(running, root)
         entries.append(ReportEntry(k, value, root, running))

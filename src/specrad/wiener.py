@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -39,43 +40,59 @@ def identity() -> Element:
     return {0: 1.0 + 0j}
 
 
-def _support_span(f: Element) -> int:
-    return max(f) - min(f) + 1 if f else 0
+def _terms(f: Element):
+    """Degrees and complex128 coefficients of the nonzero terms of f.
+
+    Degrees are int64, or Python ints (dtype object) when one does not fit.
+    """
+    try:
+        degrees = np.fromiter(f, np.int64, len(f))
+    except OverflowError:
+        degrees = np.fromiter(f, object, len(f))
+    coeffs = np.fromiter(f.values(), np.complex128, len(f))
+    keep = coeffs.astype(bool)  # nonzero, NaN included
+    return degrees[keep], coeffs[keep]
 
 
-def _content_key(f: Element):
-    items = tuple(sorted((k, v.real, v.imag) for k, v in f.items()))
-    return (len(f), items)
+def _element(degrees, coeffs) -> Element:
+    """The element with the nonzero entries of ``coeffs``, at the matching
+    entries of the int iterable ``degrees``."""
+    keep = coeffs.astype(bool)
+    return dict(zip(compress(degrees, keep.tolist()), coeffs[keep].tolist()))
+
+
+def _content_key(degrees, coeffs):
+    items = tuple(sorted(zip(degrees.tolist(), coeffs.real.tolist(), coeffs.imag.tolist())))
+    return (len(items), items)
 
 
 def multiply(f: Element, g: Element, cap: int = COEFF_CAP) -> Element:
     """Coefficient convolution (f*g)_k = sum_j f_j g_{k-j}.
 
-    The operand order is canonicalized before convolving so that
+    np.convolve puts the longer operand first; for operands of equal
+    support span the order is canonicalized before convolving, so that
     multiply(f, g) and multiply(g, f) are the same float computation,
     making commutativity exact coefficient-wise.  Raises BudgetExceeded
     when the output support span would exceed ``cap``.
     """
-    f, g = clean(f), clean(g)
-    if not f or not g:
+    (df, cf), (dg, cg) = _terms(f), _terms(g)
+    if not cf.size or not cg.size:
         return {}
-    span = _support_span(f) + _support_span(g) - 1
+    lo_f, lo_g = int(df.min()), int(dg.min())
+    span_f, span_g = int(df.max()) - lo_f + 1, int(dg.max()) - lo_g + 1
+    span = span_f + span_g - 1
     if span > cap:
         raise BudgetExceeded(
             "product support span %d exceeds coefficient cap %d" % (span, cap)
         )
-    if _content_key(g) < _content_key(f):
-        f, g = g, f
-    off_f, off_g = min(f), min(g)
-    arr_f = np.zeros(_support_span(f), dtype=complex)
-    for k, v in f.items():
-        arr_f[k - off_f] = v
-    arr_g = np.zeros(_support_span(g), dtype=complex)
-    for k, v in g.items():
-        arr_g[k - off_g] = v
-    conv = np.convolve(arr_f, arr_g)
-    base = off_f + off_g
-    return {base + i: complex(z) for i, z in enumerate(conv) if z != 0}
+    arr_f = np.zeros(span_f, np.complex128)
+    arr_f[(df - lo_f).astype(np.intp)] = cf
+    arr_g = np.zeros(span_g, np.complex128)
+    arr_g[(dg - lo_g).astype(np.intp)] = cg
+    if span_f == span_g and _content_key(dg, cg) < _content_key(df, cf):
+        arr_f, arr_g = arr_g, arr_f
+    base = lo_f + lo_g
+    return _element(range(base, base + span), np.convolve(arr_f, arr_g))
 
 
 def add(f: Element, g: Element) -> Element:
@@ -86,12 +103,21 @@ def add(f: Element, g: Element) -> Element:
 
 
 def scale(alpha: complex, f: Element) -> Element:
-    return clean({k: alpha * v for k, v in f.items()})
+    # Python's complex product (ar*vr - ai*vi) + (ar*vi + ai*vr)j on the
+    # (re, im) pairs: numpy's complex multiply rounds differently
+    alpha = complex(alpha)
+    pairs = np.fromiter(f.values(), np.complex128, len(f)).view(np.float64).reshape(-1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = pairs * alpha.real + pairs[:, ::-1] * np.array([-alpha.imag, alpha.imag])
+    return _element(f, out.view(np.complex128).reshape(-1))
 
 
 def l1_norm(f: Element) -> float:
     """sum of |a_j| (exact rounded sum, order-independent)."""
-    return math.fsum(abs(v) for v in f.values())
+    coeffs = np.fromiter(f.values(), np.complex128, len(f))
+    # np.hypot rounds as abs(complex) does; np.abs does not
+    with np.errstate(over="ignore"):
+        return math.fsum(np.hypot(coeffs.real, coeffs.imag).tolist())
 
 
 def evaluate(f: Element, theta: float) -> complex:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -311,3 +312,81 @@ def test_readme_invocation_output_is_unchanged(tmp_path, capsys, name, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, fmt]
+
+
+# --- generic Laurent elements, byte for byte ------------------------------------
+
+# Complex coefficients on uneven supports: unlike the cosine above, every
+# rounding path of the Wiener kernels shows in these digests.
+LAURENT_INVOCATIONS = {
+    "four-term": ["wiener", "--f=-3:0.3+0.2j,-2:-0.25j,0:0.4,4:0.1-0.3j", "--n", "128"],
+    "three-term": ["wiener", "--f=-1:0.6-0.1j,0:0.2j,1:-0.35+0.3j", "--n", "128"],
+}
+
+LAURENT_SHA256 = {
+    ("four-term", "csv"): "bc03ce4d2287f94f27f9cbac9d753554ea5a035654259082f8b2408513e581a3",
+    ("four-term", "json"): "f35865776069f2423735c59e0c2d1a0b3e732d956bc02931c7a496f0d47ad32b",
+    ("three-term", "csv"): "791915c657d5b612ebc7aa89db62c16138196029a7e3d8b0f6a4e0b3f07c8158",
+    ("three-term", "json"): "217cef566207e718858a00e8dddabcda493230f26d98de6e8004a62fb691974b",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(LAURENT_INVOCATIONS))
+def test_laurent_output_is_unchanged(capsys, name, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *LAURENT_INVOCATIONS[name])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LAURENT_SHA256[name, fmt]
+
+
+def test_wiener_degree_beyond_64_bits(capsys):
+    code, out, err = run_cli(capsys, "wiener", "--f=100000000000000000000:0.5", "--n", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "k,norm,root,running_min",
+        "1,0.5,0.5,0.5",
+        "2,0.25,0.5,0.5",
+        "3,0.12500000000000003,0.5,0.5",
+    ]
+
+
+# Non-finite and subnormal coefficients: their rows read nan today (see the
+# FOUND lines on parse_inline and normalized_powers in CHANGES.md), so only
+# the absence of a numpy warning or a traceback is checked here.
+@pytest.mark.parametrize("spec", ["1:inf", "3:1e-320,4:1e-320"])
+def test_wiener_extreme_coefficients_are_silent(capsys, spec):
+    code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", "3")
+    if code == 0:
+        assert err == ""
+        assert len(out.splitlines()) == 4
+    else:
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+# --- values past the float range ----------------------------------------------
+
+# "{m}" stands for a CSV file holding diag(2, 1)
+OVERFLOWING_INVOCATIONS = {
+    "power": ["power", "--matrix", "{m}", "--n", "1100"],
+    "wiener": ["wiener", "--f", "0:2", "--n", "1100"],
+    "shift": ["shift", "--weights", "harmonic:2,1", "--l", "1100"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_INVOCATIONS))
+def test_overflowing_value_reads_inf(tmp_path, capsys, name):
+    path = tmp_path / "diag21.csv"
+    path.write_text(matrix.matrix_to_csv(np.diag([2.0, 1.0]).astype(complex)))
+    argv = [arg.replace("{m}", str(path)) for arg in OVERFLOWING_INVOCATIONS[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = [ln.split(",") for ln in out.splitlines()[1:]]
+    assert len(rows) == 1100
+    assert rows[-1][1] == "inf"
+    assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[3])) for r in rows)
+
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data[-1]["norm"] == "inf"
+    assert isinstance(data[-1]["root"], float)

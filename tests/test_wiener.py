@@ -253,3 +253,105 @@ class TestIO:
     def test_parse_inline_rejects_garbage(self):
         with pytest.raises(ValueError):
             wiener.parse_inline("nonsense")
+
+
+# --- bit identity of the array kernels with their dict-loop definitions -------
+
+
+def _reference_multiply(f, g, cap=wiener.COEFF_CAP):
+    """The dict-loop product the array kernel replaced, kept as its oracle."""
+
+    def span(h):
+        return max(h) - min(h) + 1 if h else 0
+
+    def content_key(h):
+        return (len(h), tuple(sorted((k, v.real, v.imag) for k, v in h.items())))
+
+    f, g = wiener.clean(f), wiener.clean(g)
+    if not f or not g:
+        return {}
+    if span(f) + span(g) - 1 > cap:
+        raise BudgetExceeded("product support span exceeds coefficient cap")
+    if content_key(g) < content_key(f):
+        f, g = g, f
+    off_f, off_g = min(f), min(g)
+    arr_f = np.zeros(span(f), dtype=complex)
+    for k, v in f.items():
+        arr_f[k - off_f] = v
+    arr_g = np.zeros(span(g), dtype=complex)
+    for k, v in g.items():
+        arr_g[k - off_g] = v
+    conv = np.convolve(arr_f, arr_g)
+    base = off_f + off_g
+    return {base + i: complex(z) for i, z in enumerate(conv) if z != 0}
+
+
+nonzero_coeff = coeff.filter(lambda z: z != 0)
+real_scalar = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@st.composite
+def equal_span_pairs(draw):
+    """Two elements whose nonzero supports have the same span."""
+    width = draw(st.integers(min_value=0, max_value=7))
+
+    def element():
+        lo = draw(st.integers(min_value=-5, max_value=5))
+        f = draw(st.dictionaries(st.integers(lo, lo + width), coeff, max_size=8))
+        f[lo], f[lo + width] = draw(nonzero_coeff), draw(nonzero_coeff)
+        return f
+
+    return element(), element()
+
+
+class TestKernelsMatchDictLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(elements)
+    def test_l1_norm(self, f):
+        assert wiener.l1_norm(f) == math.fsum(abs(v) for v in f.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_scalar, elements)
+    def test_scale_real(self, alpha, f):
+        assert wiener.scale(alpha, f) == wiener.clean({k: alpha * v for k, v in f.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeff, elements)
+    def test_scale_complex(self, alpha, f):
+        assert wiener.scale(alpha, f) == wiener.clean({k: alpha * v for k, v in f.items()})
+
+    def test_add_keeps_signed_zeros(self):
+        # dict == treats -0.0 as 0.0, so compare the reprs
+        f = {0: complex(-0.0, 1.0), 2: complex(-0.0, 1.0)}
+        g = {2: complex(-0.0, 1.0)}
+        assert repr(wiener.add(f, g)) == "{0: (-0+1j), 2: (-0+2j)}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements, elements)
+    def test_multiply(self, f, g):
+        assert wiener.multiply(f, g) == _reference_multiply(f, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(equal_span_pairs())
+    def test_multiply_equal_spans(self, pair):
+        f, g = pair
+        assert wiener.multiply(f, g) == _reference_multiply(f, g)
+        assert wiener.multiply(g, f) == _reference_multiply(g, f)
+
+    def test_degrees_beyond_64_bits(self):
+        f = {10**20: 0.5 + 0j, 10**20 + 1: 0.25j}
+        assert wiener.multiply(f, f) == _reference_multiply(f, f)
+        assert wiener.add(f, E) == {0: 1.0 + 0j, **f}
+        assert wiener.scale(2.0, f) == {10**20: 1.0 + 0j, 10**20 + 1: 0.5j}
+
+    def test_zero_entries_do_not_count_toward_the_support(self):
+        f = {0: 1.0 + 0j, 10**6: 0j, -(10**6): 0j}
+        assert wiener.multiply(f, f) == E
+        assert wiener.add(f, {}) == E
+
+    def test_non_finite_arithmetic_is_silent(self):
+        # RuntimeWarnings are errors in this suite; Python's complex
+        # arithmetic gives inf and nan without a warning, so must the kernels
+        assert wiener.l1_norm({0: complex(1.7e308, 1.7e308)}) == math.inf
+        assert cmath.isnan(wiener.add({0: complex(math.inf)}, {0: complex(-math.inf)})[0])
+        assert wiener.scale(1e300, {0: 1e300 + 0j}) == {0: complex(math.inf)}
