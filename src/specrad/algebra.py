@@ -89,6 +89,18 @@ class NormalizedPower:
         return alg.scale(math.exp(self.log_norm), self.direction)
 
 
+_TWO_600 = 2.0**600
+
+
+def _normalize(alg: Algebra, w, nw: float):
+    """w / nw.  When 1/nw overflows (a subnormal nw), w and nw are first
+    scaled up by an exact power of two."""
+    inv = 1.0 / nw
+    if inv == math.inf:
+        w, inv = alg.scale(_TWO_600, w), 1.0 / (nw * _TWO_600)
+    return alg.scale(inv, w)
+
+
 def normalized_powers(alg: Algebra, x, n: int):
     """Yield NormalizedPower carriers for x^1 .. x^n."""
     if n < 1:
@@ -100,7 +112,7 @@ def normalized_powers(alg: Algebra, x, n: int):
         for _ in range(n):
             yield NormalizedPower(alg.zero, -math.inf)
         return
-    direction = alg.scale(1.0 / nx, x)
+    direction = _normalize(alg, x, nx)
     log_norm = math.log(nx)
     yield NormalizedPower(direction, log_norm)
     for _ in range(2, n + 1):
@@ -111,7 +123,7 @@ def normalized_powers(alg: Algebra, x, n: int):
             direction = alg.zero
         else:
             log_norm += math.log(nw)
-            direction = alg.scale(1.0 / nw, w)
+            direction = _normalize(alg, w, nw)
         yield NormalizedPower(direction, log_norm)
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
-from .reports import RootReport, build_report, csv_rows, fmt17
+import numpy as np
+
+from .reports import RootReport, build_report, csv_rows
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -31,7 +34,7 @@ class PrefixSequence:
     has_unit_head: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         for i, v in enumerate(self.values):
             if not v >= 0.0:  # also rejects NaN
                 raise ValueError("entry a_%d = %r is negative or NaN" % (i + 1, v))
@@ -72,17 +75,21 @@ def _log_or_neg_inf(v: float) -> float:
     return math.log(v) if v > 0.0 else -math.inf
 
 
+def _logs(values) -> list[float]:
+    """log of each nonnegative entry, -inf for a zero entry."""
+    try:
+        return list(map(math.log, values))
+    except ValueError:  # a zero entry
+        return list(map(_log_or_neg_inf, values))
+
+
 def root_report(seq: PrefixSequence) -> RootReport:
     """Roots a_k^(1/k) with their running minimum, row per k.
 
     Roots are evaluated as exp(log(a_k)/k) so that large k neither
-    overflows nor underflows; a_k = 0 maps to root 0 directly.
+    overflows nor underflows; a_k = 0 maps to root 0.
     """
-    return build_report(
-        [_log_or_neg_inf(v) for v in seq.values],
-        value_header="value",
-        values=list(seq.values),
-    )
+    return build_report(_logs(seq.values), value_header="value", values=seq.values)
 
 
 def limit_bracket(
@@ -107,13 +114,18 @@ def limit_bracket(
     return report.certified_upper, report.last_root
 
 
+_CONVOLVE_BLOCK = 32  # output rows per block: under 2 MB of temporaries at n = 1000
+
+
 def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> PrefixSequence:
     """Binomial convolution c_n = sum_j C(n,j) * a_j * b_{n-j} for n = 1..n_out.
 
     Both inputs must carry the unit head (a_0 = b_0 = 1) and reach length
     n_out.  Terms are combined through log-scale binomial coefficients and
     a max-pivot exponential sum, so c_n stays finite well past the point
-    where direct evaluation of C(n,j) overflows.  The output carries the
+    where direct evaluation of C(n,j) overflows.  The sum is math.fsum,
+    exactly rounded whatever the term order; terms go to it in descending
+    order, where it keeps the fewest partials.  The output carries the
     implied c_0 = 1 as its unit head.
     """
     if n_out < 1:
@@ -125,27 +137,37 @@ def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> Prefi
             "prefixes too short: need %d terms, have %d and %d" % (n_out, len(a), len(b))
         )
 
-    # log a_j, log b_j for j = 0..n_out (head included); None marks a zero entry
-    log_a = [0.0] + [_log_or_neg_inf(v) for v in a.values[:n_out]]
-    log_b = [0.0] + [_log_or_neg_inf(v) for v in b.values[:n_out]]
+    # log a_j, log b_j for j = 0..n_out (head included); -inf marks a zero entry
+    log_a = np.array([0.0] + _logs(a.values[:n_out]))
+    log_b = np.array([0.0] + _logs(b.values[:n_out]))
     # accumulated log-factorials: lf[n] = log(n!)
-    lf = [0.0] * (n_out + 1)
-    for i in range(2, n_out + 1):
-        lf[i] = lf[i - 1] + math.log(i)
+    lf = np.array(list(accumulate(map(math.log, range(1, n_out + 1)), initial=0.0)))
 
+    exp, fsum = math.exp, math.fsum
     out = []
-    for n in range(1, n_out + 1):
-        terms = []
-        for j in range(0, n + 1):
-            la, lb = log_a[j], log_b[n - j]
-            if la == -math.inf or lb == -math.inf:
-                continue
-            terms.append(lf[n] - lf[j] - lf[n - j] + la + lb)
-        if not terms:
-            out.append(0.0)
-            continue
-        pivot = max(terms)
-        out.append(math.exp(pivot) * math.fsum(math.exp(t - pivot) for t in terms))
+    for first in range(1, n_out + 1, _CONVOLVE_BLOCK):
+        # term (n, j) of the rows n in this block at column j, for j <= n
+        n = np.arange(first, min(first + _CONVOLVE_BLOCK, n_out + 1))[:, None]
+        j = np.arange(n[-1, 0] + 1)
+        k = n - j
+        skip = k < 0
+        k[skip] = 0
+        la, lb = log_a[j], log_b[k]
+        skip |= (la == -math.inf) | (lb == -math.inf)
+        # the same left-to-right IEEE adds as lf[n] - lf[j] - lf[n-j] + la + lb
+        t = lf[n] - lf[j]
+        t -= lf[k]
+        with np.errstate(invalid="ignore"):  # -inf + inf at skipped terms
+            t += la
+            t += lb
+        t[skip] = -math.inf
+        t = np.sort(t, axis=1)[:, ::-1]  # descending, skipped terms last
+        counts = (j.size - np.count_nonzero(skip, axis=1)).tolist()
+        pivots = t[:, 0].tolist()
+        with np.errstate(invalid="ignore"):  # inf - inf when a term is inf
+            t = t - t[:, :1]
+        for row, count, pivot in zip(t, counts, pivots):
+            out.append(exp(pivot) * fsum(map(exp, row[:count].tolist())) if count else 0.0)
     return PrefixSequence(tuple(out), has_unit_head=True)
 
 
@@ -166,7 +188,7 @@ def max_sum_bound(t: list[float]) -> tuple[float, float, bool]:
 def poly_sequence(c: float, n: int) -> PrefixSequence:
     """a_j = (j+1)^c; submultiplicative for c >= 0 with limit 1."""
     return PrefixSequence(
-        tuple(float(j + 1) ** c for j in range(1, n + 1)), has_unit_head=True
+        tuple(map(pow, map(float, range(2, n + 2)), repeat(c))), has_unit_head=True
     )
 
 
@@ -175,7 +197,7 @@ def geometric_sequence(r: float, n: int) -> PrefixSequence:
     if r < 0:
         raise ValueError("ratio must be nonnegative")
     return PrefixSequence(
-        tuple(float(r) ** j for j in range(1, n + 1)), has_unit_head=True
+        tuple(map(pow, repeat(float(r)), range(1, n + 1))), has_unit_head=True
     )
 
 
@@ -187,9 +209,9 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     """
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
+    exp, sqrt = math.exp, math.sqrt
     return PrefixSequence(
-        tuple(math.exp(c * j + d * math.sqrt(j)) for j in range(1, n + 1)),
-        has_unit_head=True,
+        tuple([exp(c * j + d * sqrt(j)) for j in range(1, n + 1)]), has_unit_head=True
     )
 
 
@@ -197,8 +219,7 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
     lines = ["k,value"]
-    for k, v in enumerate(seq.values, start=1):
-        lines.append("%d,%s" % (k, fmt17(v)))
+    lines += ["%d,%.17g" % kv for kv in enumerate(seq.values, start=1)]  # "%.17g" is fmt17
     return "\n".join(lines) + "\n"
 
 

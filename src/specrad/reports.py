@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, count, islice
 
 
 def fmt17(x: float) -> str:
@@ -63,78 +64,103 @@ class ReportEntry:
 class RootReport:
     """Convergence table of k-th roots with their running minimum.
 
-    ``value_header`` names the second column: "value" for raw sequence
-    prefixes, "norm" for power-norm reports.
+    The table is stored by column; row k is entry k - 1 of ``value``,
+    ``root`` and ``running_min``.  ``value_header`` names the second
+    column: "value" for raw sequence prefixes, "norm" for power-norm
+    reports.
     """
 
-    entries: list[ReportEntry] = field(default_factory=list)
+    value: list[float] | tuple[float, ...] = field(default_factory=list)
+    root: list[float] = field(default_factory=list)
+    running_min: list[float] = field(default_factory=list)
     value_header: str = "value"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.root)
+
+    @property
+    def entries(self) -> list[ReportEntry]:
+        """The rows as records, built on each access."""
+        return list(map(ReportEntry, count(1), self.value, self.root, self.running_min))
 
     @property
     def certified_upper(self) -> float:
         """Minimum root seen: a rigorous upper bound for the limit."""
-        return self.entries[-1].running_min
+        return self.running_min[-1]
 
     @property
     def last_root(self) -> float:
-        return self.entries[-1].root
+        return self.root[-1]
 
     def roots(self) -> list[float]:
-        return [e.root for e in self.entries]
+        return list(self.root)
 
     def values(self) -> list[float]:
-        return [e.value for e in self.entries]
+        return list(self.value)
+
+    def _rows(self, same: str, distinct: str) -> list[str]:
+        # "%.17g" % x is fmt17(x).  A running minimum that is the root
+        # object itself (the root set a new minimum) shares its string, so
+        # `same` takes the root and the minimum formatted, `distinct` raw.
+        rows = []
+        append = rows.append
+        for k, v, r, m in zip(count(1), self.value, self.root, self.running_min):
+            if m is r:
+                s = "%.17g" % r
+                append(same % (k, v, s, s))
+            else:
+                append(distinct % (k, v, r, m))
+        return rows
 
     def to_csv(self) -> str:
-        lines = ["k,%s,root,running_min" % self.value_header]
-        for e in self.entries:
-            lines.append(
-                "%d,%s,%s,%s" % (e.k, fmt17(e.value), fmt17(e.root), fmt17(e.running_min))
-            )
-        return "\n".join(lines) + "\n"
+        rows = self._rows("%d,%.17g,%s,%s", "%d,%.17g,%.17g,%.17g")
+        rows.insert(0, "k,%s,root,running_min" % self.value_header)
+        return "\n".join(rows) + "\n"
 
     def to_json(self) -> str:
-        rows = []
-        for e in self.entries:
-            rows.append(
-                '{"k": %d, "%s": %s, "root": %s, "running_min": %s}'
-                % (
-                    e.k,
-                    self.value_header,
-                    _json_number(e.value),
-                    _json_number(e.root),
-                    _json_number(e.running_min),
-                )
-            )
-        return "[\n" + ",\n".join(rows) + "\n]\n"
+        row = '{"k": %%d, "%s": %%.17g, "root": %%%s, "running_min": %%%s}'
+        rows = self._rows(row % (self.value_header, "s", "s"),
+                          row % (self.value_header, ".17g", ".17g"))
+        text = "[\n" + ",\n".join(rows) + "\n]\n"
+        # quote the non-finite numbers as _json_number does; a finite
+        # %.17g number holds none of these words
+        for word in ("inf", "-inf", "nan"):
+            text = text.replace(": " + word, ': "%s"' % word)
+        return text
+
+
+def _exp_or_inf(lv: float) -> float:
+    try:
+        return math.exp(lv)
+    except OverflowError:
+        return math.inf
 
 
 def build_report(
     values_log: list[float],
     value_header: str = "value",
-    values: list[float] | None = None,
+    values: list[float] | tuple[float, ...] | None = None,
 ) -> RootReport:
     """Assemble a report from natural-log values (-inf encodes a zero entry).
 
     When the raw values are available, pass them through ``values`` so the
-    value column carries them verbatim instead of an exp/log round trip.
-    A value past the float range is reported as inf; its root stays finite.
+    value column carries them verbatim instead of an exp/log round trip;
+    a tuple is shared, a list is copied.  A value past the float range is
+    reported as inf; its root stays finite.
     """
-    entries = []
-    running = math.inf
-    for i, lv in enumerate(values_log):
-        k = i + 1
-        if values is not None:
-            value = values[i]
-        else:
-            try:
-                value = math.exp(lv) if lv != -math.inf else 0.0
-            except OverflowError:
-                value = math.inf
-        root = math.exp(lv / k) if lv != -math.inf else 0.0
-        running = min(running, root)
-        entries.append(ReportEntry(k, value, root, running))
-    return RootReport(entries, value_header)
+    n = len(values_log)
+    exp = math.exp
+    if values is not None:
+        value = values[:n]
+        if len(value) < n:
+            raise ValueError("values has %d entries for %d logs" % (len(value), n))
+    else:
+        try:
+            value = list(map(exp, values_log))
+        except OverflowError:
+            value = list(map(_exp_or_inf, values_log))
+    root = [exp(lv / k) for k, lv in enumerate(values_log, 1)]  # exp(-inf) is 0.0
+    # min(running, root) at each k, from running = inf: a nan root never
+    # becomes the minimum, and a new minimum is the root object itself
+    running_min = list(islice(accumulate(root, min, initial=math.inf), 1, None))
+    return RootReport(value, root, running_min, value_header)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class WeightedShift:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if not self.weights:
             raise ValueError("need at least one weight")
         prev = math.inf
@@ -162,13 +163,12 @@ def shift_limit_experiment(shift: WeightedShift, max_power: int) -> RootReport:
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    logs = []
-    total = 0.0
-    for l in range(1, max_power + 1):
-        if total != -math.inf:
-            w = shift.weight(l)
-            total = total + math.log(w) if w > 0.0 else -math.inf
-        logs.append(total)
+    # alpha_1..alpha_L up to the first zero weight, past which (weights are
+    # nonincreasing) every weight is zero and every product is 0, log -inf
+    positive = takewhile((0.0).__lt__, chain(shift.weights, repeat(shift.tail)))
+    logs = list(accumulate(map(math.log, islice(positive, max_power)), initial=0.0))
+    del logs[0]
+    logs += [-math.inf] * (max_power - len(logs))
     return build_report(logs, value_header="norm")
 
 
@@ -182,7 +182,7 @@ def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
     """alpha_j = a + b/j, decaying toward a; needs a, b >= 0."""
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0 for nonnegative nonincreasing weights")
-    return WeightedShift(tuple(a + b / j for j in range(1, m + 1)))
+    return WeightedShift(tuple([a + b / j for j in range(1, m + 1)]))
 
 
 # --- CSV interface ----------------------------------------------------------

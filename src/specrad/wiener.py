@@ -260,7 +260,7 @@ def element_to_json(f: Element) -> str:
 
 
 def parse_inline(spec: str) -> Element:
-    """Parse 'deg:coeff,deg:coeff' pairs; coefficients in complex syntax."""
+    """Parse 'deg:coeff,deg:coeff' pairs; coefficients in complex syntax, finite."""
     out: Element = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -269,5 +269,8 @@ def parse_inline(spec: str) -> Element:
         deg_text, _, coeff_text = chunk.partition(":")
         if not coeff_text:
             raise ValueError("expected deg:coeff, got %r" % chunk)
-        out[int(deg_text)] = complex(coeff_text)
+        deg, coeff = int(deg_text), complex(coeff_text)
+        if not cmath.isfinite(coeff):
+            raise ValueError("coefficient of degree %d is not finite: %r" % (deg, coeff_text))
+        out[deg] = coeff
     return clean(out)

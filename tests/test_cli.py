@@ -350,9 +350,9 @@ def test_wiener_degree_beyond_64_bits(capsys):
     ]
 
 
-# Non-finite and subnormal coefficients: their rows read nan today (see the
-# FOUND lines on parse_inline and normalized_powers in CHANGES.md), so only
-# the absence of a numpy warning or a traceback is checked here.
+# Non-finite and subnormal coefficients once gave nan rows; only the absence
+# of a numpy warning or a traceback is checked here, the fixed outputs by the
+# two tests after this one.
 @pytest.mark.parametrize("spec", ["1:inf", "3:1e-320,4:1e-320"])
 def test_wiener_extreme_coefficients_are_silent(capsys, spec):
     code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", "3")
@@ -361,6 +361,35 @@ def test_wiener_extreme_coefficients_are_silent(capsys, spec):
         assert len(out.splitlines()) == 4
     else:
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["1:inf", "1:nan", "0:1+infj"])
+def test_wiener_non_finite_coefficient_exits_one(capsys, spec):
+    code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "degree %s " % spec.partition(":")[0] in err
+
+
+# "{m}" stands for a CSV file holding 1e-320 * I (2 x 2)
+SUBNORMAL_NORM_INVOCATIONS = {
+    "wiener": ["wiener", "--f=3:1e-320,4:1e-320", "--n", "64"],
+    "power": ["power", "--matrix", "{m}", "--n", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBNORMAL_NORM_INVOCATIONS))
+def test_subnormal_norm_keeps_finite_roots(tmp_path, capsys, name):
+    # 1 / norm overflows for a subnormal norm; the roots must not turn nan
+    path = tmp_path / "tiny.csv"
+    path.write_text(matrix.matrix_to_csv(1e-320 * np.eye(2, dtype=complex)))
+    argv = [arg.replace("{m}", str(path)) for arg in SUBNORMAL_NORM_INVOCATIONS[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+    roots = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
+    assert len(roots) == 64
+    assert all(abs(r - roots[0]) <= 0.01 * roots[0] for r in roots)
 
 
 # --- values past the float range ----------------------------------------------
@@ -390,3 +419,32 @@ def test_overflowing_value_reads_inf(tmp_path, capsys, name):
     data = json.loads(out)
     assert data[-1]["norm"] == "inf"
     assert isinstance(data[-1]["root"], float)
+
+
+# --- report tables at benchmark size, byte for byte ------------------------------
+
+AT_SIZE_INVOCATIONS = {
+    "fekete": ["fekete", "--gen", "geom:0.98", "--n", "20000"],
+    "shift": ["shift", "--weights", "harmonic:0.5,1", "--m", "40000", "--l", "20000"],
+    "convolve": ["convolve", "--a", "geom:0.7", "--b", "geom:0.6", "--n", "1000"],
+    "convolve-zero": ["convolve", "--a", "geom:0", "--b", "poly:1", "--n", "50"],
+}
+
+AT_SIZE_SHA256 = {
+    ("convolve", "csv"): "206b3f4ccd68c76de11aabfbd04ca05613c834cc122937d5d89916bca1173cf3",
+    ("convolve", "json"): "224c24937debc22ec6c394a93bf829dfcad0cf0751ab2389520c128fb18b254c",
+    ("convolve-zero", "csv"): "076c3da77d72f56feb22d215f9fd2dd446fef4413661772fde919c0694e37161",
+    ("convolve-zero", "json"): "530afe0225cf77bef1dbe7cdae77f4478aa97ab0f8be809af8f5bb3633833931",
+    ("fekete", "csv"): "35e425f50c51cc0c3ce2bae47b210be22ceb6e6ff7d23f2e4ce9482d0730a0d2",
+    ("fekete", "json"): "2e1f2d13ebc334c069fbfee48be99110eae410ea0979bc43715948b0f281b134",
+    ("shift", "csv"): "441e6aaa4bad5fb482f93b66abbd6e67c564dec4c291dac37e715157c6998cfc",
+    ("shift", "json"): "159258df7b53e8eef85758f676031f2233d77d08da6f228ff9c0f78e6bfacdd3",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(AT_SIZE_INVOCATIONS))
+def test_report_tables_at_size_are_unchanged(capsys, name, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *AT_SIZE_INVOCATIONS[name])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AT_SIZE_SHA256[name, fmt]

@@ -250,3 +250,98 @@ def test_root_report_csv_schema():
     lines = text.splitlines()
     assert lines[0] == "k,value,root,running_min"
     assert lines[1].startswith("1,2,")
+
+
+# --- binomial convolution against the term-by-term loop ------------------------
+
+def _reference_binomial_convolve(a, b, n_out):
+    """c_1..c_n_out by the row-by-row loop the blocked numpy version replaced
+    (binomial_convolve's checks on its inputs and output are left out)."""
+    log_a = [0.0] + [math.log(v) if v > 0.0 else -math.inf for v in a.values[:n_out]]
+    log_b = [0.0] + [math.log(v) if v > 0.0 else -math.inf for v in b.values[:n_out]]
+    lf = [0.0] * (n_out + 1)
+    for i in range(2, n_out + 1):
+        lf[i] = lf[i - 1] + math.log(i)
+
+    out = []
+    for n in range(1, n_out + 1):
+        terms = []
+        for j in range(0, n + 1):
+            la, lb = log_a[j], log_b[n - j]
+            if la == -math.inf or lb == -math.inf:
+                continue
+            terms.append(lf[n] - lf[j] - lf[n - j] + la + lb)
+        if not terms:
+            out.append(0.0)
+            continue
+        pivot = max(terms)
+        out.append(math.exp(pivot) * math.fsum(math.exp(t - pivot) for t in terms))
+    return tuple(out)
+
+
+def _outcome(convolve, a, b, n):
+    # repr tells nan apart from itself, where == does not; exp(pivot) past
+    # the float range must raise alike
+    try:
+        return repr(convolve(a, b, n))
+    except OverflowError as exc:
+        return "OverflowError: %s" % exc
+
+
+def assert_convolve_matches_reference(a, b, n):
+    got = _outcome(lambda *args: fekete.binomial_convolve(*args).values, a, b, n)
+    assert got == _outcome(_reference_binomial_convolve, a, b, n)
+
+
+class _Unchecked:
+    """PrefixSequence without its checks, to hold nan results."""
+
+    def __init__(self, values, has_unit_head=False):
+        self.values = values
+
+
+def _generated(kind, p, n):
+    if kind == "poly":
+        return fekete.poly_sequence(3.0 * p, n)
+    if kind == "geom":
+        return fekete.geometric_sequence(2.0 * p, n)
+    return fekete.subadd_sequence(2.0 * p - 1.0, 2.0 * p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["poly", "geom", "subadd"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["poly", "geom", "subadd"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1, 2, 7, 30, 129, 200]),
+)
+def test_binomial_convolve_matches_reference(kind_a, p, kind_b, q, n):
+    assert_convolve_matches_reference(_generated(kind_a, p, n), _generated(kind_b, q, n), n)
+
+
+@pytest.mark.parametrize("n", [1, 30, 1000])
+def test_binomial_convolve_matches_reference_at_size(n):
+    assert_convolve_matches_reference(
+        fekete.geometric_sequence(0.7, n), fekete.geometric_sequence(0.6, n), n
+    )
+    assert_convolve_matches_reference(
+        fekete.subadd_sequence(-0.3, 0.9, n), fekete.poly_sequence(1.25, n), n
+    )
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_binomial_convolve_zero_and_infinite_entries(monkeypatch, n):
+    zero = fekete.geometric_sequence(0.0, n)  # a_j = 0 for j >= 1
+    inf = fekete.geometric_sequence(math.inf, n)
+    poly = fekete.poly_sequence(1.0, n)
+    # an inf entry makes c_n nan, which PrefixSequence refuses; compare the
+    # nan rows too
+    monkeypatch.setattr(fekete, "PrefixSequence", _Unchecked)
+    for a, b in ((zero, poly), (poly, zero), (zero, zero), (inf, poly), (inf, zero), (inf, inf)):
+        assert_convolve_matches_reference(a, b, n)
+    # zeros and inf scattered through one prefix
+    values = tuple((0.0, math.inf, 5e-324, 2.0)[j % 4] for j in range(n))
+    mixed = PrefixSequence(values, has_unit_head=True)
+    assert_convolve_matches_reference(mixed, poly, n)
+    assert_convolve_matches_reference(zero, mixed, n)
