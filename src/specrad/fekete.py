@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import RootReport, build_report, csv_rows
+from .reports import FMT17, RootReport, build_report, csv_rows
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -71,16 +71,10 @@ def check_submultiplicative(
     return violations
 
 
-def _log_or_neg_inf(v: float) -> float:
-    return math.log(v) if v > 0.0 else -math.inf
-
-
 def _logs(values) -> list[float]:
     """log of each nonnegative entry, -inf for a zero entry."""
-    try:
-        return list(map(math.log, values))
-    except ValueError:  # a zero entry
-        return list(map(_log_or_neg_inf, values))
+    log, neg_inf = math.log, -math.inf
+    return [log(v) if v > 0.0 else neg_inf for v in values]
 
 
 def root_report(seq: PrefixSequence) -> RootReport:
@@ -218,8 +212,9 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
 # --- CSV interface -------------------------------------------------------
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
+    row = "%d," + FMT17
     lines = ["k,value"]
-    lines += ["%d,%.17g" % kv for kv in enumerate(seq.values, start=1)]  # "%.17g" is fmt17
+    lines += [row % kv for kv in enumerate(seq.values, start=1)]
     return "\n".join(lines) + "\n"
 
 

@@ -14,16 +14,22 @@ from dataclasses import dataclass, field
 from itertools import accumulate, count, islice
 
 
+# 17 significant digits: every float reads back exactly
+FMT17 = "%.17g"
+
+# strict JSON has no inf/nan literals; they are written as strings
+_JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
 def fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
+    """Format a float with FMT17 (round-trip exact)."""
+    return FMT17 % float(x)
 
 
 def _json_number(x: float) -> str:
-    # strict JSON has no inf/nan literals; fall back to strings for them
-    if math.isfinite(x):
-        return fmt17(x)
-    return '"%s"' % fmt17(x)
+    """fmt17 for JSON: a non-finite number is quoted by _JSON_NON_FINITE."""
+    s = fmt17(x)
+    return _JSON_NON_FINITE.get(s, s)
 
 
 def csv_rows(text: str, header: str, indexed: bool = False):
@@ -60,7 +66,7 @@ class ReportEntry:
     running_min: float
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RootReport:
     """Convergence table of k-th roots with their running minimum.
 
@@ -80,7 +86,7 @@ class RootReport:
 
     @property
     def entries(self) -> list[ReportEntry]:
-        """The rows as records, built on each access."""
+        """The rows as records, in a new list on each access."""
         return list(map(ReportEntry, count(1), self.value, self.root, self.running_min))
 
     @property
@@ -98,34 +104,38 @@ class RootReport:
     def values(self) -> list[float]:
         return list(self.value)
 
-    def _rows(self, same: str, distinct: str) -> list[str]:
-        # "%.17g" % x is fmt17(x).  A running minimum that is the root
-        # object itself (the root set a new minimum) shares its string, so
-        # `same` takes the root and the minimum formatted, `distinct` raw.
+    def _rows(self, template: str) -> list[str]:
+        """Each row as template % (k, value, root, running_min).
+
+        template has %s for the root and the running minimum, which are
+        written by FMT17.  A running minimum that is the root object itself
+        (the root set a new minimum, as on 84% of the report-tables rows)
+        reuses the root's string.
+        """
+        distinct = template.replace("%s", FMT17)
         rows = []
         append = rows.append
         for k, v, r, m in zip(count(1), self.value, self.root, self.running_min):
             if m is r:
-                s = "%.17g" % r
-                append(same % (k, v, s, s))
+                s = FMT17 % r
+                append(template % (k, v, s, s))
             else:
                 append(distinct % (k, v, r, m))
         return rows
 
     def to_csv(self) -> str:
-        rows = self._rows("%d,%.17g,%s,%s", "%d,%.17g,%.17g,%.17g")
+        rows = self._rows("%%d,%s,%%s,%%s" % FMT17)
         rows.insert(0, "k,%s,root,running_min" % self.value_header)
         return "\n".join(rows) + "\n"
 
     def to_json(self) -> str:
-        row = '{"k": %%d, "%s": %%.17g, "root": %%%s, "running_min": %%%s}'
-        rows = self._rows(row % (self.value_header, "s", "s"),
-                          row % (self.value_header, ".17g", ".17g"))
+        rows = self._rows('{"k": %%d, "%s": %s, "root": %%s, "running_min": %%s}'
+                          % (self.value_header, FMT17))
         text = "[\n" + ",\n".join(rows) + "\n]\n"
         # quote the non-finite numbers as _json_number does; a finite
-        # %.17g number holds none of these words
-        for word in ("inf", "-inf", "nan"):
-            text = text.replace(": " + word, ': "%s"' % word)
+        # number written by FMT17 holds none of these words
+        for word, quoted in _JSON_NON_FINITE.items():
+            text = text.replace(": " + word, ": " + quoted)
         return text
 
 
@@ -163,4 +173,6 @@ def build_report(
     # min(running, root) at each k, from running = inf: a nan root never
     # becomes the minimum, and a new minimum is the root object itself
     running_min = list(islice(accumulate(root, min, initial=math.inf), 1, None))
-    return RootReport(value, root, running_min, value_header)
+    return RootReport(
+        value=value, root=root, running_min=running_min, value_header=value_header
+    )

@@ -1,7 +1,9 @@
 """The columnar report layer against the row-by-row implementation it replaced.
 
 ``_reference_build_report`` and ``_reference_root_report`` are the earlier
-row-record implementations, kept here as the specification: every column,
+row-record implementations, with the earlier number writers
+``_reference_fmt17`` and ``_reference_json_number``, kept here as the
+specification: every column,
 every writer byte and every derived number must match them exactly,
 including nan, inf, signed zeros and subnormals.
 """
@@ -14,7 +16,17 @@ from hypothesis import strategies as st
 
 from specrad import fekete
 from specrad.fekete import PrefixSequence
-from specrad.reports import ReportEntry, _json_number, build_report, fmt17
+from specrad.reports import ReportEntry, RootReport, _json_number, build_report, fmt17
+
+
+def _reference_fmt17(x):
+    return format(float(x), ".17g")
+
+
+def _reference_json_number(x):
+    if math.isfinite(x):
+        return _reference_fmt17(x)
+    return '"%s"' % _reference_fmt17(x)
 
 
 class _ReferenceReport:
@@ -26,7 +38,13 @@ class _ReferenceReport:
         lines = ["k,%s,root,running_min" % self.value_header]
         for e in self.entries:
             lines.append(
-                "%d,%s,%s,%s" % (e.k, fmt17(e.value), fmt17(e.root), fmt17(e.running_min))
+                "%d,%s,%s,%s"
+                % (
+                    e.k,
+                    _reference_fmt17(e.value),
+                    _reference_fmt17(e.root),
+                    _reference_fmt17(e.running_min),
+                )
             )
         return "\n".join(lines) + "\n"
 
@@ -38,9 +56,9 @@ class _ReferenceReport:
                 % (
                     e.k,
                     self.value_header,
-                    _json_number(e.value),
-                    _json_number(e.root),
-                    _json_number(e.running_min),
+                    _reference_json_number(e.value),
+                    _reference_json_number(e.root),
+                    _reference_json_number(e.running_min),
                 )
             )
         return "[\n" + ",\n".join(rows) + "\n]\n"
@@ -157,3 +175,19 @@ def test_root_report_of_generated_tables_matches_reference():
 def test_short_values_are_refused():
     with pytest.raises(ValueError, match="values"):
         build_report([0.0, 0.0], values=[1.0])
+
+
+def test_report_fields_are_keyword_only():
+    # the columns replaced the positional (entries, value_header) fields;
+    # a positional call in the old form must fail, not build a wrong report
+    with pytest.raises(TypeError):
+        RootReport([ReportEntry(1, 2.0, 2.0, 2.0)], "norm")
+    report = RootReport(value=[2.0], root=[2.0], running_min=[2.0], value_header="norm")
+    assert report.entries == [ReportEntry(1, 2.0, 2.0, 2.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True)))
+def test_number_writers_match_reference(x):
+    assert fmt17(x) == _reference_fmt17(x)
+    assert _json_number(x) == _reference_json_number(x)
