@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, NotConvergent
 from .reports import RootReport, build_report
 
 DEFAULT_PROBE_DEPTH = 32
+DEFAULT_MAX_TERMS = 2**20
 
 
 class Algebra(abc.ABC):
@@ -143,86 +144,60 @@ def spectral_radius_upper(alg: Algebra, x, n: int) -> float:
     return power_norms(alg, x, n).certified_upper
 
 
-def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = 100_000):
+def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAULT_MAX_TERMS):
     """Inverse of (e - x) as the truncated geometric series sum of x^j.
 
-    Powers up to DEFAULT_PROBE_DEPTH are probed for a certificate
-    q = norm(x^k) < 1; without one the series has no convergence
-    guarantee and NotConvergent is raised.  With a certificate, partial
-    sums grouped in blocks of k have tail bounded by
-    B * q^M / (1 - q) after M blocks, where B is the sum of norm(x^r)
-    over r < k, and M is chosen to push that bound below ``tol``; the
-    series needs n_terms = M * k terms.
+    The partial sums y = sum_{j<2^m} x^j are formed in product form,
+    y <- y + y t with t = x^(2^m), one squaring and one product per
+    doubling.  Since (e - x) y = e - t, the squarings certify convergence
+    themselves: once q = norm(t) < 1, the truncation error y t (e - t)^{-1}
+    has norm at most norm(y) q / (1 - q), and the loop stops when that
+    bound and q are both at most tol / 2.  A t that is exactly zero
+    (nilpotent x) leaves the exact finite sum.
 
-    The sum is formed in product form by repeated squaring,
-    sum_{j<2^m} x^j = prod_{i<m} (e + x^(2^i)) with 2^m >= n_terms,
-    which takes 2(m - 1) products instead of n_terms.  The residual
-    norm((e - x) * y - e) is then measured, and NotConvergent is raised
-    when it exceeds ``tol`` (rounding can defeat a tolerance near
-    machine precision), so a returned y meets its contract.
+    The first time a squaring at or past x^DEFAULT_PROBE_DEPTH has no
+    q < 1 (nan included), the powers x^1 .. x^DEFAULT_PROBE_DEPTH are
+    probed once, and NotConvergent is raised if none has norm below 1.
+    BudgetExceeded is raised when the next doubling would pass
+    ``max_terms`` terms.  The residual norm((e - x) y - e) is measured at
+    the end, and NotConvergent is raised when it exceeds ``tol`` (rounding
+    can defeat a tolerance near machine precision), so a returned y meets
+    its contract.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    # Probe powers, keeping the certificate k with the fastest per-term decay.
-    norms = [1.0]  # norm(x^0)
-    term = alg.one
-    best_k = None
-    best_rate = math.inf
-    for k in range(1, DEFAULT_PROBE_DEPTH + 1):
-        term = alg.mul(term, x)
-        nk = alg.norm(term)
-        if nk == 0.0:
-            # x is nilpotent at k: the series is the exact finite sum.
-            partial = alg.one
-            t = alg.one
-            for _ in range(1, k):
-                t = alg.mul(t, x)
-                partial = alg.add(partial, t)
-            return partial
-        norms.append(nk)
-        if nk < 1.0:
-            rate = math.log(nk) / k
-            if rate < best_rate:
-                best_rate = rate
-                best_k = k
-    if best_k is None:
-        min_root = min(norms[k] ** (1.0 / k) for k in range(1, DEFAULT_PROBE_DEPTH + 1))
-        raise NotConvergent(
-            "no k <= %d has norm(x^k) < 1 (min norm(x^k)^(1/k) = %.6g)"
-            % (DEFAULT_PROBE_DEPTH, min_root)
-        )
-
-    k = best_k
-    q = norms[k]
-    head = math.fsum(norms[:k])  # sum of norm(x^r), r < k
-    # smallest M with head * q^M / (1 - q) <= tol
-    target = tol * (1.0 - q) / head
-    blocks = 1 if target >= 1.0 else math.ceil(math.log(target) / math.log(q))
-    blocks = max(blocks, 1)
-    n_terms = blocks * k  # indices j = 0 .. n_terms - 1
-    if n_terms > max_terms:
-        raise BudgetExceeded(
-            "tail bound needs %d terms (k=%d, q=%.6g) but max_terms=%d"
-            % (n_terms, k, q, max_terms)
-        )
-
-    # smallest m with 2^m >= n_terms; after i squarings s = x^(2^i) and
-    # y = sum_{j<2^(i+1)} x^j
-    squarings = max((n_terms - 1).bit_length() - 1, 0)
     y = alg.add(alg.one, x)
-    s = x
-    for _ in range(squarings):
-        s = alg.mul(s, s)
-        if alg.is_zero(s):
+    t = x
+    terms = 2  # y = sum_{j<terms} x^j, and t becomes x^terms below
+    probed = False
+    while True:
+        t = alg.mul(t, t)
+        if alg.is_zero(t):
+            return y  # (e - x) y = e exactly
+        q = alg.norm(t)
+        bound = alg.norm(y) * q / (1.0 - q) if q < 1.0 else math.inf
+        if max(q, bound) <= tol / 2:
             break
-        y = alg.add(y, alg.mul(y, s))
+        if not q < 1.0 and terms >= DEFAULT_PROBE_DEPTH and not probed:
+            probed = True
+            upper = spectral_radius_upper(alg, x, DEFAULT_PROBE_DEPTH)
+            if not upper < 1.0:
+                raise NotConvergent(
+                    "no k <= %d has norm(x^k) < 1 (min norm(x^k)^(1/k) = %.6g)"
+                    % (DEFAULT_PROBE_DEPTH, upper)
+                )
+        if 2 * terms > max_terms:
+            raise BudgetExceeded(
+                "tail bound %.6g after %d terms (q=%.6g), and the next doubling "
+                "passes max_terms=%d" % (bound, terms, q, max_terms)
+            )
+        y = alg.add(y, alg.mul(y, t))
+        terms *= 2
     residual = alg.norm(alg.sub(alg.mul(alg.sub(alg.one, x), y), alg.one))
     if residual > tol:
         raise NotConvergent(
             "residual norm((e - x) y - e) = %.6g exceeds tol %.6g "
-            "(k=%d, q=%.6g, n_terms=%d, squarings=%d)"
-            % (residual, tol, k, q, n_terms, squarings)
+            "(terms=%d, q=%.6g, tail bound=%.6g)" % (residual, tol, terms, q, bound)
         )
     return y
 

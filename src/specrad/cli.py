@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from pathlib import Path
 
 from . import fekete, matrix, selftest, shift, wiener
-from .algebra import neumann_inverse, power_norms, resolvent
+from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular, Unsupported
 from .reports import _json_number
 
@@ -81,6 +82,10 @@ def run_fekete(args) -> int:
 def run_convolve(args) -> int:
     a = _parse_sequence_gen(args.a, args.n)
     b = _parse_sequence_gen(args.b, args.n)
+    for name, spec, seq in (("a", args.a, a), ("b", args.b, b)):
+        for j, v in enumerate(seq.values, 1):
+            if not math.isfinite(v):
+                raise ValueError("--%s %s: entry %s_%d = %r is not finite" % (name, spec, name, j, v))
     c = fekete.binomial_convolve(a, b, args.n)
     if args.format == "json":
         rows = ", ".join(
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neumann", help="geometric-series inverse of (I - X)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-terms", type=int, default=100_000)
+    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p.add_argument("--norm", choices=("inf", "one"), default="inf")
     p.set_defaults(handler=run_neumann)
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import FMT17, RootReport, build_report, csv_rows
+from .reports import FMT17, RootReport, _exp_or_inf, build_report, csv_rows
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -161,7 +162,8 @@ def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> Prefi
         with np.errstate(invalid="ignore"):  # inf - inf when a term is inf
             t = t - t[:, :1]
         for row, count, pivot in zip(t, counts, pivots):
-            out.append(exp(pivot) * fsum(map(exp, row[:count].tolist())) if count else 0.0)
+            # exp(pivot) overflows only when c_n, at least exp(pivot), does
+            out.append(_exp_or_inf(pivot) * fsum(map(exp, row[:count].tolist())) if count else 0.0)
     return PrefixSequence(tuple(out), has_unit_head=True)
 
 
@@ -178,21 +180,35 @@ def max_sum_bound(t: list[float]) -> tuple[float, float, bool]:
 
 
 # --- closed-form generator families -------------------------------------
+# A value past the float range reads inf.
+
+def _or_inf(f, *args) -> float:
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _values(f, *args) -> tuple[float, ...]:
+    """tuple(map(f, *args)), with inf for each value that overflows (float
+    pow and math.exp raise); the iterables are read again when one does."""
+    try:
+        return tuple(map(f, *args))
+    except OverflowError:
+        return tuple(map(partial(_or_inf, f), *args))
+
 
 def poly_sequence(c: float, n: int) -> PrefixSequence:
     """a_j = (j+1)^c; submultiplicative for c >= 0 with limit 1."""
-    return PrefixSequence(
-        tuple(map(pow, map(float, range(2, n + 2)), repeat(c))), has_unit_head=True
-    )
+    bases = [float(j) for j in range(2, n + 2)]
+    return PrefixSequence(_values(pow, bases, repeat(c)), has_unit_head=True)
 
 
 def geometric_sequence(r: float, n: int) -> PrefixSequence:
     """a_j = r^j; roots are constantly r."""
     if r < 0:
         raise ValueError("ratio must be nonnegative")
-    return PrefixSequence(
-        tuple(map(pow, repeat(float(r)), range(1, n + 1))), has_unit_head=True
-    )
+    return PrefixSequence(_values(pow, repeat(float(r)), range(1, n + 1)), has_unit_head=True)
 
 
 def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
@@ -203,10 +219,9 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     """
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
-    exp, sqrt = math.exp, math.sqrt
-    return PrefixSequence(
-        tuple([exp(c * j + d * sqrt(j)) for j in range(1, n + 1)]), has_unit_head=True
-    )
+    sqrt = math.sqrt
+    exponents = [c * j + d * sqrt(j) for j in range(1, n + 1)]
+    return PrefixSequence(_values(math.exp, exponents), has_unit_head=True)
 
 
 # --- CSV interface -------------------------------------------------------
@@ -220,4 +235,4 @@ def sequence_to_csv(seq: PrefixSequence) -> str:
 
 def read_sequence_csv(text: str) -> PrefixSequence:
     """Parse `k,value` rows (header required, k must run 1..N in order)."""
-    return PrefixSequence(tuple(float(v) for _, v in csv_rows(text, "k,value", indexed=True)))
+    return PrefixSequence(tuple(float(v) for _, v in csv_rows(text, "k,value")))

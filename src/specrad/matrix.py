@@ -330,6 +330,18 @@ def matrix_to_csv(a) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_matrix(rows) -> np.ndarray:
+    """as_matrix(rows) for file input, refusing a non-finite entry."""
+    m = as_matrix(rows)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0].tolist()
+        z = complex(m[i, j])
+        text = fmt17(z.real) if z.imag == 0 else format_complex(z)
+        raise ValueError("matrix entry (%d, %d) is not finite: %s" % (i + 1, j + 1, text))
+    return m
+
+
 def read_matrix_csv(text: str) -> np.ndarray:
     rows = []
     for ln in text.splitlines():
@@ -339,7 +351,7 @@ def read_matrix_csv(text: str) -> np.ndarray:
         rows.append([complex(tok.strip().replace(" ", "")) for tok in ln.split(",")])
     if not rows:
         raise ValueError("empty matrix input")
-    return as_matrix(rows)
+    return _finite_matrix(rows)
 
 
 def matrix_to_json(a) -> str:
@@ -359,4 +371,4 @@ def read_matrix_json(text: str) -> np.ndarray:
         rows = [[complex(cell[0], cell[1]) for cell in row] for row in data]
     except (TypeError, IndexError) as exc:
         raise ValueError("expected a JSON array of rows of [re, im] pairs: %s" % exc) from None
-    return as_matrix(rows)
+    return _finite_matrix(rows)

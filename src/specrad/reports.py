@@ -32,14 +32,13 @@ def _json_number(x: float) -> str:
     return _JSON_NON_FINITE.get(s, s)
 
 
-def csv_rows(text: str, header: str, indexed: bool = False):
+def csv_rows(text: str, header: str):
     """Yield the data rows of a headed CSV text, each split into its fields.
 
     Blank lines are skipped and the header is matched case- and
     space-insensitively.  Every row must have as many fields as the
-    header; with ``indexed`` the first field must count 1, 2, ... in order.
-    Rows are checked as they are yielded, so the first bad row is the one
-    reported.
+    header, and the first field must count 1, 2, ... in order.  Rows are
+    checked as they are yielded, so the first bad row is the one reported.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].lower().replace(" ", "") != header:
@@ -49,12 +48,11 @@ def csv_rows(text: str, header: str, indexed: bool = False):
         parts = ln.split(",")
         if len(parts) != len(names):
             raise ValueError("bad row %r" % ln)
-        if indexed:
-            k = int(parts[0])
-            if k != i:
-                raise ValueError(
-                    "row %d has index %s = %d; indices must run 1..N" % (i, names[0], k)
-                )
+        k = int(parts[0])
+        if k != i:
+            raise ValueError(
+                "row %d has index %s = %d; indices must run 1..N" % (i, names[0], k)
+            )
         yield parts
 
 

@@ -196,4 +196,4 @@ def weights_to_csv(shift: WeightedShift) -> str:
 
 def read_weights_csv(text: str) -> WeightedShift:
     """Parse `j,alpha` rows (header required, j must run 1..M in order)."""
-    return WeightedShift(tuple(float(w) for _, w in csv_rows(text, "j,alpha", indexed=True)))
+    return WeightedShift(tuple(float(w) for _, w in csv_rows(text, "j,alpha")))

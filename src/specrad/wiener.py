@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, csv_rows, fmt17
+from .reports import RootReport
 
 Element = dict[int, complex]
 
@@ -218,11 +218,12 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
 
     Factors f = c * (e - g) with c the degree-0 coefficient, widening the
     plain norm(f - e) < 1 hypothesis, then runs the Neumann series on g.
-    Raises NotConvergent when no probed power of g has l1 norm below 1;
-    the factorization needs a nonzero degree-0 coefficient to start.
-    The series is summed by repeated squaring, so its support rounds up
-    to a power of two and ``cap`` can be reached up to 2x sooner than
-    the term count of the tail bound suggests.
+    Raises NotConvergent when no power g^k, k <= 32, has l1 norm below
+    1; the factorization needs a nonzero degree-0 coefficient to
+    start.  The series is summed by repeated squaring until its tail bound
+    meets ``tol``, so the partial sum's support doubles with each step;
+    ``cap`` bounds the support span of every product (BudgetExceeded),
+    alongside the term budget of neumann_inverse.
     """
     f = clean(f)
     c = f.get(0, 0j)
@@ -236,28 +237,6 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
 
 
 # --- I/O -------------------------------------------------------------------
-
-def element_to_csv(f: Element) -> str:
-    lines = ["degree,re,im"]
-    for k in sorted(clean(f)):
-        v = f[k]
-        lines.append("%d,%s,%s" % (k, fmt17(v.real), fmt17(v.imag)))
-    return "\n".join(lines) + "\n"
-
-
-def read_element_csv(text: str) -> Element:
-    """Parse `degree,re,im` rows (header required; a repeated degree keeps its last row)."""
-    rows = csv_rows(text, "degree,re,im")
-    return clean({int(k): complex(float(re), float(im)) for k, re, im in rows})
-
-
-def element_to_json(f: Element) -> str:
-    f = clean(f)
-    rows = [
-        '"%d": [%s, %s]' % (k, fmt17(f[k].real), fmt17(f[k].imag)) for k in sorted(f)
-    ]
-    return "{" + ", ".join(rows) + "}\n"
-
 
 def parse_inline(spec: str) -> Element:
     """Parse 'deg:coeff,deg:coeff' pairs; coefficients in complex syntax, finite."""

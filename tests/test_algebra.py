@@ -207,6 +207,37 @@ class TestNeumannProductForm:
         with pytest.raises(NotConvergent, match="residual"):
             neumann_inverse(ALG2, x, tol=1e-18)
 
+    def test_fast_decay_takes_few_products(self):
+        # the squarings certify convergence themselves: no separate probe
+        rng = np.random.default_rng(5)
+        tol = 1e-10
+        for n in (4, 8, 16, 32):
+            alg = CountingMatrixAlgebra(n)
+            x = random_matrix(rng, n)
+            x = x * (0.5 / alg.norm(x))
+            y = neumann_inverse(alg, x, tol=tol)
+            assert alg.muls <= 12
+            assert alg.norm((alg.one - x) @ y - alg.one) <= tol
+            assert alg.norm(y - np.linalg.inv(alg.one - x)) <= tol
+
+    def test_stop_rule_bounds_the_inverse_error(self):
+        # r^1024 = 1e-11 meets tol/2, but the error y t (e - t)^{-1} is about
+        # 1e-11 / (1 - r) = 4e-10: the tail bound must ask for x^2048
+        r = math.exp(math.log(1e-11) / 1024)
+        y = neumann_inverse(ALG2, r * ALG2.one, tol=1e-10)
+        assert ALG2.norm(y - ALG2.one / (1 - r)) <= 1e-10
+
+    def test_budget_counts_terms(self):
+        # 0.5 * I at tol 1e-10 needs 64 terms: at 32, q = 0.5^32 = 2.3e-10 > tol/2
+        x = 0.5 * ALG2.one
+        assert np.allclose(neumann_inverse(ALG2, x, max_terms=64), 2 * ALG2.one)
+        with pytest.raises(BudgetExceeded, match="32 terms"):
+            neumann_inverse(ALG2, x, max_terms=63)
+
+    def test_non_finite_entry_not_convergent(self):
+        with pytest.raises(NotConvergent, match="no k <= 32"):
+            neumann_inverse(ALG2, np.full((2, 2), np.nan, dtype=complex))
+
 
 class TestInvertNear:
     def test_zero_perturbation_returns_inverse(self):

@@ -448,3 +448,65 @@ def test_report_tables_at_size_are_unchanged(capsys, name, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *AT_SIZE_INVOCATIONS[name])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == AT_SIZE_SHA256[name, fmt]
+
+
+# --- one-pass Neumann ----------------------------------------------------------
+
+
+def test_neumann_slow_decay_within_default_budget(tmp_path, capsys):
+    # q = 0.9999 needs about 3.3e5 terms, 19 doublings of the product form
+    path = tmp_path / "x.csv"
+    path.write_text(matrix.matrix_to_csv(0.9999 * np.eye(2, dtype=complex)))
+    code, out, err = run_cli(capsys, "neumann", "--matrix", str(path))
+    assert (code, err) == (0, "")
+    y = matrix.read_matrix_csv(out)
+    residual = matrix.inf_norm((1 - 0.9999) * y - np.eye(2))
+    assert residual <= 1e-10
+
+
+# --- non-finite input ------------------------------------------------------------
+
+NON_FINITE_MATRICES = {
+    "csv": ("0.5+0j,1+0j\ninf,0+0j\n", "(2, 1) is not finite: inf"),
+    "json": ("[[[0.5, 0], [NaN, 1]], [[0, 0], [1, 0]]]", "(1, 2) is not finite: nan+1j"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["power", "neumann", "resolvent", "spectrum"])
+@pytest.mark.parametrize("fmt", sorted(NON_FINITE_MATRICES))
+def test_non_finite_matrix_entry_exits_one(tmp_path, capsys, fmt, subcommand):
+    text, where = NON_FINITE_MATRICES[fmt]
+    path = tmp_path / ("x." + fmt)
+    path.write_text(text)
+    extra = {
+        "resolvent": ["--lam", "2"],
+        "spectrum": "--re-min -1 --re-max 1 --im-min -1 --im-max 1 --step 1".split(),
+    }.get(subcommand, [])
+    code, out, err = run_cli(capsys, subcommand, "--matrix", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: matrix entry %s\n" % where
+
+
+def test_convolve_non_finite_input_names_the_input(capsys):
+    code, out, err = run_cli(capsys, "convolve", "--a", "poly:1", "--b", "geom:inf", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: --b geom:inf: entry b_1 = inf is not finite\n"
+
+
+# --- sequences past the float range -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, last_row",
+    [
+        # an inf value has root inf; the running minimum keeps the finite first root
+        (["fekete", "--gen", "geom:1e300", "--n", "3"], "3,inf,inf,9.99999999999"),
+        (["fekete", "--gen", "poly:1000", "--n", "3"], "3,inf,inf,1.07150860718"),
+        (["fekete", "--gen", "subadd:800,0", "--n", "2"], "2,inf,inf,inf"),
+        (["convolve", "--a", "geom:1.9", "--b", "geom:1.9", "--n", "600"], "600,inf"),
+    ],
+)
+def test_overflowing_sequence_reads_inf(capsys, argv, last_row):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(last_row)

@@ -227,21 +227,6 @@ class TestHomomorphismChain:
 
 
 class TestIO:
-    def test_csv_round_trip(self):
-        f = {3: 1.5 - 0.25j, -2: 0.125 + 1j}
-        assert wiener.read_element_csv(wiener.element_to_csv(f)) == f
-
-    def test_csv_header_required(self):
-        with pytest.raises(ValueError, match="header"):
-            wiener.read_element_csv("deg,val\n1,2\n")
-
-    def test_json_shape(self):
-        import json
-
-        f = {1: 0.5 + 0j, -1: 0.5 + 0j}
-        data = json.loads(wiener.element_to_json(f))
-        assert data == {"-1": [0.5, 0.0], "1": [0.5, 0.0]}
-
     def test_parse_inline(self):
         f = wiener.parse_inline("1:0.5,-1:0.5")
         assert f == COS
