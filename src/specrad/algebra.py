@@ -18,7 +18,7 @@ from typing import Any
 from .errors import BudgetExceeded, NotConvergent
 from .reports import RootReport, build_report
 
-DEFAULT_PROBE_DEPTH = 32
+DEFAULT_PROBE_DEPTH = 32  # must stay a power of two: neumann_inverse squares up to it
 DEFAULT_MAX_TERMS = 2**20
 
 
@@ -155,11 +155,14 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
     bound and q are both at most tol / 2.  A t that is exactly zero
     (nilpotent x) leaves the exact finite sum.
 
-    The first time a squaring at or past x^DEFAULT_PROBE_DEPTH has no
-    q < 1 (nan included), the powers x^1 .. x^DEFAULT_PROBE_DEPTH are
-    probed once, and NotConvergent is raised if none has norm below 1.
+    When the squaring that reaches x^DEFAULT_PROBE_DEPTH has no q < 1
+    (nan included), the powers x^1 .. x^DEFAULT_PROBE_DEPTH are probed,
+    and NotConvergent is raised if none has norm below 1.
     BudgetExceeded is raised when the next doubling would pass
-    ``max_terms`` terms.  The residual norm((e - x) y - e) is measured at
+    ``max_terms`` terms, and from x^DEFAULT_PROBE_DEPTH on also when
+    q^(2^j), the submultiplicative bound for norm(x^(2^j terms)), reaches
+    tol / 2 only past ``max_terms`` terms, so a refusal costs a few
+    products, not the whole budget.  The residual norm((e - x) y - e) is measured at
     the end, and NotConvergent is raised when it exceeds ``tol`` (rounding
     can defeat a tolerance near machine precision), so a returned y meets
     its contract.
@@ -169,7 +172,6 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
     y = alg.add(alg.one, x)
     t = x
     terms = 2  # y = sum_{j<terms} x^j, and t becomes x^terms below
-    probed = False
     while True:
         t = alg.mul(t, t)
         if alg.is_zero(t):
@@ -178,18 +180,22 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
         bound = alg.norm(y) * q / (1.0 - q) if q < 1.0 else math.inf
         if max(q, bound) <= tol / 2:
             break
-        if not q < 1.0 and terms >= DEFAULT_PROBE_DEPTH and not probed:
-            probed = True
+        # once norm(x^DEFAULT_PROBE_DEPTH) < 1, every later q is below 1 too
+        if terms == DEFAULT_PROBE_DEPTH and not q < 1.0:
             upper = spectral_radius_upper(alg, x, DEFAULT_PROBE_DEPTH)
             if not upper < 1.0:
                 raise NotConvergent(
                     "no k <= %d has norm(x^k) < 1 (min norm(x^k)^(1/k) = %.6g)"
                     % (DEFAULT_PROBE_DEPTH, upper)
                 )
-        if 2 * terms > max_terms:
+        need = 2 * terms
+        if terms >= DEFAULT_PROBE_DEPTH and tol / 2 < q < 1.0:
+            # smallest j with q^(2^j) <= tol / 2 is at least 1 here
+            need = terms * 2 ** math.ceil(math.log2(math.log(tol / 2) / math.log(q)))
+        if need > max_terms:
             raise BudgetExceeded(
-                "tail bound %.6g after %d terms (q=%.6g), and the next doubling "
-                "passes max_terms=%d" % (bound, terms, q, max_terms)
+                "tail bound %.6g after %d terms (q=%.6g) asks for %d terms, "
+                "past max_terms=%d" % (bound, terms, q, need, max_terms)
             )
         y = alg.add(y, alg.mul(y, t))
         terms *= 2

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import FMT17, RootReport, _exp_or_inf, build_report, csv_rows
+from .reports import FMT17, RootReport, build_report, csv_rows, or_inf
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -163,7 +162,7 @@ def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> Prefi
             t = t - t[:, :1]
         for row, count, pivot in zip(t, counts, pivots):
             # exp(pivot) overflows only when c_n, at least exp(pivot), does
-            out.append(_exp_or_inf(pivot) * fsum(map(exp, row[:count].tolist())) if count else 0.0)
+            out.append(or_inf(exp, pivot) * fsum(map(exp, row[:count].tolist())) if count else 0.0)
     return PrefixSequence(tuple(out), has_unit_head=True)
 
 
@@ -182,33 +181,21 @@ def max_sum_bound(t: list[float]) -> tuple[float, float, bool]:
 # --- closed-form generator families -------------------------------------
 # A value past the float range reads inf.
 
-def _or_inf(f, *args) -> float:
-    try:
-        return f(*args)
-    except OverflowError:
-        return math.inf
-
-
-def _values(f, *args) -> tuple[float, ...]:
-    """tuple(map(f, *args)), with inf for each value that overflows (float
-    pow and math.exp raise); the iterables are read again when one does."""
-    try:
-        return tuple(map(f, *args))
-    except OverflowError:
-        return tuple(map(partial(_or_inf, f), *args))
-
-
 def poly_sequence(c: float, n: int) -> PrefixSequence:
     """a_j = (j+1)^c; submultiplicative for c >= 0 with limit 1."""
-    bases = [float(j) for j in range(2, n + 2)]
-    return PrefixSequence(_values(pow, bases, repeat(c)), has_unit_head=True)
+    return PrefixSequence(
+        tuple(map(or_inf, repeat(pow), map(float, range(2, n + 2)), repeat(c))),
+        has_unit_head=True,
+    )
 
 
 def geometric_sequence(r: float, n: int) -> PrefixSequence:
     """a_j = r^j; roots are constantly r."""
     if r < 0:
         raise ValueError("ratio must be nonnegative")
-    return PrefixSequence(_values(pow, repeat(float(r)), range(1, n + 1)), has_unit_head=True)
+    return PrefixSequence(
+        tuple(map(or_inf, repeat(pow), repeat(float(r)), range(1, n + 1))), has_unit_head=True
+    )
 
 
 def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
@@ -219,9 +206,10 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     """
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
-    sqrt = math.sqrt
-    exponents = [c * j + d * sqrt(j) for j in range(1, n + 1)]
-    return PrefixSequence(_values(math.exp, exponents), has_unit_head=True)
+    exp, sqrt = math.exp, math.sqrt
+    return PrefixSequence(
+        tuple([or_inf(exp, c * j + d * sqrt(j)) for j in range(1, n + 1)]), has_unit_head=True
+    )
 
 
 # --- CSV interface -------------------------------------------------------

@@ -137,9 +137,10 @@ class RootReport:
         return text
 
 
-def _exp_or_inf(lv: float) -> float:
+def or_inf(f, *args) -> float:
+    """f(*args), or inf when it overflows (float pow and math.exp raise)."""
     try:
-        return math.exp(lv)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -166,7 +167,7 @@ def build_report(
         try:
             value = list(map(exp, values_log))
         except OverflowError:
-            value = list(map(_exp_or_inf, values_log))
+            value = [or_inf(exp, lv) for lv in values_log]
     root = [exp(lv / k) for k, lv in enumerate(values_log, 1)]  # exp(-inf) is 0.0
     # min(running, root) at each k, from running = inf: a nan root never
     # becomes the minimum, and a new minimum is the root object itself

@@ -234,6 +234,13 @@ class TestNeumannProductForm:
         with pytest.raises(BudgetExceeded, match="32 terms"):
             neumann_inverse(ALG2, x, max_terms=63)
 
+    def test_budget_prediction_waits_for_probe_depth(self):
+        # q = norm(x^2) = 0.99999 alone would predict 2^23 terms, but
+        # norm(x^4) = 0.4375: the prediction starts at x^32
+        x = np.array([[0.5, 0.74999], [0, 0.5]], dtype=complex)
+        y = neumann_inverse(ALG2, x)
+        assert ALG2.norm(y - np.linalg.inv(ALG2.one - x)) <= 1e-10
+
     def test_non_finite_entry_not_convergent(self):
         with pytest.raises(NotConvergent, match="no k <= 32"):
             neumann_inverse(ALG2, np.full((2, 2), np.nan, dtype=complex))

@@ -208,6 +208,28 @@ class TestWienerInverse:
             residual = wiener.add(wiener.multiply(f, inv), wiener.scale(-1.0, E))
             assert wiener.l1_norm(residual) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            {0: 1.0 + 0j, 1: -0.49999 + 0j, -1: -0.49999 + 0j},
+            {0: 1.0 + 0j, 1: -0.5 + 0j, 2: -0.49999 + 0j},
+        ],
+    )
+    def test_slow_decay_refused_in_few_products(self, f, monkeypatch):
+        # norm(g^32) = 0.99998^32 or 0.99999^32 reaches tol/2 by squaring
+        # only past 2^20 terms; summing up to the budget takes seconds
+        class ProductLimit(wiener.WienerAlgebra):
+            muls = 0
+
+            def mul(self, x, y):
+                ProductLimit.muls += 1
+                assert ProductLimit.muls <= 12, "more than 12 products"
+                return super().mul(x, y)
+
+        monkeypatch.setattr(wiener, "WienerAlgebra", ProductLimit)
+        with pytest.raises(BudgetExceeded, match="after 32 terms"):
+            wiener.wiener_inverse(f)
+
 
 class TestHomomorphismChain:
     def test_seeded_pairs(self):
