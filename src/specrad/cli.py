@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fekete, matrix, selftest, shift, wiener
 from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular, Unsupported
@@ -21,7 +23,9 @@ from .reports import _json_number
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
 
 
-def _parse_sequence_gen(spec: str, n: int) -> fekete.PrefixSequence:
+def _parse_sequence_gen(spec: str, n: int, option: str | None = None) -> fekete.PrefixSequence:
+    """The prefix of an inline generator.  With an `option` such as "b",
+    an error names the option and the entry, as in "--b SPEC: entry b_1"."""
     kind, _, args = spec.partition(":")
     try:
         if kind == "poly":
@@ -32,7 +36,11 @@ def _parse_sequence_gen(spec: str, n: int) -> fekete.PrefixSequence:
             c_text, d_text = args.split(",")
             return fekete.subadd_sequence(float(c_text), float(d_text), n)
     except ValueError as exc:
-        raise ValueError("bad generator arguments %r: %s" % (spec, exc)) from exc
+        if option is None:
+            raise ValueError("bad generator arguments %r: %s" % (spec, exc)) from exc
+        if isinstance(exc, fekete.BadEntry):
+            exc = fekete.BadEntry(exc.j, exc.value, option)
+        raise ValueError("--%s %s: %s" % (option, spec, exc)) from None
     raise ValueError("unknown sequence generator %r (use %s)" % (spec, SEQUENCE_GENERATORS))
 
 
@@ -80,8 +88,8 @@ def run_fekete(args) -> int:
 
 
 def run_convolve(args) -> int:
-    a = _parse_sequence_gen(args.a, args.n)
-    b = _parse_sequence_gen(args.b, args.n)
+    a = _parse_sequence_gen(args.a, args.n, "a")
+    b = _parse_sequence_gen(args.b, args.n, "b")
     for name, spec, seq in (("a", args.a, a), ("b", args.b, b)):
         for j, v in enumerate(seq.values, 1):
             if not math.isfinite(v):
@@ -108,7 +116,10 @@ def run_power(args) -> int:
 def run_neumann(args) -> int:
     a = _read_matrix(args.matrix)
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
-    inv = neumann_inverse(alg, a, tol=args.tol, max_terms=args.max_terms)
+    # large entries overflow in the squarings; the refusal and the residual
+    # check catch a non-finite result, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = neumann_inverse(alg, a, tol=args.tol, max_terms=args.max_terms)
     _emit(args, _matrix_text(args, inv))
     return 0
 

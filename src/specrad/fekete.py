@@ -21,6 +21,14 @@ from .reports import FMT17, RootReport, build_report, csv_rows, or_inf
 DEFAULT_TOL_REL = 1e-9
 
 
+class BadEntry(ValueError):
+    """A prefix entry name_j that is negative or NaN."""
+
+    def __init__(self, j: int, value: float, name: str = "a"):
+        super().__init__("entry %s_%d = %r is negative or NaN" % (name, j, value))
+        self.j, self.value = j, value
+
+
 @dataclass(frozen=True)
 class PrefixSequence:
     """Finite prefix a_1..a_N of a nonnegative sequence.
@@ -37,7 +45,7 @@ class PrefixSequence:
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         for i, v in enumerate(self.values):
             if not v >= 0.0:  # also rejects NaN
-                raise ValueError("entry a_%d = %r is negative or NaN" % (i + 1, v))
+                raise BadEntry(i + 1, v)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -510,3 +510,54 @@ def test_overflowing_sequence_reads_inf(capsys, argv, last_row):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1].startswith(last_row)
+
+
+# --- spectrum scans at benchmark size, byte for byte ------------------------------
+
+
+def benchmark_scan_argv(path, n: int, seed: int) -> list[str]:
+    """A 40 x 40 scan of a random n x n matrix of inf-norm 1 over the square of
+    half-width 2U, U the power-norm radius bound from 32 powers, as the
+    matrix-engine benchmark draws them; the matrix is written to `path`."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a /= matrix.inf_norm(a)
+    path.write_text(matrix.matrix_to_csv(a))
+    bound = min(matrix.inf_norm(np.linalg.matrix_power(a, k)) ** (1.0 / k) for k in range(1, 33))
+    half, step = 2.0 * bound, 4.0 * bound / 39
+    return ["spectrum", "--matrix", str(path), "--re-min", repr(-half), "--re-max", repr(half),
+            "--im-min", repr(-half), "--im-max", repr(half), "--step", repr(step)]
+
+
+# recorded with the per-cell Gauss-Jordan scan that the batched one replaced
+BENCHMARK_SCAN_SHA256 = {
+    16: "fe4847286aaed3ec85b073940d71bad4b5fbf08e9656b78bf9775ae650b9b696",
+    32: "19df420e752db212c0ba9e174762048ff0bc5cb30c2bcb63f2fd5511f2084ac1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BENCHMARK_SCAN_SHA256))
+def test_benchmark_scan_output_is_unchanged(tmp_path, capsys, n):
+    code, out, err = run_cli(capsys, *benchmark_scan_argv(tmp_path / "a.csv", n, seed=n))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 40 * 40
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_SCAN_SHA256[n]
+
+
+# --- one-line refusals -------------------------------------------------------------
+
+
+def test_neumann_overflow_refusal_prints_one_line(tmp_path, capsys):
+    # the squarings overflow to inf long before the probe refuses the input
+    path = tmp_path / "big.csv"
+    path.write_text("1e10,1e10\n1e10,1e10\n")
+    code, out, err = run_cli(capsys, "neumann", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("NotConvergent: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_convolve_bad_b_entry_names_the_option(capsys):
+    code, out, err = run_cli(capsys, "convolve", "--a", "poly:1", "--b", "subadd:nan,0", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: --b subadd:nan,0: entry b_1 = nan is negative or NaN\n"

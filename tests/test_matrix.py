@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specrad import matrix
+from specrad.algebra import DEFAULT_PROBE_DEPTH, spectral_radius_upper
 from specrad.errors import Singular, Unsupported
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -232,3 +235,196 @@ class TestMatrixIO:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             matrix.read_matrix_csv("1+0j,2+0j\n3+0j\n")
+
+
+# --- the batched kernel against the per-cell loop it replaced ---------------------
+# The references below are the one-matrix Gauss-Jordan loop, direct_inverse and
+# spectrum_scan as they were before elimination was batched.  The batched code
+# must agree with them bit for bit: flags, margins, inverses and messages.
+
+
+def _reference_gauss_inverse(a, pivot_floor):
+    n = a.shape[0]
+    aug = np.hstack([a.astype(complex, copy=True), np.eye(n, dtype=complex)])
+    min_pivot = math.inf
+    for col in range(n):
+        rows = np.abs(aug[col:, col])
+        best = col + int(np.argmax(rows))
+        pivot_mag = float(abs(aug[best, col]))
+        if pivot_mag < pivot_floor or pivot_mag == 0.0:
+            return None, pivot_mag
+        min_pivot = min(min_pivot, pivot_mag)
+        if best != col:
+            aug[[col, best]] = aug[[best, col]]
+        aug[col] = aug[col] / aug[col, col]
+        for r in range(n):
+            if r != col and aug[r, col] != 0:
+                aug[r] = aug[r] - aug[r, col] * aug[col]
+    return aug[:, n:], min_pivot
+
+
+def _reference_direct_inverse(a, tol=1e-10, norm_kind="inf"):
+    a = matrix.as_matrix(a)
+    norm = matrix.NORMS[norm_kind]
+    floor = matrix.PIVOT_RTOL * norm(a)
+    inv, min_pivot = _reference_gauss_inverse(a, floor)
+    if inv is None:
+        raise Singular("pivot magnitude %.6g below threshold %.6g" % (min_pivot, floor))
+    residual = norm(a @ inv - np.eye(a.shape[0]))
+    if residual > tol:
+        raise Singular(
+            "inverse residual %.6g exceeds tol %.6g (min pivot %.6g)" % (residual, tol, min_pivot)
+        )
+    return inv
+
+
+def _reference_spectrum_scan(a, grid, norm_kind="inf"):
+    a = matrix.as_matrix(a)
+    n = a.shape[0]
+    norm = matrix.NORMS[norm_kind]
+    upper = spectral_radius_upper(matrix.MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
+    upper *= 1.0 + 1e-12
+    eye = np.eye(n, dtype=complex)
+    cells = []
+    for re in grid.re_points():
+        for im in grid.im_points():
+            lam = complex(re, im)
+            if abs(lam) > upper:
+                cells.append(matrix.ScanCell(lam, True, abs(lam) - upper))
+                continue
+            shifted = lam * eye - a
+            inv, pivot = _reference_gauss_inverse(shifted, matrix.PIVOT_RTOL * norm(shifted))
+            cells.append(matrix.ScanCell(lam, inv is not None, pivot))
+    return matrix.SpectrumGrid(grid, cells)
+
+
+def same_bits(x, y) -> bool:
+    """Equal arrays, telling -0.0 from 0.0; any nan matches any nan."""
+    x, y = np.asarray(x).view(float), np.asarray(y).view(float)
+    nan_x, nan_y = np.isnan(x), np.isnan(y)
+    return (
+        x.shape == y.shape
+        and np.array_equal(nan_x, nan_y)
+        and np.array_equal(x[~nan_x], y[~nan_y])
+        and np.array_equal(np.signbit(x[~nan_x]), np.signbit(y[~nan_y]))
+    )
+
+
+def direct_inverse_outcome(direct_inverse, a, norm_kind):
+    try:
+        return "inverse", direct_inverse(a, norm_kind=norm_kind)
+    except Singular as exc:
+        return "Singular", str(exc)
+
+
+# eigenvalues of diagonal and triangular inputs sit on points of SCAN_GRID
+SCAN_STEP = 0.25
+SCAN_GRID = matrix.GridSpec(-1.5, 1.5, -1.5, 1.5, SCAN_STEP)
+on_grid = st.builds(complex, st.integers(-6, 6), st.integers(-6, 6)).map(lambda z: z * SCAN_STEP)
+entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "diagonal", "upper", "lower", "zero"]))
+    if kind == "zero":
+        a = np.zeros((n, n), dtype=complex)
+    elif kind == "dense":
+        a = draw(arrays(np.complex128, (n, n), elements=entries))
+    else:
+        a = np.diag(draw(st.lists(on_grid, min_size=n, max_size=n)))
+        off = draw(arrays(np.complex128, (n, n), elements=entries))
+        a += {"diagonal": 0, "upper": np.triu(off, 1), "lower": np.tril(off, -1)}[kind]
+    return a, draw(st.sampled_from(sorted(matrix.NORMS)))
+
+
+class TestBatchedElimination:
+    @settings(max_examples=60, deadline=None)
+    @given(scan_inputs())
+    def test_scan_matches_per_cell_elimination(self, case):
+        a, norm_kind = case
+        want = _reference_spectrum_scan(a, SCAN_GRID, norm_kind).to_csv()
+        assert matrix.spectrum_scan(a, SCAN_GRID, norm_kind).to_csv() == want
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_scan_matches_at_benchmark_sizes(self, n, norm_kind):
+        rng = np.random.default_rng(n)
+        a = random_matrix(rng, n)
+        a /= matrix.inf_norm(a)
+        grid = matrix.GridSpec(-1.0, 1.0, -1.0, 1.0, 2.0 / 19)
+        want = _reference_spectrum_scan(a, grid, norm_kind).to_csv()
+        assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_scan_across_a_block_edge(self, n, offset):
+        # one grid row of block + offset cells, all inside the radius bound 4;
+        # the triangular matrix has eigenvalues on three of its points
+        count = max(1, matrix.SCAN_BLOCK_ENTRIES // (n * n)) + offset
+        grid = matrix.GridSpec(-1.0, 1.0, 0.0, 0.0, 2.0 / (count - 1))
+        points = grid.re_points()
+        assert len(points) == count
+        rng = np.random.default_rng(count)
+        a = np.triu(random_matrix(rng, n), 1)
+        a[np.diag_indices(n)] = [4.0, points[0], points[count // 2], points[-1]] * (n // 4)
+        scan = matrix.spectrum_scan(a, grid)
+        assert scan.to_csv() == _reference_spectrum_scan(a, grid).to_csv()
+        assert len(scan.noninvertible()) == 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 32),
+        st.sampled_from(["dense", "upper", "duplicate-row", "zero-column", "tiny-pivot"]),
+        st.sampled_from(sorted(matrix.NORMS)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_direct_inverse_matches_the_row_loop(self, n, kind, norm_kind, seed):
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, n)
+        if kind == "upper":
+            a = np.triu(a) + 2 * np.eye(n)
+        elif kind == "duplicate-row":
+            a[-1] = a[0]
+        elif kind == "zero-column":
+            a[:, rng.integers(n)] = 0
+        elif kind == "tiny-pivot":
+            a = np.diag(rng.uniform(0.5, 1.0, n) * 10.0 ** -rng.integers(0, 16, n))
+        got = direct_inverse_outcome(matrix.direct_inverse, a, norm_kind)
+        want = direct_inverse_outcome(_reference_direct_inverse, a, norm_kind)
+        assert got[0] == want[0]
+        if got[0] == "Singular":
+            assert got[1] == want[1]
+        else:
+            assert same_bits(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: arrays(
+                np.complex128,
+                st.tuples(st.integers(1, 5), st.just(n), st.just(n)),
+                elements=st.sampled_from(
+                    [0j, 1, -1, 2j, 0.5 - 0.5j, 3e-13, math.inf, -math.inf, math.nan, complex(math.inf, 1)]
+                ),
+            )
+        ),
+        st.sampled_from([0.0, 1e-12, 0.5, math.nan]),
+    )
+    def test_kernel_matches_the_row_loop_on_non_finite_input(self, stack, floor):
+        # the row loop skips a row with a zero in the pivot column, keeps its
+        # margin on a nan pivot and fails a cell on its first small pivot
+        floors = np.full(len(stack), floor)
+        ok, margin, _ = matrix._gauss_inverse(stack, floors)
+        ok_full, margin_full, solution = matrix._gauss_inverse(
+            stack, floors, np.broadcast_to(np.eye(stack.shape[1], dtype=complex), stack.shape)
+        )
+        assert np.array_equal(ok, ok_full) and same_bits(margin, margin_full)
+        for i, a in enumerate(stack):
+            with np.errstate(all="ignore"):
+                inv, pivot = _reference_gauss_inverse(a, floor)
+            assert ok[i] == (inv is not None)
+            assert same_bits(margin[i], pivot)
+            if inv is not None:
+                assert same_bits(solution[i], inv)
