@@ -261,6 +261,10 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("re_min", "re_max", "im_min", "im_max", "step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.re_max < self.re_min or self.im_max < self.im_min:

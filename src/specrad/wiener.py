@@ -61,38 +61,110 @@ def _element(degrees, coeffs) -> Element:
     return dict(zip(compress(degrees, keep.tolist()), coeffs[keep].tolist()))
 
 
-def _content_key(degrees, coeffs):
-    items = tuple(sorted(zip(degrees.tolist(), coeffs.real.tolist(), coeffs.imag.tolist())))
+# --- kernels on trimmed arrays -----------------------------------------------
+#
+# A trimmed element is a pair (lo, a): a 1-D complex128 array a whose entry i
+# is the coefficient of degree lo + i.  lo is a Python int, so degrees past
+# 64 bits work; neither end of a holds an exact zero (NaN counts as
+# nonzero); the empty array is the zero element.
+
+_EMPTY = np.zeros(0, np.complex128)
+
+
+def _span(degrees) -> int:
+    return int(degrees.max()) - int(degrees.min()) + 1 if degrees.size else 0
+
+
+def _check_span(span: int, cap: int) -> None:
+    if span > cap:
+        raise BudgetExceeded(
+            "product support span %d exceeds coefficient cap %d" % (span, cap)
+        )
+
+
+def _trimmed(lo: int, a):
+    """(lo, a) without the zero entries at either end of a."""
+    if a.size and a[0] and a[-1]:
+        return lo, a
+    nonzero = np.flatnonzero(a)  # NaN included
+    if not nonzero.size:
+        return 0, _EMPTY
+    return lo + int(nonzero[0]), a[nonzero[0] : nonzero[-1] + 1]
+
+
+def _laurent(degrees, coeffs):
+    """Trimmed element of the nonzero terms that ``_terms`` returns."""
+    if not coeffs.size:
+        return 0, _EMPTY
+    lo = int(degrees.min())
+    a = np.zeros(_span(degrees), np.complex128)
+    a[(degrees - lo).astype(np.intp)] = coeffs
+    return lo, a
+
+
+def _as_dict(x) -> Element:
+    lo, a = x
+    return _element(range(lo, lo + a.size), a)
+
+
+def _content_key(lo: int, a):
+    """Sorted (degree, re, im) items of the nonzero terms, by count first."""
+    nonzero = np.flatnonzero(a)
+    degrees = [lo + i for i in nonzero.tolist()]
+    items = tuple(zip(degrees, a.real[nonzero].tolist(), a.imag[nonzero].tolist()))
     return (len(items), items)
+
+
+def _convolve(x, y, cap: int):
+    """Product of trimmed elements: coefficient convolution, trimmed.
+
+    np.convolve puts the longer operand first; for operands of equal
+    span the order is canonicalized before convolving, so that x*y and
+    y*x are the same float computation, making commutativity exact
+    coefficient-wise.  Raises BudgetExceeded when the product span would
+    exceed ``cap``.
+    """
+    (lo_x, a), (lo_y, b) = x, y
+    if not a.size or not b.size:
+        return 0, _EMPTY
+    _check_span(a.size + b.size - 1, cap)
+    if a.size == b.size and _content_key(lo_y, b) < _content_key(lo_x, a):
+        a, b = b, a
+    return _trimmed(lo_x + lo_y, np.convolve(a, b))
+
+
+def _scale(alpha: complex, a):
+    """alpha * a entrywise, rounded as Python's complex product
+    (ar*vr - ai*vi) + (ar*vi + ai*vr)j, which numpy's complex multiply
+    does not; inf and nan stay as silent as in Python's arithmetic."""
+    alpha = complex(alpha)
+    pairs = a.view(np.float64).reshape(-1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = pairs * alpha.real + pairs[:, ::-1] * np.array([-alpha.imag, alpha.imag])
+    return out.view(np.complex128).reshape(-1)
+
+
+def _l1(a) -> float:
+    # an exactly rounded sum, so zero entries and the order change no bit;
+    # np.hypot rounds as abs(complex) does; np.abs does not
+    with np.errstate(over="ignore"):
+        return math.fsum(np.hypot(a.real, a.imag).tolist())
+
+
+# --- the dict API ------------------------------------------------------------
 
 
 def multiply(f: Element, g: Element, cap: int = COEFF_CAP) -> Element:
     """Coefficient convolution (f*g)_k = sum_j f_j g_{k-j}.
 
-    np.convolve puts the longer operand first; for operands of equal
-    support span the order is canonicalized before convolving, so that
-    multiply(f, g) and multiply(g, f) are the same float computation,
-    making commutativity exact coefficient-wise.  Raises BudgetExceeded
-    when the output support span would exceed ``cap``.
+    Exactly commutative coefficient-wise (see ``_convolve``).  Raises
+    BudgetExceeded when the output support span would exceed ``cap``,
+    before either operand is laid out as an array.
     """
     (df, cf), (dg, cg) = _terms(f), _terms(g)
-    if not cf.size or not cg.size:
-        return {}
-    lo_f, lo_g = int(df.min()), int(dg.min())
-    span_f, span_g = int(df.max()) - lo_f + 1, int(dg.max()) - lo_g + 1
-    span = span_f + span_g - 1
-    if span > cap:
-        raise BudgetExceeded(
-            "product support span %d exceeds coefficient cap %d" % (span, cap)
-        )
-    arr_f = np.zeros(span_f, np.complex128)
-    arr_f[(df - lo_f).astype(np.intp)] = cf
-    arr_g = np.zeros(span_g, np.complex128)
-    arr_g[(dg - lo_g).astype(np.intp)] = cg
-    if span_f == span_g and _content_key(dg, cg) < _content_key(df, cf):
-        arr_f, arr_g = arr_g, arr_f
-    base = lo_f + lo_g
-    return _element(range(base, base + span), np.convolve(arr_f, arr_g))
+    if cf.size and cg.size:
+        _check_span(_span(df) + _span(dg) - 1, cap)
+    return _as_dict(_convolve(_laurent(df, cf), _laurent(dg, cg), cap))
 
 
 def add(f: Element, g: Element) -> Element:
@@ -103,21 +175,12 @@ def add(f: Element, g: Element) -> Element:
 
 
 def scale(alpha: complex, f: Element) -> Element:
-    # Python's complex product (ar*vr - ai*vi) + (ar*vi + ai*vr)j on the
-    # (re, im) pairs: numpy's complex multiply rounds differently
-    alpha = complex(alpha)
-    pairs = np.fromiter(f.values(), np.complex128, len(f)).view(np.float64).reshape(-1, 2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = pairs * alpha.real + pairs[:, ::-1] * np.array([-alpha.imag, alpha.imag])
-    return _element(f, out.view(np.complex128).reshape(-1))
+    return _element(f, _scale(alpha, np.fromiter(f.values(), np.complex128, len(f))))
 
 
 def l1_norm(f: Element) -> float:
     """sum of |a_j| (exact rounded sum, order-independent)."""
-    coeffs = np.fromiter(f.values(), np.complex128, len(f))
-    # np.hypot rounds as abs(complex) does; np.abs does not
-    with np.errstate(over="ignore"):
-        return math.fsum(np.hypot(coeffs.real, coeffs.imag).tolist())
+    return _l1(np.fromiter(f.values(), np.complex128, len(f)))
 
 
 def evaluate(f: Element, theta: float) -> complex:
@@ -162,6 +225,37 @@ class WienerAlgebra(Algebra):
         return all(v == 0 for v in x.values())
 
 
+class _Laurent(Algebra):
+    """WienerAlgebra on trimmed (lo, array) elements, for power tables: the
+    same kernels, without a dict round trip per operation."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    @property
+    def one(self):
+        return 0, np.ones(1, np.complex128)
+
+    @property
+    def zero(self):
+        return 0, _EMPTY
+
+    def add(self, x, y):
+        return _laurent(*_terms(add(_as_dict(x), _as_dict(y))))
+
+    def scale(self, alpha, x):
+        return _trimmed(x[0], _scale(alpha, x[1]))
+
+    def mul(self, x, y):
+        return _convolve(x, y, self.cap)
+
+    def norm(self, x) -> float:
+        return _l1(x[1])
+
+    def is_zero(self, x) -> bool:
+        return not x[1].size
+
+
 @dataclass(frozen=True)
 class SupEstimate:
     """Certified bracket for the sup of |f| over the circle.
@@ -194,8 +288,9 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     if not f:
         return SupEstimate(0.0, 0.0, 0.0)
     l1 = l1_norm(f)
-    degs = np.array(sorted(f), dtype=float)
-    coeffs = np.array([f[int(d)] for d in degs])
+    degrees, values = zip(*sorted(f.items()))
+    degs = np.array(degrees, dtype=float)
+    coeffs = np.array(values, dtype=complex)
     theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
     samples = np.abs(np.exp(1j * np.outer(theta, degs)) @ coeffs)
     # |f| <= l1 pointwise; any float excess in the samples is rounding noise
@@ -209,8 +304,14 @@ def wiener_spectral_radius(
 ) -> RootReport:
     """Roots of the l1 norms of f^k for k = 1..n; the running minimum
     converges to the sup norm of f (downward, being an upper bound at
-    every k)."""
-    return power_norms(WienerAlgebra(cap), clean(f), n)
+    every k).  The powers are carried as trimmed arrays, except for an f
+    whose own support span exceeds ``cap``: that f is never laid out as an
+    array, and its first product raises BudgetExceeded."""
+    f = clean(f)
+    degrees, coeffs = _terms(f)
+    if _span(degrees) > cap:
+        return power_norms(WienerAlgebra(cap), f, n)
+    return power_norms(_Laurent(cap), _laurent(degrees, coeffs), n)
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,3 +562,41 @@ def test_convolve_bad_b_entry_names_the_option(capsys):
     code, out, err = run_cli(capsys, "convolve", "--a", "poly:1", "--b", "subadd:nan,0", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: --b subadd:nan,0: entry b_1 = nan is negative or NaN\n"
+
+
+# --- Wiener supports wider than the coefficient cap ------------------------------
+
+
+def test_wiener_support_past_the_cap_is_never_laid_out(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "wiener", "--f", "0:1,2000000:1", "--n", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "k,norm,root,running_min\n1,2,2,2\n", "")
+    assert peak < 8 * 2**20  # an array over the support would take 32 MB
+
+    code, out, err = run_cli(capsys, "wiener", "--f", "0:1,2000000:1", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "BudgetExceeded: product support span 4000001 exceeds coefficient cap 1000000\n"
+    )
+
+
+# --- non-finite spectrum grid bounds ------------------------------------------------
+
+GRID_BOUNDS = {"--re-min": "0", "--re-max": "0", "--im-min": "0", "--im-max": "0", "--step": "1"}
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option", sorted(GRID_BOUNDS))
+def test_non_finite_grid_bound_exits_one(tmp_path, capsys, option, value):
+    path = tmp_path / "id.csv"
+    path.write_text(matrix.matrix_to_csv(np.eye(2, dtype=complex)))
+    bounds = {**GRID_BOUNDS, option: value}
+    argv = [token for pair in bounds.items() for token in pair]
+    code, out, err = run_cli(capsys, "spectrum", "--matrix", str(path), *argv)
+    assert (code, out) == (1, "")
+    name = option[2:].replace("-", "_")
+    assert err == "error: %s must be finite, got %s\n" % (name, value)

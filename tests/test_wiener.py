@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad import wiener
+from specrad.algebra import power_norms
 from specrad.errors import BudgetExceeded, NotConvergent
 
 E = wiener.identity()
@@ -116,6 +117,10 @@ class TestSupNorm:
     def test_dominated_by_l1(self, f):
         est = wiener.sup_norm(f, 128)
         assert est.grid_max <= wiener.l1_norm(f) + 1e-12
+
+    def test_degree_past_2_to_53(self):
+        # float(2**60 + 1) is 2**60, so coefficients are not looked up by float degree
+        assert wiener.sup_norm({2**60 + 1: 1.0 + 0j, 0: 0.5 + 0j}).interval == (1.5, 1.5)
 
     def test_grid_power_multiplicativity(self):
         # on a fixed sample grid, max of |f|^n equals (max of |f|)^n
@@ -362,3 +367,68 @@ class TestKernelsMatchDictLoops:
         assert wiener.l1_norm({0: complex(1.7e308, 1.7e308)}) == math.inf
         assert cmath.isnan(wiener.add({0: complex(math.inf)}, {0: complex(-math.inf)})[0])
         assert wiener.scale(1e300, {0: 1e300 + 0j}) == {0: complex(math.inf)}
+
+
+# --- power tables on trimmed arrays ----------------------------------------------
+
+# 0j gives interior zero coefficients (and zero ends, which clean drops);
+# NaN must count as a nonzero coefficient, as it does in the dict kernels
+table_coeff = st.one_of(
+    coeff, st.just(0j), st.just(complex(math.nan)), st.just(complex(1.0, math.nan))
+)
+
+
+@st.composite
+def laurent_elements(draw):
+    """1 to 12 terms on degrees in [-8, 8], some moved past 64 bits."""
+    f = draw(st.dictionaries(st.integers(-8, 8), table_coeff, min_size=1, max_size=12))
+    offset = draw(st.sampled_from([0, 0, 0, 10**20, -(10**20)]))
+    return {k + offset: v for k, v in f.items()}
+
+
+class TestPowerTablesOnArrays:
+    # every first product is of equal spans: x^2 is (x / norm(x)) * x
+    @settings(max_examples=200, deadline=None)
+    @given(laurent_elements(), st.integers(1, 64))
+    @example({}, 64)
+    @example({0: 0j, 3: 0j}, 8)
+    @example({3: 1e-320, 4: 1e-320}, 64)
+    @example({3: 1e-320, 5: 1e-320, 6: 0.5}, 64)
+    @example({10**20: 0.5 + 0j, 10**20 + 1: 0.25j}, 64)
+    @example({-2: 1.0 + 0j, 0: 0j, 2: 1.0 + 0j}, 64)
+    @example({0: 1.0 + 0j, 3: complex(math.nan)}, 4)
+    @example({0: 1.0 + 0j, 1: 1.0 + 0j}, 64)
+    def test_table_matches_the_dict_engine(self, f, n):
+        want = power_norms(wiener.WienerAlgebra(), wiener.clean(f), n).to_csv()
+        assert wiener.wiener_spectral_radius(f, n).to_csv() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(*[st.dictionaries(st.integers(-8, 8), table_coeff, max_size=12)] * 2)
+    def test_products_keep_nan_terms(self, f, g):
+        # reprs, since a NaN coefficient never compares equal
+        assert repr(wiener.multiply(f, g)) == repr(_reference_multiply(f, g))
+
+    def test_nan_at_the_end_of_the_support(self):
+        rows = wiener.wiener_spectral_radius({0: 1.0 + 0j, 3: complex(math.nan)}, 3)
+        assert rows.to_csv().splitlines()[1:] == ["%d,nan,nan,inf" % k for k in (1, 2, 3)]
+
+    def test_cap_refuses_before_any_array(self):
+        wide = {0: 1.0 + 0j, 10**20: 1.0 + 0j}
+        assert wiener.wiener_spectral_radius(wide, 1).roots() == [2.0]
+        with pytest.raises(BudgetExceeded, match="span 200000000000000000001 exceeds"):
+            wiener.wiener_spectral_radius(wide, 2)
+
+    def test_first_product_past_the_cap(self):
+        with pytest.raises(BudgetExceeded, match="span 1001 exceeds coefficient cap 900"):
+            wiener.wiener_spectral_radius({0: 1.0 + 0j, 500: 1.0 + 0j}, 2, cap=900)
+
+    @settings(max_examples=100, deadline=None)
+    @given(elements, elements)
+    def test_engine_operations_match_the_dict_functions(self, f, g):
+        # the engine's elements, converted back, are the dict kernels' results
+        alg = wiener._Laurent(wiener.COEFF_CAP)
+        x, y = (wiener._laurent(*wiener._terms(h)) for h in (f, g))
+        assert wiener._as_dict(alg.mul(x, y)) == wiener.multiply(f, g)
+        assert wiener._as_dict(alg.scale(0.5j, x)) == wiener.scale(0.5j, f)
+        assert alg.norm(x) == wiener.l1_norm(f)
+        assert wiener._as_dict(alg.add(x, y)) == wiener.add(f, g)
