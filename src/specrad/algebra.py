@@ -58,73 +58,51 @@ class Algebra(abc.ABC):
     def sub(self, x, y):
         return self.add(x, self.scale(-1.0, y))
 
-    def power(self, x, n: int):
-        """x^n by repeated multiplication; n = 0 gives the identity."""
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = self.one
-        for _ in range(n):
-            acc = self.mul(acc, x)
-        return acc
-
-    def close(self, x, y, rtol: float = 1e-9, floor: float = 1e-12) -> bool:
-        """norm(x - y) relative to the larger operand norm, with an absolute floor."""
-        d = self.norm(self.sub(x, y))
-        return d <= max(rtol * max(self.norm(x), self.norm(y)), floor)
-
 
 @dataclass(frozen=True)
 class NormalizedPower:
     """Overflow-safe carrier for x^k: unit-norm direction plus log magnitude.
 
     The true power is exp(log_norm) * direction; log_norm == -inf encodes
-    an exactly zero power.
+    an exactly zero power, and log_norm == inf a power whose norm passed
+    the float range (its direction is then the zero element).
     """
 
     direction: Any
     log_norm: float
 
-    def reconstruct(self, alg: Algebra):
-        if self.log_norm == -math.inf:
-            return alg.zero
-        return alg.scale(math.exp(self.log_norm), self.direction)
-
 
 _TWO_600 = 2.0**600
 
 
-def _normalize(alg: Algebra, w, nw: float):
-    """w / nw.  When 1/nw overflows (a subnormal nw), w and nw are first
-    scaled up by an exact power of two."""
+def _normalize(alg: Algebra, w):
+    """(w / norm(w), log norm(w)): (zero, -inf) for a zero w and (zero, inf)
+    for a norm past the float range.  When 1/norm(w) overflows (a
+    subnormal norm), w and its norm are first scaled up by an exact power
+    of two."""
+    nw = alg.norm(w)
+    if nw == 0.0:
+        if not alg.is_zero(w):
+            raise ValueError("norm(x) = 0 for a nonzero x: instance violates the norm axioms")
+        return alg.zero, -math.inf
+    if nw == math.inf:
+        return alg.zero, math.inf
     inv = 1.0 / nw
     if inv == math.inf:
         w, inv = alg.scale(_TWO_600, w), 1.0 / (nw * _TWO_600)
-    return alg.scale(inv, w)
+    return alg.scale(inv, w), math.log(nw)
 
 
 def normalized_powers(alg: Algebra, x, n: int):
     """Yield NormalizedPower carriers for x^1 .. x^n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    nx = alg.norm(x)
-    if nx == 0.0 and not alg.is_zero(x):
-        raise ValueError("norm(x) = 0 for a nonzero x: instance violates the norm axioms")
-    if nx == 0.0:
-        for _ in range(n):
-            yield NormalizedPower(alg.zero, -math.inf)
-        return
-    direction = _normalize(alg, x, nx)
-    log_norm = math.log(nx)
+    direction, log_norm = _normalize(alg, x)
     yield NormalizedPower(direction, log_norm)
-    for _ in range(2, n + 1):
-        w = alg.mul(direction, x)
-        nw = alg.norm(w)
-        if nw == 0.0:
-            log_norm = -math.inf
-            direction = alg.zero
-        else:
-            log_norm += math.log(nw)
-            direction = _normalize(alg, w, nw)
+    for _ in range(n - 1):
+        if log_norm < math.inf:  # an overflowed (or nan) norm stays as it is
+            direction, log_w = _normalize(alg, alg.mul(direction, x))
+            log_norm += log_w
         yield NormalizedPower(direction, log_norm)
 
 
@@ -167,8 +145,8 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
     can defeat a tolerance near machine precision), so a returned y meets
     its contract.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % tol)
     y = alg.add(alg.one, x)
     t = x
     terms = 2  # y = sum_{j<terms} x^j, and t becomes x^terms below
@@ -185,8 +163,8 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
             upper = spectral_radius_upper(alg, x, DEFAULT_PROBE_DEPTH)
             if not upper < 1.0:
                 raise NotConvergent(
-                    "no k <= %d has norm(x^k) < 1 (min norm(x^k)^(1/k) = %.6g)"
-                    % (DEFAULT_PROBE_DEPTH, upper)
+                    "no k <= %d has norm(x^k) < 1 (certified radius bound "
+                    "min norm(x^k)^(1/k) = %.6g)" % (DEFAULT_PROBE_DEPTH, upper)
                 )
         need = 2 * terms
         if terms >= DEFAULT_PROBE_DEPTH and tol / 2 < q < 1.0:
@@ -200,7 +178,7 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
         y = alg.add(y, alg.mul(y, t))
         terms *= 2
     residual = alg.norm(alg.sub(alg.mul(alg.sub(alg.one, x), y), alg.one))
-    if residual > tol:
+    if not residual <= tol:
         raise NotConvergent(
             "residual norm((e - x) y - e) = %.6g exceeds tol %.6g "
             "(terms=%d, q=%.6g, tail bound=%.6g)" % (residual, tol, terms, q, bound)
@@ -235,20 +213,16 @@ def resolvent(alg: Algebra, x, lam: complex, tol: float = 1e-10):
     """(lam*e - x)^{-1} via the instance's direct solver or a Neumann series.
 
     A direct solver is used whenever the instance provides one (raising
-    Singular at spectrum points).  Otherwise |lam| must exceed the
-    certified radius bound from 32 probed powers, and the factorization
-    lam*e - x = lam*(e - x/lam) reduces the job to a Neumann series.
+    Singular at spectrum points).  Otherwise the factorization
+    lam*e - x = lam*(e - x/lam) reduces the job to a Neumann series, which
+    refuses x/lam when its certified radius bound is not below 1.
     """
     direct = getattr(alg, "direct_inverse", None)
     if direct is not None:
         shifted = alg.sub(alg.scale(lam, alg.one), x)
         return direct(shifted, tol)
-    upper = spectral_radius_upper(alg, x, DEFAULT_PROBE_DEPTH)
-    if abs(lam) <= upper:
-        raise NotConvergent(
-            "|lambda| = %.6g is not above the certified radius bound %.6g"
-            % (abs(lam), upper)
-        )
+    if lam == 0:
+        raise NotConvergent("|lambda| = 0 is not above the certified radius bound")
     series = neumann_inverse(alg, alg.scale(1.0 / lam, x), tol)
     return alg.scale(1.0 / lam, series)
 

@@ -8,6 +8,7 @@ the output, so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import math
 import sys
@@ -76,6 +77,13 @@ def _matrix_text(args, m) -> str:
     return matrix.matrix_to_csv(m)
 
 
+def _finite_tol(args) -> float:
+    # a nan or inf tol would pass every residual check
+    if not math.isfinite(args.tol):
+        raise ValueError("--tol must be finite, got %r" % args.tol)
+    return args.tol
+
+
 def run_fekete(args) -> int:
     if (args.gen is None) == (args.input is None):
         raise ValueError("provide exactly one of --gen or --input")
@@ -116,10 +124,7 @@ def run_power(args) -> int:
 def run_neumann(args) -> int:
     a = _read_matrix(args.matrix)
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
-    # large entries overflow in the squarings; the refusal and the residual
-    # check catch a non-finite result, so numpy's warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = neumann_inverse(alg, a, tol=args.tol, max_terms=args.max_terms)
+    inv = neumann_inverse(alg, a, tol=_finite_tol(args), max_terms=args.max_terms)
     _emit(args, _matrix_text(args, inv))
     return 0
 
@@ -129,9 +134,12 @@ def run_resolvent(args) -> int:
         lam = complex(args.lam.replace(" ", ""))
     except ValueError:
         raise ValueError("--lam must be a complex number, got %r" % args.lam) from None
+    if not cmath.isfinite(lam):
+        raise ValueError("--lam must be finite, got %r" % args.lam)
+    tol = _finite_tol(args)
     a = _read_matrix(args.matrix)
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
-    _emit(args, _matrix_text(args, resolvent(alg, a, lam, tol=args.tol)))
+    _emit(args, _matrix_text(args, resolvent(alg, a, lam, tol=tol)))
     return 0
 
 
@@ -166,8 +174,16 @@ def run_selftest(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main reports them as one line with
+    exit code 1; argparse itself would print the usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specrad",
         description="Convergence tables, certified spectral-radius bounds, and "
         "series inverses for matrices, Wiener-algebra elements, and weighted shifts.",
@@ -238,9 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; exit code 0, 1 for bad input or usage (one
+    `error:` line), 2 when a certificate fails."""
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+        # overflow and invalid results are refused or reported as inf or
+        # nan by the library, so numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ValueError, Unsupported, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -149,7 +149,7 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
             "pivot magnitude %.6g below threshold %.6g" % (min_pivot, floor)
         )
     residual = norm(a @ inv - eye)
-    if residual > tol:
+    if not residual <= tol:
         raise Singular(
             "inverse residual %.6g exceeds tol %.6g (min pivot %.6g)"
             % (residual, tol, min_pivot)

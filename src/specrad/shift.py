@@ -16,7 +16,7 @@ from itertools import accumulate, chain, islice, repeat, takewhile
 
 import numpy as np
 
-from .reports import RootReport, build_report, csv_rows, fmt17
+from .reports import RootReport, build_report, csv_rows
 
 
 @dataclass(frozen=True)
@@ -106,19 +106,23 @@ def apply_power(shift: WeightedShift, x: FiniteVector, power: int) -> FiniteVect
 def power_norm_formula(shift: WeightedShift, power: int) -> float:
     """Operator norm of T^l: the product of the first l weights.
 
-    Evaluated as the exponential of summed logs (a zero weight
-    short-circuits to 0), since thousands of sub-unit factors underflow
-    a direct product.
+    Evaluated as the exponential of summed logs (a zero weight gives 0),
+    since thousands of sub-unit factors underflow a direct product.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    total = 0.0
-    for j in range(1, power + 1):
-        w = shift.weight(j)
-        if w == 0.0:
-            return 0.0
-        total += math.log(w)
-    return math.exp(total)
+    return math.exp(_log_products(shift, power)[-1])
+
+
+def _log_products(shift: WeightedShift, max_power: int) -> list[float]:
+    """log of the product of the first l weights, for l = 1..max_power."""
+    # alpha_1..alpha_L up to the first zero weight, past which (weights are
+    # nonincreasing) every weight is zero and every product is 0, log -inf
+    positive = takewhile((0.0).__lt__, chain(shift.weights, repeat(shift.tail)))
+    logs = list(accumulate(map(math.log, islice(positive, max_power)), initial=0.0))
+    del logs[0]
+    logs += [-math.inf] * (max_power - len(logs))
+    return logs
 
 
 def op_norm_empirical(
@@ -163,13 +167,7 @@ def shift_limit_experiment(shift: WeightedShift, max_power: int) -> RootReport:
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    # alpha_1..alpha_L up to the first zero weight, past which (weights are
-    # nonincreasing) every weight is zero and every product is 0, log -inf
-    positive = takewhile((0.0).__lt__, chain(shift.weights, repeat(shift.tail)))
-    logs = list(accumulate(map(math.log, islice(positive, max_power)), initial=0.0))
-    del logs[0]
-    logs += [-math.inf] * (max_power - len(logs))
-    return build_report(logs, value_header="norm")
+    return build_report(_log_products(shift, max_power), value_header="norm")
 
 
 # --- closed-form weight families ------------------------------------------
@@ -186,13 +184,6 @@ def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
 
 
 # --- CSV interface ----------------------------------------------------------
-
-def weights_to_csv(shift: WeightedShift) -> str:
-    lines = ["j,alpha"]
-    for j, w in enumerate(shift.weights, start=1):
-        lines.append("%d,%s" % (j, fmt17(w)))
-    return "\n".join(lines) + "\n"
-
 
 def read_weights_csv(text: str) -> WeightedShift:
     """Parse `j,alpha` rows (header required, j must run 1..M in order)."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport
+from .reports import RootReport, or_inf
 
 Element = dict[int, complex]
 
@@ -145,10 +145,11 @@ def _scale(alpha: complex, a):
 
 
 def _l1(a) -> float:
-    # an exactly rounded sum, so zero entries and the order change no bit;
-    # np.hypot rounds as abs(complex) does; np.abs does not
+    # an exactly rounded sum (inf past the float range), so zero entries and
+    # the order change no bit; np.hypot rounds as abs(complex) does; np.abs
+    # does not
     with np.errstate(over="ignore"):
-        return math.fsum(np.hypot(a.real, a.imag).tolist())
+        return or_inf(math.fsum, np.hypot(a.real, a.imag).tolist())
 
 
 # --- the dict API ------------------------------------------------------------
@@ -162,8 +163,9 @@ def multiply(f: Element, g: Element, cap: int = COEFF_CAP) -> Element:
     before either operand is laid out as an array.
     """
     (df, cf), (dg, cg) = _terms(f), _terms(g)
-    if cf.size and cg.size:
-        _check_span(_span(df) + _span(dg) - 1, cap)
+    if not cf.size or not cg.size:
+        return {}
+    _check_span(_span(df) + _span(dg) - 1, cap)
     return _as_dict(_convolve(_laurent(df, cf), _laurent(dg, cg), cap))
 
 

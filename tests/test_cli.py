@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrad import matrix
 from specrad.cli import main
@@ -88,10 +92,8 @@ def test_shift_harmonic(capsys):
 
 
 def test_shift_weights_file(tmp_path, capsys):
-    from specrad import shift
-
     path = tmp_path / "w.csv"
-    path.write_text(shift.weights_to_csv(shift.harmonic_weights(0.5, 1.0, 50)))
+    path.write_text("j,alpha\n" + "".join("%d,%r\n" % (j, 0.5 + 1.0 / j) for j in range(1, 51)))
     code, out, _ = run_cli(capsys, "shift", "--weights-file", str(path), "--l", "30")
     assert code == 0
     assert len(out.splitlines()) == 31
@@ -422,6 +424,25 @@ def test_overflowing_value_reads_inf(tmp_path, capsys, name):
     assert isinstance(data[-1]["root"], float)
 
 
+# "{m}" stands for a CSV file whose first row sum, 2e308, overflows
+OVERFLOWING_NORM_INVOCATIONS = {
+    "power": ["power", "--matrix", "{m}", "--n", "3"],
+    "wiener-modulus": ["wiener", "--f", "0:1.7e308+1.7e308j", "--n", "3"],
+    "wiener-sum": ["wiener", "--f", "0:1e308,1:1e308", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_NORM_INVOCATIONS))
+def test_overflowing_norm_reads_inf(tmp_path, capsys, name):
+    # inf is a true bound; renormalizing by 1/inf = 0 once printed 0 from k = 2
+    path = tmp_path / "big.csv"
+    path.write_text("1e308+0j,1e308+0j\n0+0j,1e308+0j\n")
+    argv = [arg.replace("{m}", str(path)) for arg in OVERFLOWING_NORM_INVOCATIONS[name]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "k,norm,root,running_min\n1,inf,inf,inf\n2,inf,inf,inf\n3,inf,inf,inf\n"
+
+
 # --- report tables at benchmark size, byte for byte ------------------------------
 
 AT_SIZE_INVOCATIONS = {
@@ -600,3 +621,170 @@ def test_non_finite_grid_bound_exits_one(tmp_path, capsys, option, value):
     assert (code, out) == (1, "")
     name = option[2:].replace("-", "_")
     assert err == "error: %s must be finite, got %s\n" % (name, value)
+
+
+# --- non-finite tolerances and shifts ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["neumann", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["neumann", "--tol", "nan"], "--tol must be finite, got nan"),
+        (["resolvent", "--lam", "2", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["resolvent", "--lam", "nan"], "--lam must be finite, got 'nan'"),
+        (["resolvent", "--lam", "inf"], "--lam must be finite, got 'inf'"),
+        (["resolvent", "--lam", "1+infj"], "--lam must be finite, got '1+infj'"),
+    ],
+)
+def test_non_finite_tol_or_lam_exits_one(tmp_path, capsys, argv, message):
+    # on the identity, a nan or inf passed the residual check: neumann
+    # printed 2I as the inverse of I - I, resolvent a nan matrix
+    path = tmp_path / "id.csv"
+    path.write_text(matrix.matrix_to_csv(np.eye(2, dtype=complex)))
+    code, out, err = run_cli(capsys, argv[0], "--matrix", str(path), *argv[1:])
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+# --- exit codes ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["power"],
+        ["power", "--matrix", "m.csv", "--n", "abc"],
+        ["power", "--matrix", "m.csv", "--bogus", "1"],
+        ["--format", "xml", "selftest"],
+    ],
+)
+def test_usage_error_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: specrad")
+
+
+# each option's (valid, bad) tokens; the grid bounds and steps span at most
+# 17 x 17 cells
+COUNTS = (["1", "3", "64"], ["0", "-1", "abc", "nan", ""])
+GENERATORS = (
+    ["poly:1", "geom:0.5", "subadd:1,0", "geom:1e300"],
+    ["geom:inf", "geom:nan", "poly:-1", "subadd:nan,0", "subadd:1", "geom:", "bogus:1"],
+)
+BAD_FILES = ["bad.csv", "missing.csv"]
+BAD_BOUNDS = ["nan", "inf", "-inf", "abc"]
+OPTION_TOKENS = {
+    "--gen": GENERATORS,
+    "--a": GENERATORS,
+    "--b": GENERATORS,
+    "--input": (["seq.csv"], BAD_FILES + ["w.csv"]),
+    "--matrix": (["id.csv", "big.csv", "half.json"], BAD_FILES + ["seq.csv"]),
+    "--weights-file": (["w.csv"], BAD_FILES + ["id.csv"]),
+    "--n": COUNTS,
+    "--m": COUNTS,
+    "--l": COUNTS,
+    "--max-terms": COUNTS,
+    "--tol": (["1e-10", "0.5", "1e-300"], ["0", "-1", "nan", "inf", "-inf", "abc"]),
+    "--lam": (["2", "1+0.5j", "0", "-3", "1e308"], ["nan", "inf", "1+infj", "abc"]),
+    "--re-min": (["-2", "-1", "0"], BAD_BOUNDS),
+    "--re-max": (["0", "1", "2"], BAD_BOUNDS),
+    "--im-min": (["-2", "-1", "0"], BAD_BOUNDS),
+    "--im-max": (["0", "1", "2"], BAD_BOUNDS),
+    "--step": (["0.25", "0.5", "1"], ["0", "-1", "nan", "inf", "abc"]),
+    "--norm": (["inf", "one"], ["two"]),
+    "--f": (
+        [
+            "1:0.5,-1:0.5", "0:1e308,1:1e308", "0:1.7e308+1.7e308j", "3:1e-320,4:1e-320",
+            "100000000000000000000:0.5", "0:1,2000000:1", "0:0", "",
+        ],
+        ["1:inf", "x:1", "1:"],
+    ),
+    "--weights": (
+        ["harmonic:0.5,1", "harmonic:0,0", "harmonic:inf,0"],
+        ["harmonic:-1,1", "harmonic:nan,1", "harmonic:1", "bogus:1"],
+    ),
+    "--seed": (["0", "7"], ["-1", "abc"]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--bogus": (["1"], ["1"]),
+}
+SUBCOMMAND_OPTIONS = {
+    "fekete": ["--gen", "--input", "--n"],
+    "convolve": ["--a", "--b", "--n"],
+    "power": ["--matrix", "--n", "--norm"],
+    "neumann": ["--matrix", "--tol", "--max-terms", "--norm"],
+    "resolvent": ["--matrix", "--lam", "--tol", "--norm"],
+    "spectrum": ["--matrix", "--re-min", "--re-max", "--im-min", "--im-max", "--step", "--norm"],
+    "wiener": ["--f", "--n"],
+    "shift": ["--weights", "--weights-file", "--m", "--l"],
+    "selftest": [],
+    "bogus": [],
+}
+ARGV_FILES = {
+    "id.csv": "1+0j,0+0j\n0+0j,1+0j\n",  # neumann: I - I is singular
+    "big.csv": "1e308+0j,1e308+0j\n0+0j,1e308+0j\n",
+    "half.json": "[[[0.5, 0], [0, 0]], [[0, 0], [0.25, 0]]]",
+    "bad.csv": "1,2\nx\n",
+    "seq.csv": "k,value\n1,2\n2,4\n",
+    "w.csv": "j,alpha\n1,1.5\n2,1\n",
+}
+
+
+@st.composite
+def argvs(draw):
+    """Global options, a subcommand and most of its options, each with a
+    valid or a bad (garbage, nan, inf, negative) token; now and then an
+    option of another subcommand or an unknown one, and now and then a
+    last option without its value."""
+
+    def token(option):
+        valid, bad = OPTION_TOKENS[option]
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else valid))
+
+    argv = []
+    for option in ("--seed", "--format"):
+        if draw(st.booleans()):
+            argv += [option, token(option)]
+    subcommand = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))
+    argv.append(subcommand)
+    for option in SUBCOMMAND_OPTIONS[subcommand]:
+        if draw(st.integers(0, 9)) != 9:
+            argv += [option, token(option)]
+    if draw(st.integers(0, 5)) == 5:
+        option = draw(st.sampled_from(sorted(OPTION_TOKENS)))
+        argv += [option, token(option)]
+    if draw(st.integers(0, 9)) == 9:
+        argv.pop()
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    for name, text in ARGV_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_zero_one_or_two(argv_dir, argv):
+    argv = [str(argv_dir / token) if token.endswith(("csv", "json")) else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        assert err == ""

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ class TestMultiply:
     def test_zero_annihilates(self):
         assert wiener.multiply({3: 2.0 + 0j}, {}) == {}
 
+    def test_zero_operand_is_never_laid_out(self):
+        # the other operand spans 10^20 degrees, or 5*10^7 (800 MB as an array)
+        tracemalloc.start()
+        try:
+            for wide in ({0: 1.0 + 0j, 10**20: 1.0 + 0j}, {0: 1.0 + 0j, 5 * 10**7: 1.0 + 0j}):
+                assert wiener.multiply(wide, {}) == wiener.multiply({0: 0j}, wide) == {}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_support_cap(self):
         wide = {0: 1.0 + 0j, 500: 1.0 + 0j}
         with pytest.raises(BudgetExceeded, match="cap"):
@@ -68,6 +80,10 @@ class TestL1Norm:
 
     def test_mixed_signs(self):
         assert wiener.l1_norm({0: 1.0 + 0j, 1: 2.0 + 0j, 3: -1.0 + 0j}) == 4.0
+
+    def test_sum_past_the_float_range_is_inf(self):
+        # finite terms whose exact sum overflows, as an inf coefficient does
+        assert wiener.l1_norm({0: 1e308 + 0j, 1: 1e308 + 0j}) == math.inf
 
 
 class TestEvaluate:
