@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import math
 import sys
@@ -46,11 +47,16 @@ def _parse_sequence_gen(spec: str, n: int, option: str | None = None) -> fekete.
 
 
 def _parse_weights(spec: str, m: int) -> shift.WeightedShift:
+    """The weights of an inline generator; a malformed spec is named with
+    its option, as in "--weights harmonic:1: ..."."""
     kind, _, args = spec.partition(":")
-    if kind == "harmonic":
-        a_text, b_text = args.split(",")
-        return shift.harmonic_weights(float(a_text), float(b_text), m)
-    raise ValueError("unknown weight generator %r (use harmonic:a,b)" % spec)
+    if kind != "harmonic":
+        raise ValueError("unknown weight generator %r (use harmonic:a,b)" % spec)
+    try:
+        a, b = map(float, args.split(","))
+    except ValueError:
+        raise ValueError("--weights %s: expected harmonic:a,b with two numbers" % spec) from None
+    return shift.harmonic_weights(a, b, m)
 
 
 def _read_matrix(path: str):
@@ -182,7 +188,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The specrad argument parser, built once per process and shared by
+    every later call, so callers must not modify it.  parse_args keeps no
+    state between calls: each one starts a new namespace with every
+    default and the subcommand's handler."""
     parser = _Parser(
         prog="specrad",
         description="Convergence tables, certified spectral-radius bounds, and "
@@ -255,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; exit code 0, 1 for bad input or usage (one
-    `error:` line), 2 when a certificate fails."""
+    `error:` line), 2 when a certificate fails.  The parser is built on the
+    first call in a process and reused, so a caller that runs main many
+    times in process pays for it once."""
     try:
         args = build_parser().parse_args(argv)
         # overflow and invalid results are refused or reported as inf or

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, spectral_radius_upper
 from .errors import Singular, Unsupported
-from .reports import fmt17
+from .reports import FMT17, fmt17
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB;
@@ -131,22 +131,39 @@ def _gauss_inverse(stack: np.ndarray, floors: np.ndarray, rhs: np.ndarray | None
     return ok, margin, work[:, :, n:] if full else None
 
 
+def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
+    """PIVOT_RTOL * norm(m) for each matrix m of a (c, n, n) stack.
+
+    Where that norm overflows, the floor is norm(PIVOT_RTOL * m), which
+    is finite for finite entries; a finite floor keeps every bit.
+    """
+    # row sums for the inf norm, column sums for the 1-norm, as NORMS
+    sum_axis = 2 if norm_kind == "inf" else 1
+    with np.errstate(over="ignore"):
+        floors = PIVOT_RTOL * np.abs(stack).sum(axis=sum_axis).max(axis=1)
+    big = np.isinf(floors)
+    if big.any():
+        floors[big] = np.abs(stack[big] * PIVOT_RTOL).sum(axis=sum_axis).max(axis=1)
+    return floors
+
+
 def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
     """Matrix inverse by partial-pivot elimination, with a residual contract.
 
     Raises Singular when a pivot falls below 1e-12 * norm(a) (a
-    scale-invariant cutoff) or when the computed inverse fails the
+    scale-invariant cutoff, finite when the norm overflows; see
+    _pivot_floors) or when the computed inverse fails the
     residual bound norm(a @ inv - I) <= tol.
     """
     a = as_matrix(a)
     norm = NORMS[norm_kind]
-    floor = PIVOT_RTOL * norm(a)
+    floors = _pivot_floors(a[None], norm_kind)
     eye = np.eye(a.shape[0], dtype=complex)
-    ok, margin, inv = _gauss_inverse(a[None], np.array([floor]), eye[None])
+    ok, margin, inv = _gauss_inverse(a[None], floors, eye[None])
     min_pivot, inv = margin[0], inv[0]
     if not ok[0]:
         raise Singular(
-            "pivot magnitude %.6g below threshold %.6g" % (min_pivot, floor)
+            "pivot magnitude %.6g below threshold %.6g" % (min_pivot, floors[0])
         )
     residual = norm(a @ inv - eye)
     if not residual <= tol:
@@ -325,9 +342,10 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     invertible without elimination.  The rest are eliminated in blocks
     of about SCAN_BLOCK_ENTRIES matrix entries, a stack of lambda*I - A
     at a time, without the identity half: a cell is noninvertible when a
-    pivot falls below 1e-12 * norm(lambda*I - A).  Flags and margins are
-    bit-identical to eliminating each cell on its own.  Cells are
-    emitted row-major: re ascending outer, im ascending inner.
+    pivot falls below 1e-12 * norm(lambda*I - A), as in direct_inverse.
+    Flags and margins are bit-identical to eliminating each cell on its
+    own.  Cells are emitted row-major: re ascending outer, im ascending
+    inner.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -337,15 +355,12 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     upper *= 1.0 + 1e-12
     lams = [complex(re, im) for re in grid.re_points() for im in grid.im_points()]
     inside = [lam for lam in lams if not abs(lam) > upper]
-    # row sums for the inf norm, column sums for the 1-norm, as NORMS
-    sum_axis = 2 if norm_kind == "inf" else 1
     eye = np.eye(n, dtype=complex)
     block = max(1, SCAN_BLOCK_ENTRIES // (n * n))
     eliminated = []
     for start in range(0, len(inside), block):
         stack = np.array(inside[start : start + block])[:, None, None] * eye - a
-        floors = PIVOT_RTOL * np.abs(stack).sum(axis=sum_axis).max(axis=1)
-        ok, margin, _ = _gauss_inverse(stack, floors)
+        ok, margin, _ = _gauss_inverse(stack, _pivot_floors(stack, norm_kind))
         eliminated += zip(ok.tolist(), margin.tolist())
     results = iter(eliminated)
     cells = []
@@ -365,10 +380,21 @@ def format_complex(z: complex) -> str:
     return "%s%s%sj" % (fmt17(re), sign, fmt17(abs(im)))
 
 
+def _rows(template: str, real: np.ndarray, imag: np.ndarray) -> list[str]:
+    """Each row as template % (re, im, re, im, ...) over its entries."""
+    n = real.shape[0]
+    pairs = np.stack((real, imag), axis=-1).reshape(n, 2 * n).tolist()
+    return [template % tuple(row) for row in pairs]
+
+
 def matrix_to_csv(a) -> str:
+    """One line per row, each entry written as format_complex writes it."""
     a = as_matrix(a)
-    lines = [",".join(format_complex(z) for z in row) for row in a]
-    return "\n".join(lines) + "\n"
+    # "%+" signs the imaginary part as format_complex does, "+" for nan;
+    # adding 0.0 turns -0.0 into 0.0 and changes no other entry
+    cell = FMT17 + FMT17.replace("%", "%+", 1) + "j"
+    rows = _rows(",".join([cell] * a.shape[0]), a.real, a.imag + 0.0)
+    return "\n".join(rows) + "\n"
 
 
 def _finite_matrix(rows) -> np.ndarray:
@@ -396,12 +422,11 @@ def read_matrix_csv(text: str) -> np.ndarray:
 
 
 def matrix_to_json(a) -> str:
+    """One [re, im] pair per entry, both written by FMT17."""
     a = as_matrix(a)
-    row_texts = []
-    for row in a:
-        cells = ", ".join("[%s, %s]" % (fmt17(z.real), fmt17(z.imag)) for z in row)
-        row_texts.append("  [%s]" % cells)
-    return "[\n" + ",\n".join(row_texts) + "\n]\n"
+    cell = "[%s, %s]" % (FMT17, FMT17)
+    rows = _rows("  [%s]" % ", ".join([cell] * a.shape[0]), a.real, a.imag)
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def read_matrix_json(text: str) -> np.ndarray:

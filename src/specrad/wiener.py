@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, or_inf
+from .reports import RootReport
 
 Element = dict[int, complex]
 
@@ -145,11 +145,15 @@ def _scale(alpha: complex, a):
 
 
 def _l1(a) -> float:
-    # an exactly rounded sum (inf past the float range), so zero entries and
-    # the order change no bit; np.hypot rounds as abs(complex) does; np.abs
-    # does not
+    # an exactly rounded sum, so zero entries and the order change no bit;
+    # np.hypot rounds as abs(complex) does; np.abs does not
     with np.errstate(over="ignore"):
-        return or_inf(math.fsum, np.hypot(a.real, a.imag).tolist())
+        moduli = np.hypot(a.real, a.imag)
+    try:
+        return math.fsum(moduli.tolist())
+    except OverflowError:
+        # past the float range; fsum raises before it reports a nan term
+        return math.nan if np.isnan(moduli).any() else math.inf
 
 
 # --- the dict API ------------------------------------------------------------

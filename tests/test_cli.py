@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrad import matrix
+from specrad import cli, matrix
 from specrad.cli import main
 
 NILPOTENT_CSV = "0+0j,1+0j\n0+0j,0+0j\n"
@@ -91,6 +91,13 @@ def test_shift_harmonic(capsys):
     assert len(lines) == 201
 
 
+@pytest.mark.parametrize("spec", ["harmonic:1", "harmonic:1,2,3", "harmonic:x,1", "harmonic:"])
+def test_shift_bad_weights_names_the_option(capsys, spec):
+    code, out, err = run_cli(capsys, "shift", "--weights", spec, "--l", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: --weights %s: expected harmonic:a,b with two numbers\n" % spec
+
+
 def test_shift_weights_file(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("j,alpha\n" + "".join("%d,%r\n" % (j, 0.5 + 1.0 / j) for j in range(1, 51)))
@@ -135,6 +142,25 @@ def test_resolvent_nilpotent(tmp_path, capsys):
     assert code == 0
     got = matrix.read_matrix_csv(out)
     assert np.allclose(got, np.array([[1, 1], [0, 1]]), atol=1e-12)
+
+
+def test_overflowing_norm_keeps_a_finite_pivot_floor(tmp_path, capsys):
+    # norm(a) overflows to inf, but no pivot is small: 1e308 on the diagonal
+    path = tmp_path / "big.csv"
+    path.write_text("1e308+0j,1e308+0j\n0+0j,1e308+0j\n")
+    code, out, err = run_cli(capsys, "resolvent", "--matrix", str(path), "--lam", "-1")
+    assert (code, err) == (0, "")
+    want = [[-1e-308, 1e-308], [0, -1e-308]]
+    assert np.allclose(matrix.read_matrix_csv(out), want, rtol=1e-15, atol=0)
+    for norm in ("inf", "one"):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--matrix", str(path), "--norm", norm,
+            "--re-min", "-1", "--re-max", "1", "--im-min", "0", "--im-max", "0", "--step", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out == "re,im,invertible,margin\n" + "".join(
+            "%d,0,true,1e+308\n" % re for re in (-1, 0, 1)
+        )
 
 
 def test_resolvent_singular_exits_two(tmp_path, capsys):
@@ -665,6 +691,31 @@ def test_usage_error_exits_one(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_repeated_calls_do_not_affect_each_other(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in a process; no call may leave a default,
+    # a handler or an option value behind for the next
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "nilp.csv"
+    path.write_text(NILPOTENT_CSV)
+    power = ["power", "--matrix", str(path), "--n", "3"]
+    fresh = run_cli(capsys, *power)
+    assert fresh[0] == 0
+    code, out, err = run_cli(capsys, "power", "--matrix", str(path), "--n", "abc")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert run_cli(capsys, *power) == fresh
+    assert run_cli(capsys, "--format", "json", *power)[1].startswith("[")
+    assert run_cli(capsys, *power) == fresh
+    seeds = []
+    run_selftest = cli.selftest.run_selftest
+    monkeypatch.setattr(
+        cli.selftest, "run_selftest", lambda seed, out: seeds.append(seed) or run_selftest(seed, out)
+    )
+    plain = run_cli(capsys, "selftest")
+    assert run_cli(capsys, "--seed", "5", "selftest")[0] == 0
+    assert run_cli(capsys, "selftest") == plain
+    assert seeds == [0, 5, 0]
 
 
 def test_help_exits_zero(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,6 +65,15 @@ class TestDirectInverse:
     def test_tiny_pivot_below_threshold(self):
         with pytest.raises(Singular, match="pivot"):
             matrix.direct_inverse(np.diag([1.0, 1e-13]))
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_pivot_floor_stays_finite_when_the_norm_overflows(self, norm_kind):
+        # norm(a) is 2e308 = inf, but both pivots are 1e308
+        a = np.array([[1e308, 1e308], [0, 1e308]], dtype=complex)
+        floor = matrix._pivot_floors(a[None], norm_kind)[0]
+        assert floor == 2e296
+        inv = matrix.direct_inverse(a, norm_kind=norm_kind)
+        assert np.allclose(inv, [[1e-308, -1e-308], [0, 1e-308]], rtol=1e-15, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -214,6 +223,29 @@ class TestSpectrumScan:
         assert lines[1] == "0,0,false,0"
 
 
+# reference writers with one format call per entry part; the row-template
+# writers must match them byte for byte, signs of zeros and nans included
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.5, -0.1,
+]
+
+
+def _format_complex(z):
+    re, im = complex(z).real, complex(z).imag
+    sign = "+" if im >= 0 or math.isnan(im) else "-"
+    return "%s%s%sj" % ("%.17g" % re, sign, "%.17g" % abs(im))
+
+
+def _per_entry_csv(a):
+    return "\n".join(",".join(_format_complex(z) for z in row) for row in a) + "\n"
+
+
+def _per_entry_json(a):
+    rows = [", ".join("[%.17g, %.17g]" % (z.real, z.imag) for z in row) for row in a]
+    return "[\n" + ",\n".join("  [%s]" % r for r in rows) + "\n]\n"
+
+
 class TestMatrixIO:
     def test_csv_round_trip(self):
         rng = np.random.default_rng(59)
@@ -236,6 +268,20 @@ class TestMatrixIO:
         with pytest.raises(ValueError):
             matrix.read_matrix_csv("1+0j,2+0j\n3+0j\n")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: arrays(
+                np.float64, (n, n, 2), elements=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+            )
+        )
+    )
+    def test_writers_match_the_per_entry_writers(self, parts):
+        # (re, im) pairs as complex entries, with every bit of both parts kept
+        a = parts.view(np.complex128)[..., 0]
+        assert matrix.matrix_to_csv(a) == _per_entry_csv(a)
+        assert matrix.matrix_to_json(a) == _per_entry_json(a)
+
 
 # --- the batched kernel against the per-cell loop it replaced ---------------------
 # The references below are the one-matrix Gauss-Jordan loop, direct_inverse and
@@ -247,19 +293,21 @@ def _reference_gauss_inverse(a, pivot_floor):
     n = a.shape[0]
     aug = np.hstack([a.astype(complex, copy=True), np.eye(n, dtype=complex)])
     min_pivot = math.inf
-    for col in range(n):
-        rows = np.abs(aug[col:, col])
-        best = col + int(np.argmax(rows))
-        pivot_mag = float(abs(aug[best, col]))
-        if pivot_mag < pivot_floor or pivot_mag == 0.0:
-            return None, pivot_mag
-        min_pivot = min(min_pivot, pivot_mag)
-        if best != col:
-            aug[[col, best]] = aug[[best, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
+    # as in _gauss_inverse: a subnormal pivot overflows its row to inf
+    with np.errstate(all="ignore"):
+        for col in range(n):
+            rows = np.abs(aug[col:, col])
+            best = col + int(np.argmax(rows))
+            pivot_mag = float(abs(aug[best, col]))
+            if pivot_mag < pivot_floor or pivot_mag == 0.0:
+                return None, pivot_mag
+            min_pivot = min(min_pivot, pivot_mag)
+            if best != col:
+                aug[[col, best]] = aug[[best, col]]
+            aug[col] = aug[col] / aug[col, col]
+            for r in range(n):
+                if r != col and aug[r, col] != 0:
+                    aug[r] = aug[r] - aug[r, col] * aug[col]
     return aug[:, n:], min_pivot
 
 
@@ -342,6 +390,7 @@ def scan_inputs(draw):
 class TestBatchedElimination:
     @settings(max_examples=60, deadline=None)
     @given(scan_inputs())
+    @example((np.array([[2.22507386e-311 + 0j]]), "inf"))  # 1 / pivot overflows
     def test_scan_matches_per_cell_elimination(self, case):
         a, norm_kind = case
         want = _reference_spectrum_scan(a, SCAN_GRID, norm_kind).to_csv()
@@ -422,8 +471,7 @@ class TestBatchedElimination:
         )
         assert np.array_equal(ok, ok_full) and same_bits(margin, margin_full)
         for i, a in enumerate(stack):
-            with np.errstate(all="ignore"):
-                inv, pivot = _reference_gauss_inverse(a, floor)
+            inv, pivot = _reference_gauss_inverse(a, floor)
             assert ok[i] == (inv is not None)
             assert same_bits(margin[i], pivot)
             if inv is not None:

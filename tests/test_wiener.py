@@ -85,6 +85,12 @@ class TestL1Norm:
         # finite terms whose exact sum overflows, as an inf coefficient does
         assert wiener.l1_norm({0: 1e308 + 0j, 1: 1e308 + 0j}) == math.inf
 
+    @pytest.mark.parametrize("nan_degree", [0, 1, 2])
+    def test_nan_next_to_a_sum_past_the_float_range_is_nan(self, nan_degree):
+        f = {0: 1e308 + 0j, 1: 1e308 + 0j, 2: 1e308 + 0j}
+        f[nan_degree] = complex(math.nan, 0)
+        assert math.isnan(wiener.l1_norm(f))
+
 
 class TestEvaluate:
     def test_identity_everywhere_one(self):
