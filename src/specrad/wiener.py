@@ -145,10 +145,15 @@ def _scale(alpha: complex, a):
 
 
 def _l1(a) -> float:
-    # an exactly rounded sum, so zero entries and the order change no bit;
-    # np.hypot rounds as abs(complex) does; np.abs does not
+    # np.hypot rounds as abs(complex) does; np.abs does not.  fsum is
+    # exactly rounded, so zero entries and the order change no bit, but
+    # the order sets its speed: in degree order the moduli of a power
+    # climb through hundreds of orders of magnitude and fall again, and
+    # fsum keeps about 200 partials on a span of 3217; sorted descending,
+    # a dozen.  The sort is in place, on the array hypot made.
     with np.errstate(over="ignore"):
         moduli = np.hypot(a.real, a.imag)
+    moduli[::-1].sort()
     try:
         return math.fsum(moduli.tolist())
     except OverflowError:
@@ -269,8 +274,11 @@ class SupEstimate:
     grid_max is the max of |f| over the sampling grid and is a lower
     bound for the sup; the certified upper end adds the derivative bound
     (pi/M) * sum |j*a_j| for grid size M, clipped at the l1 norm (which
-    dominates the sup outright).  The bracket is exact up to float
-    rounding in the samples (~1e-15 relative).
+    dominates the sup outright) rounded outward: the sum of the moduli
+    rounded up, where ``l1_norm`` rounds it to nearest and may fall below
+    it.  For nonnegative real coefficients that sum is the sup itself, so
+    the clipped end is never below the sup.  Otherwise the bracket is
+    exact up to float rounding in the samples (~1e-15 relative).
     """
 
     grid_max: float
@@ -302,7 +310,11 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     # |f| <= l1 pointwise; any float excess in the samples is rounding noise
     grid_max = min(float(samples.max()), l1)
     err = (math.pi / grid_size) * math.fsum(abs(k * v) for k, v in f.items())
-    return SupEstimate(grid_max, err, min(grid_max + err, l1))
+    # the sign of the exact remainder says whether l1 was rounded down
+    l1_up = l1
+    if math.isfinite(l1) and math.fsum([-l1, *map(abs, f.values())]) > 0:
+        l1_up = math.nextafter(l1, math.inf)
+    return SupEstimate(grid_max, err, min(grid_max + err, l1_up))
 
 
 def wiener_spectral_radius(

@@ -350,6 +350,13 @@ def test_readme_invocation_output_is_unchanged(tmp_path, capsys, name, fmt):
 LAURENT_INVOCATIONS = {
     "four-term": ["wiener", "--f=-3:0.3+0.2j,-2:-0.25j,0:0.4,4:0.1-0.3j", "--n", "128"],
     "three-term": ["wiener", "--f=-1:0.6-0.1j,0:0.2j,1:-0.35+0.3j", "--n", "128"],
+    # powers whose moduli span hundreds of orders of magnitude
+    "eight-term": [
+        "wiener",
+        "--f=-8:0.1,-7:0.11,-1:0.1,0:0.12,1:0.1,3:0.09,5:0.1,8:0.11",
+        "--n",
+        "256",
+    ],
 }
 
 LAURENT_SHA256 = {
@@ -357,6 +364,8 @@ LAURENT_SHA256 = {
     ("four-term", "json"): "f35865776069f2423735c59e0c2d1a0b3e732d956bc02931c7a496f0d47ad32b",
     ("three-term", "csv"): "791915c657d5b612ebc7aa89db62c16138196029a7e3d8b0f6a4e0b3f07c8158",
     ("three-term", "json"): "217cef566207e718858a00e8dddabcda493230f26d98de6e8004a62fb691974b",
+    ("eight-term", "csv"): "a721392e17aace2cf9adfd54bc62a2ab6ce6060a8eb8256072bd923b08c65c95",
+    ("eight-term", "json"): "27f294279b01c414d8d9b6dde179ab6998a8ee3ffdafa726e557ac49c7446031",
 }
 
 

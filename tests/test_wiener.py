@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,35 @@ coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=2.0, allow_nan=False, allow_infinity=False
 )
 elements = st.dictionaries(st.integers(min_value=-5, max_value=5), coeff, max_size=8)
+# nonnegative reals: |f| peaks at theta = 0, so sup|f| is the exact l1 sum
+nonnegative_elements = st.dictionaries(
+    st.integers(min_value=-20, max_value=20),
+    st.floats(min_value=0.0, max_value=1e300).map(complex),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _exact_l1(f) -> Fraction:
+    return sum(Fraction(v.real) for v in f.values())
+
+
+# one part across 1e-300..1e300, with its sign
+wide_part = st.builds(
+    lambda m, e, sign: sign * m * 10.0**e,
+    st.floats(min_value=1.0, max_value=9.99),
+    st.integers(min_value=-300, max_value=299),
+    st.sampled_from([1.0, -1.0]),
+)
+wide_coeffs = st.lists(st.builds(complex, wide_part, wide_part), min_size=1, max_size=40)
+
+
+@st.composite
+def shuffled_wide_elements(draw):
+    """Moduli over 600 orders of magnitude, inserted in shuffled degree order."""
+    values = draw(wide_coeffs)
+    degrees = draw(st.permutations(range(len(values))))
+    return dict(zip(degrees, values))
 
 
 class TestMultiply:
@@ -91,6 +121,24 @@ class TestL1Norm:
         f[nan_degree] = complex(math.nan, 0)
         assert math.isnan(wiener.l1_norm(f))
 
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_wide_elements())
+    def test_wide_moduli_in_any_order(self, f):
+        assert wiener.l1_norm(f) == math.fsum(abs(v) for v in f.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonnegative_elements)
+    def test_nonnegative_reals_exactly_rounded(self, f):
+        assert wiener.l1_norm(f) == float(_exact_l1(f))
+
+    @settings(max_examples=50, deadline=None)
+    @given(wide_coeffs)
+    def test_argument_left_unchanged(self, values):
+        a = np.array(values, np.complex128)
+        before = a.tobytes()
+        wiener._l1(a)
+        assert a.tobytes() == before
+
 
 class TestEvaluate:
     def test_identity_everywhere_one(self):
@@ -139,6 +187,15 @@ class TestSupNorm:
     def test_dominated_by_l1(self, f):
         est = wiener.sup_norm(f, 128)
         assert est.grid_max <= wiener.l1_norm(f) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonnegative_elements)
+    @example({0: 1.0 + 0j, 4096: 2.0**-53 + 0j})  # l1_norm rounds 1 + 2**-53 down to 1
+    def test_l1_end_not_below_the_sup(self, f):
+        # where the upper end is the l1 clip, it is at least sup|f| = exact l1
+        est = wiener.sup_norm(f)
+        if est.upper != est.grid_max + est.certified_upper_error:
+            assert Fraction(est.upper) >= _exact_l1(f)
 
     def test_degree_past_2_to_53(self):
         # float(2**60 + 1) is 2**60, so coefficients are not looked up by float degree
