@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport
+from .reports import RootReport, build_report
 
 Element = dict[int, complex]
 
@@ -34,10 +34,6 @@ def clean(coeffs) -> Element:
         if z != 0:
             out[int(k)] = z
     return out
-
-
-def identity() -> Element:
-    return {0: 1.0 + 0j}
 
 
 def _terms(f: Element):
@@ -207,41 +203,18 @@ def evaluate(f: Element, theta: float) -> complex:
 
 
 class WienerAlgebra(Algebra):
-    """The Wiener algebra as an engine instance; elements are coefficient dicts."""
+    """The Wiener algebra as an engine instance on trimmed (lo, array)
+    elements; ``element`` and ``as_dict`` convert from and to dicts at the
+    API, and ``add`` goes through the dict ``add``, keeping its signed zeros."""
 
     def __init__(self, cap: int = COEFF_CAP):
         self.cap = cap
 
-    @property
-    def one(self) -> Element:
-        return identity()
+    @staticmethod
+    def element(f: Element):
+        return _laurent(*_terms(f))
 
-    @property
-    def zero(self) -> Element:
-        return {}
-
-    def add(self, x, y):
-        return add(x, y)
-
-    def scale(self, alpha, x):
-        return scale(alpha, x)
-
-    def mul(self, x, y):
-        return multiply(x, y, cap=self.cap)
-
-    def norm(self, x) -> float:
-        return l1_norm(x)
-
-    def is_zero(self, x) -> bool:
-        return all(v == 0 for v in x.values())
-
-
-class _Laurent(Algebra):
-    """WienerAlgebra on trimmed (lo, array) elements, for power tables: the
-    same kernels, without a dict round trip per operation."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
+    as_dict = staticmethod(_as_dict)
 
     @property
     def one(self):
@@ -252,7 +225,7 @@ class _Laurent(Algebra):
         return 0, _EMPTY
 
     def add(self, x, y):
-        return _laurent(*_terms(add(_as_dict(x), _as_dict(y))))
+        return self.element(add(_as_dict(x), _as_dict(y)))
 
     def scale(self, alpha, x):
         return _trimmed(x[0], _scale(alpha, x[1]))
@@ -271,15 +244,12 @@ class _Laurent(Algebra):
 class SupEstimate:
     """Certified bracket for the sup of |f| over the circle.
 
-    grid_max is the max of |f| over the sampling grid and is a lower
-    bound for the sup; the certified upper end adds the derivative bound
-    (pi/M) * sum |j*a_j| for grid size M, clipped at the l1 norm (which
-    dominates the sup outright) rounded outward: the sum of the moduli
-    rounded up, where ``l1_norm`` rounds it to nearest and may fall below
-    it.  For nonnegative real coefficients that sum is the sup itself, so
-    the clipped end is never below the sup.  Otherwise the bracket is
-    exact up to float rounding in the samples (~1e-15 relative).
-    """
+    grid_max, the max of |f| over the sampling grid, is a lower bound for
+    the sup up to float rounding.  upper is grid_max plus the derivative
+    bound certified_upper_error = (pi/M) * sum |j*a_j| for grid size M and
+    a bound on the rounding of the samples, rounded up, and clipped at the
+    l1 norm rounded outward (``l1_norm`` rounds to nearest); both are at
+    least the sup."""
 
     grid_max: float
     certified_upper_error: float
@@ -309,12 +279,23 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     samples = np.abs(np.exp(1j * np.outer(theta, degs)) @ coeffs)
     # |f| <= l1 pointwise; any float excess in the samples is rounding noise
     grid_max = min(float(samples.max()), l1)
-    err = (math.pi / grid_size) * math.fsum(abs(k * v) for k, v in f.items())
+    moment = math.fsum(abs(k * v) for k, v in f.items())  # D = sum |k a_k|
+    err = (math.pi / grid_size) * moment
+    # Rounding in the samples, bounded a priori (u = 2**-53, n terms): each
+    # circle point is within pi/M + 6 pi u of a computed theta_j, the phase
+    # theta_j * k and so e^{i theta_j k} are within 4 pi u |k|, and err is
+    # at most pi u D low; |f| is D-Lipschitz, so 11 pi u D < 35 u D.  exp and
+    # abs cost 2u l1 each, the complex dot product sqrt(2) gamma_{n+2} l1
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.6), with
+    # gamma_{n+2} <= 1.01 (n + 2) u.  The constants leave room for rounding
+    # the bound and the first sum; nextafter covers the second.
+    rounding = 2.0**-53 * (37 * moment + (3 * len(f) + 12) * l1)
+    grid_up = math.nextafter(grid_max + err + rounding, math.inf)
     # the sign of the exact remainder says whether l1 was rounded down
     l1_up = l1
     if math.isfinite(l1) and math.fsum([-l1, *map(abs, f.values())]) > 0:
         l1_up = math.nextafter(l1, math.inf)
-    return SupEstimate(grid_max, err, min(grid_max + err, l1_up))
+    return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 
 def wiener_spectral_radius(
@@ -327,9 +308,15 @@ def wiener_spectral_radius(
     array, and its first product raises BudgetExceeded."""
     f = clean(f)
     degrees, coeffs = _terms(f)
-    if _span(degrees) > cap:
-        return power_norms(WienerAlgebra(cap), f, n)
-    return power_norms(_Laurent(cap), _laurent(degrees, coeffs), n)
+    span = _span(degrees)
+    if span > cap:  # the engine's rows, up to the product that passes the cap
+        if n < 1:
+            raise ValueError("need n >= 1")
+        l1 = _l1(coeffs)
+        if math.isfinite(l1) and n > 1:  # x^2 = (x / l1) * x
+            _check_span(_span(_terms(scale(1.0 / l1, f))[0]) + span - 1, cap)
+        return build_report([math.log(l1)] * n, value_header="norm")
+    return power_norms(WienerAlgebra(cap), _laurent(degrees, coeffs), n)
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:
@@ -351,8 +338,20 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
             "degree-0 coefficient is zero; cannot factor f = c*(e - g)"
         )
     g = {k: -v / c for k, v in f.items() if k != 0}
-    series = neumann_inverse(WienerAlgebra(cap), g, tol)
-    return scale(1.0 / c, series)
+    y = add({0: 1.0 + 0j}, g)  # the series' first partial sum
+    if max(y) - min(y) + 1 <= cap:
+        alg = WienerAlgebra(cap)
+        return scale(1.0 / c, alg.as_dict(neumann_inverse(alg, alg.element(g), tol)))
+    # y is never laid out: as in neumann_inverse, g*g raises or underflows to
+    # zero, leaving y, or the next product, (e - g)*y or y*g^2, passes the cap
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % tol)
+    t = multiply(g, g, cap)
+    if t:
+        q = l1_norm(t)
+        bound = l1_norm(y) * q / (1.0 - q) if q < 1.0 else math.inf
+        multiply(y if max(q, bound) <= tol / 2 else t, y, cap)
+    return scale(1.0 / c, y)
 
 
 # --- I/O -------------------------------------------------------------------

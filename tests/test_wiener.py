@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad import wiener
-from specrad.algebra import power_norms
+from specrad.algebra import Algebra, neumann_inverse, power_norms
 from specrad.errors import BudgetExceeded, NotConvergent
 
-E = wiener.identity()
+E = {0: 1.0 + 0j}
 Z = {1: 1.0 + 0j}
 COS = {1: 0.5 + 0j, -1: 0.5 + 0j}  # (z + 1/z)/2, i.e. cos(theta)
 
@@ -32,6 +32,19 @@ nonnegative_elements = st.dictionaries(
 
 def _exact_l1(f) -> Fraction:
     return sum(Fraction(v.real) for v in f.values())
+
+
+# as nonnegative_elements, with moduli from 1e-30 up, so that tails vanish
+# in the float sums of the samples
+tiny_tail_elements = st.dictionaries(
+    st.integers(min_value=-20, max_value=20),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e300),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-30, 0)),
+    ).map(complex),
+    min_size=1,
+    max_size=7,
+)
 
 
 # one part across 1e-300..1e300, with its sign
@@ -189,13 +202,18 @@ class TestSupNorm:
         assert est.grid_max <= wiener.l1_norm(f) + 1e-12
 
     @settings(max_examples=100, deadline=None)
-    @given(nonnegative_elements)
+    @given(tiny_tail_elements)
     @example({0: 1.0 + 0j, 4096: 2.0**-53 + 0j})  # l1_norm rounds 1 + 2**-53 down to 1
+    @example({0: 1.0 + 0j, 3: 1e-30 + 0j})  # grid_max + err rounds to 1
     def test_l1_end_not_below_the_sup(self, f):
-        # where the upper end is the l1 clip, it is at least sup|f| = exact l1
-        est = wiener.sup_norm(f)
-        if est.upper != est.grid_max + est.certified_upper_error:
-            assert Fraction(est.upper) >= _exact_l1(f)
+        # either end of the clip is at least sup|f| = exact l1
+        assert Fraction(wiener.sup_norm(f).upper) >= _exact_l1(f)
+
+    def test_sample_end_rounded_outward(self):
+        # the samples round to 1 and err = 7.7e-24 is lost in grid_max + err
+        est = wiener.sup_norm({0: 1.0 + 0j, 1: 1e-20 + 0j})
+        assert est.grid_max == 1.0
+        assert Fraction(est.upper) >= 1 + Fraction(1e-20)
 
     def test_degree_past_2_to_53(self):
         # float(2**60 + 1) is 2**60, so coefficients are not looked up by float degree
@@ -377,6 +395,55 @@ def _reference_multiply(f, g, cap=wiener.COEFF_CAP):
     return {base + i: complex(z) for i, z in enumerate(conv) if z != 0}
 
 
+class _DictWiener(Algebra):
+    """The Wiener algebra on coefficient dicts, through the public dict
+    functions: the reference engine instance for WienerAlgebra."""
+
+    def __init__(self, cap: int = wiener.COEFF_CAP):
+        self.cap = cap
+
+    @property
+    def one(self):
+        return {0: 1.0 + 0j}
+
+    @property
+    def zero(self):
+        return {}
+
+    def add(self, x, y):
+        return wiener.add(x, y)
+
+    def scale(self, alpha, x):
+        return wiener.scale(alpha, x)
+
+    def mul(self, x, y):
+        return wiener.multiply(x, y, cap=self.cap)
+
+    def norm(self, x) -> float:
+        return wiener.l1_norm(x)
+
+    def is_zero(self, x) -> bool:
+        return all(v == 0 for v in x.values())
+
+
+def _dict_inverse(f, tol=1e-10, cap=wiener.COEFF_CAP):
+    """wiener_inverse of an f with a nonzero degree-0 coefficient, on _DictWiener."""
+    f = wiener.clean(f)
+    c = f[0]
+    g = {k: -v / c for k, v in f.items() if k != 0}
+    return wiener.scale(1.0 / c, neumann_inverse(_DictWiener(cap), g, tol))
+
+
+def _outcome(call, *args):
+    """The CSV of a table, the sorted-items repr of an element (reprs keep
+    signed zeros and NaN), or the exception's type and message."""
+    try:
+        out = call(*args)
+    except (ValueError, BudgetExceeded, NotConvergent) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return repr(sorted(out.items())) if isinstance(out, dict) else out.to_csv()
+
+
 nonzero_coeff = coeff.filter(lambda z: z != 0)
 real_scalar = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
@@ -478,7 +545,7 @@ class TestPowerTablesOnArrays:
     @example({0: 1.0 + 0j, 3: complex(math.nan)}, 4)
     @example({0: 1.0 + 0j, 1: 1.0 + 0j}, 64)
     def test_table_matches_the_dict_engine(self, f, n):
-        want = power_norms(wiener.WienerAlgebra(), wiener.clean(f), n).to_csv()
+        want = power_norms(_DictWiener(), wiener.clean(f), n).to_csv()
         assert wiener.wiener_spectral_radius(f, n).to_csv() == want
 
     @settings(max_examples=100, deadline=None)
@@ -497,17 +564,97 @@ class TestPowerTablesOnArrays:
         with pytest.raises(BudgetExceeded, match="span 200000000000000000001 exceeds"):
             wiener.wiener_spectral_radius(wide, 2)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "wide",
+        [
+            {0: 1.0 + 0j, 10**20: 1.0 + 0j},
+            {0: 1e308 + 0j, 10**20: 1e308 + 0j},  # l1 inf
+            {0: 1.0 + 0j, 10**20: complex(math.nan)},  # l1 nan
+            {0: 1e300 + 0j, 2 * 10**6: 1e-30 + 0j},  # x / l1 loses its far term
+            {-(10**20): 1e-320 + 0j, 10**20: 1e-320 + 0j},  # 1 / l1 overflows
+        ],
+    )
+    def test_span_past_the_cap_as_the_dict_engine(self, wide, n):
+        # the dict engine's rows, or its refusal, without laying out an array
+        want = _outcome(power_norms, _DictWiener(), wide, n)
+        tracemalloc.start()
+        try:
+            got = _outcome(wiener.wiener_spectral_radius, wide, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2**20
+
     def test_first_product_past_the_cap(self):
         with pytest.raises(BudgetExceeded, match="span 1001 exceeds coefficient cap 900"):
             wiener.wiener_spectral_radius({0: 1.0 + 0j, 500: 1.0 + 0j}, 2, cap=900)
 
     @settings(max_examples=100, deadline=None)
     @given(elements, elements)
+    @example({0: complex(-0.0, 1.0), 2: complex(1.0, -0.0)}, {1: 1.0 + 0j})
     def test_engine_operations_match_the_dict_functions(self, f, g):
-        # the engine's elements, converted back, are the dict kernels' results
-        alg = wiener._Laurent(wiener.COEFF_CAP)
-        x, y = (wiener._laurent(*wiener._terms(h)) for h in (f, g))
-        assert wiener._as_dict(alg.mul(x, y)) == wiener.multiply(f, g)
-        assert wiener._as_dict(alg.scale(0.5j, x)) == wiener.scale(0.5j, f)
+        # the engine's elements, converted back, are the dict kernels'
+        # results, signed zeros included (dict equality ignores them)
+        def items(h):
+            return repr(sorted(h.items()))
+
+        alg = wiener.WienerAlgebra()
+        x, y = alg.element(f), alg.element(g)
+        assert items(alg.as_dict(alg.mul(x, y))) == items(wiener.multiply(f, g))
+        assert items(alg.as_dict(alg.scale(0.5j, x))) == items(wiener.scale(0.5j, f))
         assert alg.norm(x) == wiener.l1_norm(f)
-        assert wiener._as_dict(alg.add(x, y)) == wiener.add(f, g)
+        assert items(alg.as_dict(alg.add(x, y))) == items(wiener.add(f, g))
+
+
+# --- Neumann inverses on trimmed arrays ----------------------------------------
+
+# signed zero parts, which dict equality ignores, and NaN, which it never matches
+inverse_coeff = st.one_of(
+    coeff,
+    st.sampled_from(
+        [complex(-0.0, 0.5), complex(-0.25, -0.0), complex(-0.0, -0.0), complex(math.nan)]
+    ),
+)
+
+
+@st.composite
+def invertible_candidates(draw):
+    """A nonzero degree-0 coefficient, up to six more terms on [-4, 4], and
+    sometimes a term far out, past the cap."""
+    f = draw(st.dictionaries(st.integers(-4, 4), inverse_coeff, max_size=6))
+    f[0] = draw(st.one_of(nonzero_coeff, st.sampled_from([1.0 + 0j, complex(-0.0, 1.0)])))
+    far = draw(st.sampled_from([None] * 6 + [10**20, -(10**20), 60]))
+    if far is not None:
+        f[far] = draw(st.one_of(inverse_coeff, st.just(1e-200 + 0j), st.just(1e-6 + 0j)))
+    return f
+
+
+class TestInverseOnArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        invertible_candidates(),
+        st.sampled_from([1e-10, 1e-3]),
+        st.sampled_from([wiener.COEFF_CAP, 2000, 40]),
+    )
+    @example({0: 1.0 + 0j, 1: complex(-0.25, -0.0), 2: complex(-0.0, 0.5)}, 1e-10, 2000)
+    @example({0: 1.0 + 0j, 10**20: 1e-200 + 0j}, 1e-10, wiener.COEFF_CAP)  # g*g is 0
+    @example({0: 1.0 + 0j, 10**20: 1e-6 + 0j}, 1e-10, wiener.COEFF_CAP)  # converged
+    def test_matches_the_dict_engine(self, f, tol, cap):
+        want = _outcome(_dict_inverse, f, tol, cap)
+        assert _outcome(wiener.wiener_inverse, f, tol, cap) == want
+
+    def test_first_sum_past_the_cap_is_never_laid_out(self):
+        # e + g spans 10^20 + 1 degrees; the product y * g^2 passes the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                wiener.wiener_inverse({0: 1.0 + 0j, 10**20: 0.5 + 0j})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "product support span 100000000000000000001 exceeds coefficient cap 1000000"
+        )
+        assert peak < 2**20
