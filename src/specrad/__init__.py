@@ -9,10 +9,8 @@ and the weighted shift operator.
 
 from .algebra import (
     Algebra,
-    NormalizedPower,
     invert_near,
     neumann_inverse,
-    normalized_powers,
     power_norms,
     resolvent,
     spectral_radius_upper,
@@ -40,7 +38,7 @@ from .matrix import (
     spectral_mapping_check,
     spectrum_scan,
 )
-from .reports import ReportEntry, RootReport
+from .reports import RootReport
 from .shift import (
     FiniteVector,
     WeightedShift,
@@ -69,10 +67,8 @@ __all__ = [
     "FiniteVector",
     "GridSpec",
     "MatrixAlgebra",
-    "NormalizedPower",
     "NotConvergent",
     "PrefixSequence",
-    "ReportEntry",
     "RootReport",
     "Singular",
     "SpectrumGrid",
@@ -94,7 +90,6 @@ __all__ = [
     "max_sum_bound",
     "multiply",
     "neumann_inverse",
-    "normalized_powers",
     "op_norm_empirical",
     "oracle_radius",
     "poly_sequence",

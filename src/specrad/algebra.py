@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import BudgetExceeded, NotConvergent
@@ -59,19 +58,6 @@ class Algebra(abc.ABC):
         return self.add(x, self.scale(-1.0, y))
 
 
-@dataclass(frozen=True)
-class NormalizedPower:
-    """Overflow-safe carrier for x^k: unit-norm direction plus log magnitude.
-
-    The true power is exp(log_norm) * direction; log_norm == -inf encodes
-    an exactly zero power, and log_norm == inf a power whose norm passed
-    the float range (its direction is then the zero element).
-    """
-
-    direction: Any
-    log_norm: float
-
-
 _TWO_600 = 2.0**600
 
 
@@ -93,27 +79,23 @@ def _normalize(alg: Algebra, w):
     return alg.scale(inv, w), math.log(nw)
 
 
-def normalized_powers(alg: Algebra, x, n: int):
-    """Yield NormalizedPower carriers for x^1 .. x^n."""
+def power_norms(alg: Algebra, x, n: int) -> RootReport:
+    """Table of norm(x^k), its k-th root, and the running minimum, k = 1..n.
+
+    x^k is carried as a unit-norm direction and log norm(x^k) (-inf for
+    a zero power).  The value sequence is submultiplicative (up to
+    roundoff), so the running minimum is a certified upper bound for the
+    limit of the roots and hence for the spectral radius.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     direction, log_norm = _normalize(alg, x)
-    yield NormalizedPower(direction, log_norm)
+    logs = [log_norm]
     for _ in range(n - 1):
         if log_norm < math.inf:  # an overflowed (or nan) norm stays as it is
             direction, log_w = _normalize(alg, alg.mul(direction, x))
             log_norm += log_w
-        yield NormalizedPower(direction, log_norm)
-
-
-def power_norms(alg: Algebra, x, n: int) -> RootReport:
-    """Table of norm(x^k), its k-th root, and the running minimum, k = 1..n.
-
-    The value sequence is submultiplicative (up to roundoff), so the
-    running minimum is a certified upper bound for the limit of the roots
-    and hence for the spectral radius.
-    """
-    logs = [p.log_norm for p in normalized_powers(alg, x, n)]
+        logs.append(log_norm)
     return build_report(logs, value_header="norm")
 
 

@@ -113,7 +113,7 @@ def limit_bracket(
             % (j + l, j, l, len(violations))
         )
     report = root_report(seq)
-    return report.certified_upper, report.last_root
+    return report.certified_upper, report.root[-1]
 
 
 _CONVOLVE_BLOCK = 32  # output rows per block: under 2 MB of temporaries at n = 1000

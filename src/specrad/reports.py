@@ -1,10 +1,11 @@
 """Per-step convergence records shared by the sequence and algebra engines.
 
-Every convergence table in the package is a list of rows
-``(k, value, value^(1/k), running minimum of the roots)``.  The running
-minimum is the certified upper bound for the limit of the root sequence
-after k steps.  The number writers and the headed-CSV row reader that the
-other modules share live here too.
+Every convergence table in the package is a RootReport: the columns
+``value``, ``root`` = value^(1/k) and ``running_min`` of the roots, with
+step k at index k - 1.  The running minimum is the certified upper bound
+for the limit of the root sequence after k steps.  The number writers
+and the headed-CSV row reader that the other modules share live here
+too.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ def csv_rows(text: str, header: str):
         yield parts
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    k: int
-    value: float
-    root: float
-    running_min: float
-
-
 @dataclass(kw_only=True)
 class RootReport:
     """Convergence table of k-th roots with their running minimum.
@@ -83,24 +76,9 @@ class RootReport:
         return len(self.root)
 
     @property
-    def entries(self) -> list[ReportEntry]:
-        """The rows as records, in a new list on each access."""
-        return list(map(ReportEntry, count(1), self.value, self.root, self.running_min))
-
-    @property
     def certified_upper(self) -> float:
         """Minimum root seen: a rigorous upper bound for the limit."""
         return self.running_min[-1]
-
-    @property
-    def last_root(self) -> float:
-        return self.root[-1]
-
-    def roots(self) -> list[float]:
-        return list(self.root)
-
-    def values(self) -> list[float]:
-        return list(self.value)
 
     def _rows(self, template: str) -> list[str]:
         """Each row as template % (k, value, root, running_min).

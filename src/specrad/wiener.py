@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, build_report
+from .reports import RootReport, build_report, or_inf
 
 Element = dict[int, complex]
 
@@ -273,22 +273,29 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
         return SupEstimate(0.0, 0.0, 0.0)
     l1 = l1_norm(f)
     degrees, values = zip(*sorted(f.items()))
-    degs = np.array(degrees, dtype=float)
+    # e^{2 pi i j k / M} depends on k mod M only: take the remainder k' in
+    # [-M/2, M/2), in exact integers, so a huge degree keeps its phase
+    half = grid_size // 2
+    degs = np.array([(k + half) % grid_size - half for k in degrees], dtype=float)
     coeffs = np.array(values, dtype=complex)
     theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
     samples = np.abs(np.exp(1j * np.outer(theta, degs)) @ coeffs)
     # |f| <= l1 pointwise; any float excess in the samples is rounding noise
     grid_max = min(float(samples.max()), l1)
-    moment = math.fsum(abs(k * v) for k, v in f.items())  # D = sum |k a_k|
+    # D = sum |k a_k|; past the float range it reads inf, leaving upper at l1
+    moment = or_inf(math.fsum, (abs(k * v) for k, v in f.items()))
     err = (math.pi / grid_size) * moment
     # Rounding in the samples, bounded a priori (u = 2**-53, n terms): each
-    # circle point is within pi/M + 6 pi u of a computed theta_j, the phase
-    # theta_j * k and so e^{i theta_j k} are within 4 pi u |k|, and err is
-    # at most pi u D low; |f| is D-Lipschitz, so 11 pi u D < 35 u D.  exp and
-    # abs cost 2u l1 each, the complex dot product sqrt(2) gamma_{n+2} l1
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.6), with
-    # gamma_{n+2} <= 1.01 (n + 2) u.  The constants leave room for rounding
-    # the bound and the first sum; nextafter covers the second.
+    # circle point is within pi/M of an exact grid point theta_j, |f| is
+    # D-Lipschitz, and err is at most pi u D low.  The samples approximate
+    # f(theta_j): k' is exact as a float, the computed theta_j is within
+    # 6 pi u of theta_j, and the phase theta_j * k' rounds by 2 pi u |k'|,
+    # so e^{i theta_j k'} is within 8 pi u |k'| <= 8 pi u |k|: in all
+    # 9 pi u D < 29 u D.  exp and abs cost 2u l1 each, the complex dot
+    # product sqrt(2) gamma_{n+2} l1 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.6), with gamma_{n+2} <= 1.01 (n + 2) u.  The
+    # constants leave room for rounding the bound and the first sum;
+    # nextafter covers the second.
     rounding = 2.0**-53 * (37 * moment + (3 * len(f) + 12) * l1)
     grid_up = math.nextafter(grid_max + err + rounding, math.inf)
     # the sign of the exact remainder says whether l1 was rounded down

@@ -71,7 +71,7 @@ def test_03_gelfand_vs_oracle():
         report = power_norms(alg, a, 64)
         radius = matrix.oracle_radius(a)
         # running_min at row k equals the bound for every depth N = k <= 64
-        if any(e.running_min < radius - 1e-9 for e in report.entries):
+        if any(m < radius - 1e-9 for m in report.running_min):
             sound = False
         gap = report.certified_upper - radius
         if gap <= 0.05 * max(1.0, radius):
@@ -177,7 +177,7 @@ def test_08_binomial_convolution():
 def test_09_wiener_convergence():
     # (a) roots of (z + 1/z)/2 stay at 1 (machine-exact l1 norms)
     cos = {1: 0.5 + 0j, -1: 0.5 + 0j}
-    roots = wiener.wiener_spectral_radius(cos, 64).roots()
+    roots = wiener.wiener_spectral_radius(cos, 64).root
     exact_ok = all(abs(r - 1.0) <= 1e-12 for r in roots)
 
     # (b) 64-step running min lands within 5% of the certified sup bracket
@@ -235,7 +235,7 @@ def test_11_weighted_shift():
             attained, _ = shift.op_norm_empirical(t, power, p, trials=3)
             if abs(attained - formula) > 1e-12 * max(attained, formula):
                 exact_ok = False
-    final_root = shift.shift_limit_experiment(t, 2000).roots()[-1]
+    final_root = shift.shift_limit_experiment(t, 2000).root[-1]
     elapsed = time.perf_counter() - t0
     ok = exact_ok and abs(final_root - 0.5) <= 0.01 and elapsed < 5.0
     assert verdict(

@@ -197,6 +197,17 @@ def test_spectrum_scan_schema(tmp_path, capsys):
     assert [ln.split(",")[0] for ln in flagged] == ["1", "2"]
 
 
+def test_spectrum_grid_past_the_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("0.5+0j\n")
+    code, out, err = run_cli(
+        capsys, "spectrum", "--matrix", str(path), "--re-min=-1e308", "--re-max", "1e308",
+        "--im-min", "0", "--im-max", "0", "--step", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("BudgetExceeded: ")
+
+
 def test_json_format_parses(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "wiener", "--f", "1:0.5,-1:0.5", "--n", "4"

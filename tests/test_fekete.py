@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrad import fekete
+from specrad import fekete, selftest
 from specrad.fekete import PrefixSequence
 
 
@@ -40,33 +41,33 @@ class TestCheckSubmultiplicative:
 class TestRootReport:
     def test_constant_ones(self):
         rep = fekete.root_report(seq(1, 1, 1))
-        assert rep.roots() == [1.0, 1.0, 1.0]
-        assert [e.running_min for e in rep.entries] == [1.0, 1.0, 1.0]
+        assert rep.root == [1.0, 1.0, 1.0]
+        assert rep.running_min == [1.0, 1.0, 1.0]
 
     def test_geometric(self):
         rep = fekete.root_report(fekete.geometric_sequence(2.0, 60))
-        for r in rep.roots():
+        for r in rep.root:
             assert r == pytest.approx(2.0, rel=1e-12)
 
     def test_linear_final_root(self):
         rep = fekete.root_report(fekete.poly_sequence(1.0, 1000))
         expected = 1001.0 ** (1.0 / 1000.0)  # direct evaluation
-        assert rep.last_root == pytest.approx(expected, rel=1e-13)
-        assert rep.last_root == pytest.approx(1.006932, abs=1e-6)
+        assert rep.root[-1] == pytest.approx(expected, rel=1e-13)
+        assert rep.root[-1] == pytest.approx(1.006932, abs=1e-6)
 
     def test_zero_maps_to_zero_root(self):
         rep = fekete.root_report(seq(1.0, 0.0, 0.0))
-        assert rep.roots() == [1.0, 0.0, 0.0]
+        assert rep.root == [1.0, 0.0, 0.0]
 
     def test_running_min_nonincreasing(self):
         rep = fekete.root_report(fekete.subadd_sequence(-0.3, 0.8, 50))
-        mins = [e.running_min for e in rep.entries]
+        mins = rep.running_min
         assert all(a >= b for a, b in zip(mins, mins[1:]))
 
     def test_roots_bounded_by_first_entry(self):
         s = fekete.subadd_sequence(0.4, 0.7, 60)
         rep = fekete.root_report(s)
-        for r in rep.roots():
+        for r in rep.root:
             assert r <= s.values[0] * (1 + 1e-12)
 
 
@@ -88,6 +89,21 @@ class TestLimitBracket:
     def test_violation_rejected(self):
         with pytest.raises(ValueError, match="not submultiplicative"):
             fekete.limit_bracket(seq(1.0, 3.0))
+
+
+class TestSelftestGenerator:
+    def test_one_scan_per_sequence(self, monkeypatch):
+        scans = []
+        scan = fekete.check_submultiplicative
+        monkeypatch.setattr(
+            fekete, "check_submultiplicative", lambda *args: scans.append(args) or scan(*args)
+        )
+        assert selftest.check_fekete_generator(np.random.default_rng([0, 0]))
+        assert len(scans) == 20
+
+    def test_violation_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(fekete, "subadd_sequence", lambda c, d, n: seq(1.0, 3.0))
+        assert selftest.check_fekete_generator(np.random.default_rng(0)) is False
 
 
 class TestBinomialConvolve:

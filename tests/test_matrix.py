@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from specrad import matrix
 from specrad.algebra import DEFAULT_PROBE_DEPTH, spectral_radius_upper
-from specrad.errors import Singular, Unsupported
+from specrad.errors import BudgetExceeded, Singular, Unsupported
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 SWAPISH = np.array([[0, 2], [0.5, 0]], dtype=complex)
@@ -178,6 +178,23 @@ class TestSpectralMapping:
             a = random_matrix(rng, int(rng.integers(1, 5)))
             for n in (2, 3, 5):
                 assert matrix.spectral_mapping_check(a, n)
+
+
+class TestGridSpec:
+    def test_span_past_the_float_range_is_refused(self):
+        with pytest.raises(BudgetExceeded, match="axis"):
+            matrix.GridSpec(-1e308, 1e308, 0, 0, 1)
+
+    def test_too_many_points_refused_before_any_is_laid_out(self):
+        with pytest.raises(BudgetExceeded, match="MAX_GRID_CELLS"):
+            matrix.GridSpec(0, 1, 0, 0, 1e-300)
+
+    def test_cell_budget_boundary(self):
+        side = 2**10 - 1  # 1024 points per axis
+        grid = matrix.GridSpec(0, side, 0, side, 1)
+        assert len(grid.re_points()) * len(grid.im_points()) == matrix.MAX_GRID_CELLS
+        with pytest.raises(BudgetExceeded):
+            matrix.GridSpec(0, side + 1, 0, side, 1)
 
 
 class TestSpectrumScan:

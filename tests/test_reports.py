@@ -9,6 +9,7 @@ including nan, inf, signed zeros and subnormals.
 """
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 
 from specrad import fekete
 from specrad.fekete import PrefixSequence
-from specrad.reports import ReportEntry, RootReport, _json_number, build_report, fmt17
+from specrad.reports import RootReport, _json_number, build_report, fmt17
+
+# the row record of the earlier implementation
+_Entry = namedtuple("_Entry", "k value root running_min")
 
 
 def _reference_fmt17(x):
@@ -78,7 +82,7 @@ def _reference_build_report(values_log, value_header="value", values=None):
                 value = math.inf
         root = math.exp(lv / k) if lv != -math.inf else 0.0
         running = min(running, root)
-        entries.append(ReportEntry(k, value, root, running))
+        entries.append(_Entry(k, value, root, running))
     return _ReferenceReport(entries, value_header)
 
 
@@ -100,13 +104,14 @@ def assert_same_report(build, reference):
     # repr tells nan, inf and -0.0 apart where == does not
     assert report.to_csv() == reference.to_csv()
     assert report.to_json() == reference.to_json()
-    assert repr(report.entries) == repr(reference.entries)
-    assert repr(report.roots()) == repr([e.root for e in reference.entries])
-    assert repr(report.values()) == repr([e.value for e in reference.entries])
+    rows = zip(range(1, len(report) + 1), report.value, report.root, report.running_min)
+    assert repr(list(rows)) == repr([tuple(e) for e in reference.entries])
+    assert repr(report.root) == repr([e.root for e in reference.entries])
+    assert repr(list(report.value)) == repr([e.value for e in reference.entries])
     assert len(report) == len(reference.entries)
     if reference.entries:
         assert repr(report.certified_upper) == repr(reference.entries[-1].running_min)
-        assert repr(report.last_root) == repr(reference.entries[-1].root)
+        assert repr(report.root[-1]) == repr(reference.entries[-1].root)
 
 
 SPECIAL = [
@@ -181,9 +186,9 @@ def test_report_fields_are_keyword_only():
     # the columns replaced the positional (entries, value_header) fields;
     # a positional call in the old form must fail, not build a wrong report
     with pytest.raises(TypeError):
-        RootReport([ReportEntry(1, 2.0, 2.0, 2.0)], "norm")
+        RootReport([_Entry(1, 2.0, 2.0, 2.0)], "norm")
     report = RootReport(value=[2.0], root=[2.0], running_min=[2.0], value_header="norm")
-    assert report.entries == [ReportEntry(1, 2.0, 2.0, 2.0)]
+    assert list(zip(report.value, report.root, report.running_min)) == [(2.0, 2.0, 2.0)]
 
 
 @settings(max_examples=300, deadline=None)

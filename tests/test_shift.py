@@ -140,20 +140,20 @@ class TestShiftLimitExperiment:
     def test_constant_weight_roots(self):
         t = shift.constant_weights(0.75, 10)
         rep = shift.shift_limit_experiment(t, 40)
-        for r in rep.roots():
+        for r in rep.root:
             assert r == pytest.approx(0.75, rel=1e-12)
 
     def test_zero_weight_absorbs(self):
         t = WeightedShift((1.0, 0.5, 0.0))
         rep = shift.shift_limit_experiment(t, 6)
-        assert rep.roots()[0] == 1.0
-        assert rep.roots()[2:] == [0.0, 0.0, 0.0, 0.0]
+        assert rep.root[0] == 1.0
+        assert rep.root[2:] == [0.0, 0.0, 0.0, 0.0]
 
     def test_harmonic_converges_to_tail(self):
         t = shift.harmonic_weights(0.5, 1.0, 4000)
         rep = shift.shift_limit_experiment(t, 2000)
-        assert abs(rep.roots()[-1] - 0.5) <= 0.01
-        mins = [e.running_min for e in rep.entries]
+        assert abs(rep.root[-1] - 0.5) <= 0.01
+        mins = rep.running_min
         assert all(a >= b for a, b in zip(mins, mins[1:]))
 
     def test_power_norms_are_submultiplicative(self):

@@ -219,6 +219,18 @@ class TestSupNorm:
         # float(2**60 + 1) is 2**60, so coefficients are not looked up by float degree
         assert wiener.sup_norm({2**60 + 1: 1.0 + 0j, 0: 0.5 + 0j}).interval == (1.5, 1.5)
 
+    def test_huge_degree_takes_its_phase_from_the_remainder(self):
+        # theta_j * k in floats is off by whole turns at k ~ 2**55; the grid
+        # samples of f are samples of 1 + z - z^3 on the circle
+        k = 2**55 + 3
+        est = wiener.sup_norm({0: 1.0 + 0j, k: 1.0 + 0j, 3 * k: -1.0 + 0j})
+        assert est.grid_max <= wiener.sup_norm({0: 1.0 + 0j, 1: 1.0 + 0j, 3: -1.0 + 0j}).upper
+
+    def test_degree_past_the_float_range(self):
+        est = wiener.sup_norm({10**400: 1.0 + 0j, 0: 0.5 + 0j})
+        assert est.interval == (1.5, 1.5)
+        assert est.certified_upper_error == math.inf
+
     def test_grid_power_multiplicativity(self):
         # on a fixed sample grid, max of |f|^n equals (max of |f|)^n
         rng = np.random.default_rng(71)
@@ -238,17 +250,17 @@ class TestSupNorm:
 class TestWienerSpectralRadius:
     def test_monomial_roots_exactly_one(self):
         rep = wiener.wiener_spectral_radius(Z, 32)
-        assert rep.roots() == [1.0] * 32
+        assert rep.root == [1.0] * 32
 
     def test_cosine_roots_exactly_one(self):
         # l1 norm of cos^n is 1 for every n: binomial coefficients over 2^n
         rep = wiener.wiener_spectral_radius(COS, 64)
-        for r in rep.roots():
+        for r in rep.root:
             assert abs(r - 1.0) <= 1e-12
 
     def test_one_plus_z_roots_exactly_two(self):
         rep = wiener.wiener_spectral_radius({0: 1.0 + 0j, 1: 1.0 + 0j}, 64)
-        for r in rep.roots():
+        for r in rep.root:
             assert r == pytest.approx(2.0, rel=1e-12)
 
     def test_budget_on_support_growth(self):
@@ -560,7 +572,7 @@ class TestPowerTablesOnArrays:
 
     def test_cap_refuses_before_any_array(self):
         wide = {0: 1.0 + 0j, 10**20: 1.0 + 0j}
-        assert wiener.wiener_spectral_radius(wide, 1).roots() == [2.0]
+        assert wiener.wiener_spectral_radius(wide, 1).root == [2.0]
         with pytest.raises(BudgetExceeded, match="span 200000000000000000001 exceeds"):
             wiener.wiener_spectral_radius(wide, 2)
 
