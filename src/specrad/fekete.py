@@ -182,7 +182,7 @@ def max_sum_bound(t: list[float]) -> tuple[float, float, bool]:
         if not v >= 0.0:
             raise ValueError("entries must be nonnegative, got %r" % (v,))
     m = max(t)
-    s = math.fsum(t)
+    s = or_inf(math.fsum, t)  # fsum raises when a partial sum overflows
     return m, s, m <= s <= len(t) * m
 
 

@@ -8,13 +8,15 @@ engine assumes throughout.  The Frobenius norm would not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 
 import numpy as np
 
-from .algebra import DEFAULT_PROBE_DEPTH, Algebra, spectral_radius_upper
+from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular, Unsupported
-from .reports import FMT17, fmt17
+from .reports import FMT17, RootReport, build_report, fmt17
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB;
@@ -134,19 +136,23 @@ def _gauss_inverse(stack: np.ndarray, floors: np.ndarray, rhs: np.ndarray | None
     return ok, margin, work[:, :, n:] if full else None
 
 
+def _stack_norms(stack: np.ndarray, norm_kind: str) -> np.ndarray:
+    """NORMS[norm_kind](m) for each matrix m of a (c, n, n) stack, bit for bit."""
+    # row sums for the inf norm, column sums for the 1-norm, as NORMS
+    return np.abs(stack).sum(axis=2 if norm_kind == "inf" else 1).max(axis=1)
+
+
 def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
     """PIVOT_RTOL * norm(m) for each matrix m of a (c, n, n) stack.
 
     Where that norm overflows, the floor is norm(PIVOT_RTOL * m), which
     is finite for finite entries; a finite floor keeps every bit.
     """
-    # row sums for the inf norm, column sums for the 1-norm, as NORMS
-    sum_axis = 2 if norm_kind == "inf" else 1
     with np.errstate(over="ignore"):
-        floors = PIVOT_RTOL * np.abs(stack).sum(axis=sum_axis).max(axis=1)
+        floors = PIVOT_RTOL * _stack_norms(stack, norm_kind)
     big = np.isinf(floors)
     if big.any():
-        floors[big] = np.abs(stack[big] * PIVOT_RTOL).sum(axis=sum_axis).max(axis=1)
+        floors[big] = _stack_norms(stack[big] * PIVOT_RTOL, norm_kind)
     return floors
 
 
@@ -175,6 +181,55 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
             % (residual, tol, min_pivot)
         )
     return inv
+
+
+# --- power tables of matrix stacks ----------------------------------------
+
+def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport]:
+    """power_norms(MatrixAlgebra(d, norm_kind), x, n) for each x in mats, in order.
+
+    The matrices of each dimension d run as one (c, d, d) stack through
+    the renormalized loop of power_norms: a batched product, the norm of
+    each matrix, its scale by 1/norm and math.log of the norm.  Each
+    entry goes through the operations of the one-matrix loop, so every
+    report is bit-identical to power_norms.  A matrix whose norm at some
+    step is 0, below the normal range (where power_norms rescales), inf
+    or nan leaves the stack and runs through power_norms itself, which
+    also emits any numpy warning that matrix raises there.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if norm_kind not in NORMS:
+        raise ValueError("norm_kind must be one of %s" % sorted(NORMS))
+    mats = [as_matrix(x) for x in mats]
+    reports: list[RootReport | None] = [None] * len(mats)
+    by_dim: dict[int, list[int]] = {}
+    for i, x in enumerate(mats):
+        by_dim.setdefault(x.shape[0], []).append(i)
+    for index in by_dim.values():
+        x = np.stack([mats[i] for i in index])
+        direction = x
+        steps = []  # steps[k][j]: the log that power_norms adds at step k + 1 for matrix j
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n):
+                if k:
+                    direction = direction @ x
+                norms = _stack_norms(direction, norm_kind)
+                ok = (norms >= sys.float_info.min) & (norms <= sys.float_info.max)
+                if not ok.all():
+                    keep = ok.tolist()
+                    index = list(compress(index, keep))
+                    steps = [list(compress(row, keep)) for row in steps]
+                    direction, x, norms = direction[ok], x[ok], norms[ok]
+                direction = direction * (1.0 / norms)[:, None, None]
+                steps.append(list(map(math.log, norms.tolist())))
+        for i, logs in zip(index, zip(*steps)):
+            reports[i] = build_report(list(accumulate(logs)), value_header="norm")
+    for i, report in enumerate(reports):
+        if report is None:
+            x = mats[i]
+            reports[i] = power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n)
+    return reports
 
 
 # --- eigenvalue oracle (independent of the power-norm machinery) ---------

@@ -11,6 +11,7 @@ and converge to the tail weight, the infimum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, takewhile
 
@@ -72,12 +73,26 @@ class FiniteVector:
         object.__setattr__(self, "values", vals)
 
     def norm(self) -> float:
+        """The p-norm.  When the sum of |x_j|^p overflows or falls below the
+        normal range, it is taken relative to the largest modulus M, as
+        M * fsum((|x_j|/M)^p)^(1/p)."""
         if not self.values:
             return 0.0
         mags = [abs(v) for v in self.values.values()]
-        if self.p == math.inf:
+        p = self.p
+        if p == math.inf:
             return max(mags)
-        return math.fsum(m**self.p for m in mags) ** (1.0 / self.p)
+        try:
+            total = math.fsum(m**p for m in mags)
+        except OverflowError:  # float pow and fsum raise past the float range
+            total = None
+        # a normal sum keeps its bits; an inf or nan modulus gives an inf or nan sum
+        if total is not None and not total < sys.float_info.min:
+            return total ** (1.0 / p)
+        big = max(mags)
+        if big == math.inf:
+            return big
+        return big * math.fsum((m / big) ** p for m in mags) ** (1.0 / p)
 
 
 def unit_vector(j: int, p: float) -> FiniteVector:
@@ -88,16 +103,18 @@ def apply_power(shift: WeightedShift, x: FiniteVector, power: int) -> FiniteVect
     """T^l x, computed directly: (T^l x)_j = (prod of alpha_j..alpha_{j+l-1}) * x_{j+l}."""
     if power < 1:
         raise ValueError("power must be >= 1")
+    weights, stored = shift.weights, len(shift.weights)
     out: dict[int, complex] = {}
     for m, v in x.values.items():
         j = m - power
         if j < 1:
             continue  # shifted off the front
-        coeff = 1.0
-        for i in range(j, m):
-            coeff *= shift.weight(i)
-            if coeff == 0.0:
-                break
+        # alpha_j..alpha_{m-1}, the tail weight standing in past the prefix;
+        # math.prod multiplies left to right in doubles, from 1
+        window = weights[j - 1 : m - 1]
+        if m - 1 > stored:
+            window += (shift.tail,) * (m - 1 - max(j - 1, stored))
+        coeff = math.prod(window)
         if coeff != 0.0:
             out[j] = coeff * v
     return FiniteVector(out, x.p)
@@ -146,11 +163,10 @@ def op_norm_empirical(
     best = 0.0
     for _ in range(trials):
         size = int(rng.integers(1, 12))
-        indices = rng.integers(1, power + 40, size=size)
-        values: dict[int, complex] = {}
-        for idx in indices:
-            values[int(idx)] = complex(rng.standard_normal(), rng.standard_normal())
-        x = FiniteVector(values, p)
+        indices = rng.integers(1, power + 40, size=size).tolist()
+        # one draw of 2*size normals is the stream of 2*size single draws
+        parts = rng.standard_normal(2 * size).tolist()
+        x = FiniteVector(dict(zip(indices, map(complex, parts[0::2], parts[1::2]))), p)
         nx = x.norm()
         if nx == 0.0:
             continue

@@ -170,6 +170,7 @@ class TestMaxSumBound:
             ([0.0, 0.0, 0.0], (0.0, 0.0, True)),
             ([1.0, 1.0], (1.0, 2.0, True)),
             ([3.0, 1.0, 2.0], (3.0, 6.0, True)),
+            ([1e308, 1e308], (1e308, math.inf, True)),  # the sum overflows
         ],
     )
     def test_examples(self, t, expected):

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specrad import matrix
-from specrad.algebra import DEFAULT_PROBE_DEPTH, spectral_radius_upper
+from specrad.algebra import DEFAULT_PROBE_DEPTH, power_norms, spectral_radius_upper
 from specrad.errors import BudgetExceeded, Singular, Unsupported
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -493,3 +495,88 @@ class TestBatchedElimination:
             assert same_bits(margin[i], pivot)
             if inv is not None:
                 assert same_bits(solution[i], inv)
+
+
+# --- stacked power tables against power_norms, one matrix at a time ------------
+
+def _columns(report):
+    return repr(report.value), repr(report.root), repr(report.running_min)
+
+
+def _assert_stacked_matches(mats, n, norm_kind):
+    reports = matrix.stacked_power_norms(mats, n, norm_kind)
+    assert len(reports) == len(mats)
+    for x, report in zip(mats, reports):
+        want = power_norms(matrix.MatrixAlgebra(x.shape[0], norm_kind), x, n)
+        assert _columns(report) == _columns(want)
+
+
+_BIG = sys.float_info.max / math.sqrt(2.0)
+STACK_EDGE_CASES = {
+    "zero": np.zeros((3, 3), dtype=complex),
+    "nilpotent": NILPOTENT,
+    "subnormal norm": np.array([[1e-310, 2e-310j], [0, 3e-310]]),
+    "norm past the float range": np.array([[1e308, 1e308], [0, 1e308]]),
+    "norm overflows at k = 3": np.array([[_BIG * (1 + 1j)]]),
+    "product overflows": np.array([[sys.float_info.max]]),
+    "nan entry": np.array([[0.5, math.nan], [0.25, 0.5j]]),
+}
+
+
+class TestStackedPowerNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.just(n), st.just(n), st.just(2)),
+                elements=st.floats(-1e3, 1e3, allow_nan=False),
+            )
+        ),
+        st.integers(1, 40),
+        st.sampled_from(sorted(matrix.NORMS)),
+    )
+    def test_matches_power_norms(self, parts, n, norm_kind):
+        mats = list(parts.view(np.complex128)[..., 0])
+        _assert_stacked_matches(mats, n, norm_kind)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.integers(1, 5).flatmap(
+                lambda n: arrays(np.float64, (n, n, 2), elements=st.floats(-2, 2, allow_nan=False))
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(sorted(matrix.NORMS)),
+    )
+    def test_mixed_dimensions_keep_input_order(self, parts, norm_kind):
+        mats = [p.view(np.complex128)[..., 0] for p in parts]
+        _assert_stacked_matches(mats, 12, norm_kind)
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    @pytest.mark.parametrize("name", sorted(STACK_EDGE_CASES))
+    def test_edge_cases_leave_the_stack(self, name, norm_kind):
+        # each case among ordinary matrices of its own dimension, so the
+        # stack keeps running after the case leaves it
+        x = STACK_EDGE_CASES[name]
+        rng = np.random.default_rng(3)
+        d = x.shape[0]
+        mats = [random_matrix(rng, d), x, random_matrix(rng, d), random_matrix(rng, d + 1)]
+        with warnings.catch_warnings(record=True) as stacked:
+            warnings.simplefilter("always")
+            reports = matrix.stacked_power_norms(mats, 6, norm_kind)
+        with warnings.catch_warnings(record=True) as direct:
+            warnings.simplefilter("always")
+            wants = [power_norms(matrix.MatrixAlgebra(m.shape[0], norm_kind), m, 6) for m in mats]
+        assert list(map(_columns, reports)) == list(map(_columns, wants))
+        # the stacked loop adds no warning of its own
+        assert [str(w.message) for w in stacked] == [str(w.message) for w in direct]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            matrix.stacked_power_norms([NILPOTENT], 0)
+        with pytest.raises(ValueError, match="norm_kind"):
+            matrix.stacked_power_norms([NILPOTENT], 4, "fro")
+        assert matrix.stacked_power_norms([], 4) == []

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specrad import fekete, shift
 from specrad.shift import FiniteVector, WeightedShift
@@ -46,6 +49,24 @@ class TestFiniteVector:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             FiniteVector({1: 1.0}, 0.5)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {1: 1e155},  # |x|^2 overflows
+            {1: 1e-200},  # |x|^2 underflows to 0
+            {1: 3e-170, 4: -4e-170j, 9: 1e-171},  # the sum is subnormal
+            {1: 1e200, 2: 1e300 + 1e300j, 3: -5e299},
+        ],
+    )
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_norm_at_the_float_range(self, values, p):
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(abs(mpmath.mpc(v)) ** p for v in values.values()) ** (1 / mpmath.mpf(p))
+        assert FiniteVector(values, p).norm() == pytest.approx(float(exact), rel=4e-16, abs=0)
+
+    def test_norm_of_an_inf_entry(self):
+        assert FiniteVector({1: math.inf, 2: 1e200}, 2.0).norm() == math.inf
 
 
 class TestApplyPower:
@@ -121,6 +142,11 @@ class TestOpNormEmpirical:
                 attained, _ = shift.op_norm_empirical(t, power, p, trials=3)
                 assert abs(attained - formula) <= 1e-12 * max(attained, formula)
 
+    def test_weights_past_the_float_range(self):
+        attained, ratio = shift.op_norm_empirical(WeightedShift((1e200,) * 3), 1, 2.0, 3)
+        assert attained == 1e200
+        assert ratio <= attained * (1 + 1e-12)
+
     def test_contraction_bound(self):
         rng = np.random.default_rng(89)
         t = shift.harmonic_weights(0.3, 1.5, 80)
@@ -134,6 +160,81 @@ class TestOpNormEmpirical:
             x = FiniteVector(values, p)
             bound = shift.power_norm_formula(t, power) * x.norm()
             assert shift.apply_power(t, x, power).norm() <= bound * (1 + 1e-12)
+
+
+# --- window products and trial draws against the per-weight loops --------------
+# The references are apply_power and op_norm_empirical as they were before the
+# window product became one math.prod call and the trial draws became one
+# standard_normal call; the current code must agree with them bit for bit.
+
+
+def _reference_apply_power(t, x, power):
+    out = {}
+    for m, v in x.values.items():
+        j = m - power
+        if j < 1:
+            continue
+        coeff = 1.0
+        for i in range(j, m):
+            coeff *= t.weight(i)
+            if coeff == 0.0:
+                break
+        if coeff != 0.0:
+            out[j] = coeff * v
+    return FiniteVector(out, x.p)
+
+
+def _reference_op_norm_empirical(t, power, p, trials, seed):
+    attained = _reference_apply_power(t, shift.unit_vector(power + 1, p), power).norm()
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        size = int(rng.integers(1, 12))
+        indices = rng.integers(1, power + 40, size=size)
+        values = {}
+        for idx in indices:
+            values[int(idx)] = complex(rng.standard_normal(), rng.standard_normal())
+        x = FiniteVector(values, p)
+        nx = x.norm()
+        if nx == 0.0:
+            continue
+        best = max(best, _reference_apply_power(t, x, power).norm() / nx)
+    return attained, best
+
+
+def _nonincreasing(moduli):
+    # sorted moduli, some of them zero; 1e200-sized ones overflow a window
+    # product to inf, and a zero after them makes it nan
+    return st.lists(
+        st.one_of(moduli, st.just(0.0)), min_size=1, max_size=30
+    ).map(lambda w: WeightedShift(tuple(sorted(w, reverse=True))))
+
+
+SHIFTS = st.one_of(
+    _nonincreasing(st.floats(0.0, 2.0)),
+    _nonincreasing(st.floats(1e150, 1e250)),
+    _nonincreasing(st.floats(1e-200, 1e-100)),
+)
+POWERS_P = (st.integers(1, 60), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+
+
+class TestAgainstPerWeightLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(SHIFTS, *POWERS_P, st.integers(0, 2**32 - 1))
+    def test_op_norm_empirical(self, t, power, p, seed):
+        got = shift.op_norm_empirical(t, power, p, 4, seed)
+        assert repr(got) == repr(_reference_op_norm_empirical(t, power, p, 4, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        SHIFTS,
+        *POWERS_P,
+        st.dictionaries(st.integers(1, 100), st.complex_numbers(max_magnitude=1e3), max_size=8),
+    )
+    def test_apply_power(self, t, power, p, values):
+        x = FiniteVector(values, p)
+        got = shift.apply_power(t, x, power).values
+        assert repr(got) == repr(_reference_apply_power(t, x, power).values)
 
 
 class TestShiftLimitExperiment:
