@@ -185,22 +185,23 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
 
 # --- power tables of matrix stacks ----------------------------------------
 
-def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport]:
-    """power_norms(MatrixAlgebra(d, norm_kind), x, n) for each x in mats, in order.
+def stacked_power_norms(mats, n: int) -> list[RootReport]:
+    """power_norms(MatrixAlgebra(d), as_matrix(x), n) for each x in mats, in order.
 
-    The matrices of each dimension d run as one (c, d, d) stack through
-    the renormalized loop of power_norms: a batched product, the norm of
-    each matrix, its scale by 1/norm and math.log of the norm.  Each
-    entry goes through the operations of the one-matrix loop, so every
-    report is bit-identical to power_norms.  A matrix whose norm at some
-    step is 0, below the normal range (where power_norms rescales), inf
-    or nan leaves the stack and runs through power_norms itself, which
-    also emits any numpy warning that matrix raises there.
+    Each x is taken as a complex matrix, as MatrixAlgebra holds them: a
+    real x runs complex products, which power_norms on the real array
+    itself would not.  The matrices of each dimension d run as one
+    (c, d, d) stack through the renormalized loop of power_norms: a
+    batched product, the inf norm of each matrix, its scale by 1/norm
+    and math.log of the norm.  Each entry goes through the operations of
+    the one-matrix loop, so every report is bit-identical to power_norms.
+    A matrix whose norm at some step is 0, below the normal range (where
+    power_norms rescales), inf or nan leaves the stack and runs through
+    power_norms itself, which also emits any numpy warning that matrix
+    raises there.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if norm_kind not in NORMS:
-        raise ValueError("norm_kind must be one of %s" % sorted(NORMS))
     mats = [as_matrix(x) for x in mats]
     reports: list[RootReport | None] = [None] * len(mats)
     by_dim: dict[int, list[int]] = {}
@@ -214,7 +215,7 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
             for k in range(n):
                 if k:
                     direction = direction @ x
-                norms = _stack_norms(direction, norm_kind)
+                norms = _stack_norms(direction, "inf")
                 ok = (norms >= sys.float_info.min) & (norms <= sys.float_info.max)
                 if not ok.all():
                     keep = ok.tolist()
@@ -228,7 +229,7 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     for i, report in enumerate(reports):
         if report is None:
             x = mats[i]
-            reports[i] = power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n)
+            reports[i] = power_norms(MatrixAlgebra(x.shape[0]), x, n)
     return reports
 
 
