@@ -94,6 +94,8 @@ def run_fekete(args) -> int:
     if (args.gen is None) == (args.input is None):
         raise ValueError("provide exactly one of --gen or --input")
     if args.gen is not None:
+        if args.n < 1:
+            raise ValueError("need n >= 1")
         seq = _parse_sequence_gen(args.gen, args.n)
     else:
         seq = fekete.read_sequence_csv(Path(args.input).read_text())

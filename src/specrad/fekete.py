@@ -105,6 +105,8 @@ def limit_bracket(
     ValueError when the prefix violates submultiplicativity, since the
     bracket is meaningless then.
     """
+    if not seq.values:
+        raise ValueError("limit_bracket needs at least one entry, got an empty prefix")
     violations = check_submultiplicative(seq, tol_rel)
     if violations:
         j, l = violations[0]
@@ -187,10 +189,16 @@ def max_sum_bound(t: list[float]) -> tuple[float, float, bool]:
 
 
 # --- closed-form generator families -------------------------------------
-# A value past the float range reads inf.
+# A value past the float range reads inf; a negative length n is refused.
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError("prefix length must be >= 0, got %d" % n)
+
 
 def poly_sequence(c: float, n: int) -> PrefixSequence:
     """a_j = (j+1)^c; submultiplicative for c >= 0 with limit 1."""
+    _check_length(n)
     return PrefixSequence(
         tuple(map(or_inf, repeat(pow), map(float, range(2, n + 2)), repeat(c))),
         has_unit_head=True,
@@ -199,6 +207,7 @@ def poly_sequence(c: float, n: int) -> PrefixSequence:
 
 def geometric_sequence(r: float, n: int) -> PrefixSequence:
     """a_j = r^j; roots are constantly r."""
+    _check_length(n)
     if r < 0:
         raise ValueError("ratio must be nonnegative")
     return PrefixSequence(
@@ -212,6 +221,7 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     Submultiplicative because sqrt is subadditive, which makes this an
     inexhaustible randomized test family with a known limit.
     """
+    _check_length(n)
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
     exp, sqrt = math.exp, math.sqrt

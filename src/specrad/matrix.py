@@ -19,8 +19,9 @@ from .errors import BudgetExceeded, Singular, Unsupported
 from .reports import FMT17, RootReport, build_report, fmt17
 
 PIVOT_RTOL = 1e-12
-# a scan eliminates its cells in stacks of about this many entries, 256 KB;
-# stacks four times larger cost 12% more peak memory in a matrix workload
+# a scan eliminates its cells in stacks of about this many entries, 256 KB,
+# and writes its CSV in blocks of this many rows; stacks four times larger
+# cost 12% more peak memory in a matrix workload
 SCAN_BLOCK_ENTRIES = 2**14
 ORACLE_MAX_DIM = 4
 # a spectrum grid holds at most this many cells: scanning that many for a
@@ -162,8 +163,10 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
     Raises Singular when a pivot falls below 1e-12 * norm(a) (a
     scale-invariant cutoff, finite when the norm overflows; see
     _pivot_floors) or when the computed inverse fails the
-    residual bound norm(a @ inv - I) <= tol.
+    residual bound norm(a @ inv - I) <= tol; ValueError for a tol outside (0, inf).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % tol)
     a = as_matrix(a)
     norm = NORMS[norm_kind]
     floors = _pivot_floors(a[None], norm_kind)
@@ -332,6 +335,7 @@ class GridSpec:
 
     The point counts are fixed on construction, which raises BudgetExceeded
     for a grid of more than MAX_GRID_CELLS points, before any is laid out.
+    Point i of an axis is lo + i * step.
     """
 
     re_min: float
@@ -362,51 +366,37 @@ class GridSpec:
                                  % (counts[0], counts[1], MAX_GRID_CELLS))
         object.__setattr__(self, "_counts", tuple(counts))
 
-    def _points(self, lo: float, count: int) -> list[float]:
-        return [lo + i * self.step for i in range(count)]
+    def re_points(self) -> np.ndarray:
+        return self.re_min + np.arange(self._counts[0]) * self.step
 
-    def re_points(self) -> list[float]:
-        return self._points(self.re_min, self._counts[0])
-
-    def im_points(self) -> list[float]:
-        return self._points(self.im_min, self._counts[1])
-
-
-@dataclass(frozen=True)
-class ScanCell:
-    """One grid point: invertibility of lambda*I - A and its margin.
-
-    For eliminated cells the margin is the smallest absolute pivot; for
-    cells certified invertible from the radius bound without elimination
-    it is the certificate slack |lambda| - radius_bound.
-    """
-
-    lam: complex
-    invertible: bool
-    margin: float
+    def im_points(self) -> np.ndarray:
+        return self.im_min + np.arange(self._counts[1]) * self.step
 
 
 @dataclass
 class SpectrumGrid:
-    spec: GridSpec
-    cells: list[ScanCell]
+    """A scan as row-major columns (re ascending outer, im ascending inner):
+    each lambda, whether lambda*I - A is invertible, and its margin.  The
+    margin is the smallest absolute pivot of an eliminated cell, or the
+    certificate slack |lambda| - radius_bound of a cell skipped by the bound.
+    """
 
-    def noninvertible(self) -> list[complex]:
-        return [c.lam for c in self.cells if not c.invertible]
+    cells: np.ndarray
+    invertible: np.ndarray
+    margin: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["re,im,invertible,margin"]
-        for c in self.cells:
-            lines.append(
-                "%s,%s,%s,%s"
-                % (
-                    fmt17(c.lam.real),
-                    fmt17(c.lam.imag),
-                    "true" if c.invertible else "false",
-                    fmt17(c.margin),
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """One row per cell, written SCAN_BLOCK_ENTRIES rows at a time."""
+        row = "%s,%s,%%s,%s\n" % (FMT17, FMT17, FMT17)
+        blocks = ["re,im,invertible,margin\n"]
+        for start in range(0, len(self.cells), SCAN_BLOCK_ENTRIES):
+            part = slice(start, start + SCAN_BLOCK_ENTRIES)
+            lams = self.cells[part]
+            flags = np.where(self.invertible[part], "true", "false")
+            rows = zip(lams.real.tolist(), lams.imag.tolist(), flags.tolist(),
+                       self.margin[part].tolist())
+            blocks.append("".join([row % r for r in rows]))
+        return "".join(blocks)
 
 
 def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
@@ -418,8 +408,7 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     at a time, without the identity half: a cell is noninvertible when a
     pivot falls below 1e-12 * norm(lambda*I - A), as in direct_inverse.
     Flags and margins are bit-identical to eliminating each cell on its
-    own.  Cells are emitted row-major: re ascending outer, im ascending
-    inner.
+    own.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -427,23 +416,25 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     # the bound is computed through exp/log and may sit an ulp below
     # the true radius: inflate before using it to skip elimination
     upper *= 1.0 + 1e-12
-    lams = [complex(re, im) for re in grid.re_points() for im in grid.im_points()]
-    inside = [lam for lam in lams if not abs(lam) > upper]
+    re, im = grid.re_points(), grid.im_points()
+    # part by part, so each cell is complex(re, im) with no arithmetic
+    cells = np.empty((re.size, im.size), dtype=complex)
+    cells.real, cells.imag = re[:, None], im
+    cells = cells.ravel()
+    # np.hypot rounds as abs(complex) does; np.abs of an array may not.  A
+    # modulus past the float range reads inf, above every bound
+    with np.errstate(over="ignore"):
+        radius = np.hypot(cells.real, cells.imag)
+    invertible = radius > upper
+    margin = radius - upper
+    inside = np.flatnonzero(~invertible)
     eye = np.eye(n, dtype=complex)
     block = max(1, SCAN_BLOCK_ENTRIES // (n * n))
-    eliminated = []
-    for start in range(0, len(inside), block):
-        stack = np.array(inside[start : start + block])[:, None, None] * eye - a
-        ok, margin, _ = _gauss_inverse(stack, _pivot_floors(stack, norm_kind))
-        eliminated += zip(ok.tolist(), margin.tolist())
-    results = iter(eliminated)
-    cells = []
-    for lam in lams:
-        if abs(lam) > upper:
-            cells.append(ScanCell(lam, True, abs(lam) - upper))
-        else:
-            cells.append(ScanCell(lam, *next(results)))
-    return SpectrumGrid(grid, cells)
+    for start in range(0, inside.size, block):
+        index = inside[start : start + block]
+        stack = cells[index][:, None, None] * eye - a
+        invertible[index], margin[index], _ = _gauss_inverse(stack, _pivot_floors(stack, norm_kind))
+    return SpectrumGrid(cells, invertible, margin)
 
 
 # --- I/O -------------------------------------------------------------------

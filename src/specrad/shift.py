@@ -188,10 +188,6 @@ def shift_limit_experiment(shift: WeightedShift, max_power: int) -> RootReport:
 
 # --- closed-form weight families ------------------------------------------
 
-def constant_weights(c: float, m: int) -> WeightedShift:
-    return WeightedShift((c,) * m)
-
-
 def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
     """alpha_j = a + b/j, decaying toward a; needs a, b >= 0."""
     if a < 0 or b < 0:

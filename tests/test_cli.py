@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -612,6 +614,33 @@ def test_benchmark_scan_output_is_unchanged(tmp_path, capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_SCAN_SHA256[n]
 
 
+# python -m specrad, reporting its peak RSS in KB on stderr once it exits
+PEAK_RSS_CHILD = """
+import resource, runpy, sys
+try:
+    runpy.run_module("specrad", run_name="__main__", alter_sys=True)
+finally:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_capped_grid_scan_is_unchanged_and_bounded(tmp_path):
+    # MAX_GRID_CELLS points; as one object per cell and one list of every
+    # row, the scan peaked at 370 MB
+    path = tmp_path / "one.csv"
+    path.write_text("0.5+0j\n")
+    grid = ["--re-min", "0", "--re-max", "1023", "--im-min", "0", "--im-max", "1023", "--step", "1"]
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "spectrum", "--matrix", str(path), *grid],
+        capture_output=True,
+        check=True,
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "d396cf12010e989263fe10721344e37c042321cdeba110e0a58846993b454b63"
+    )
+    assert int(run.stderr) < 250 * 1024
+
+
 # --- one-line refusals -------------------------------------------------------------
 
 
@@ -690,6 +719,34 @@ def test_non_finite_tol_or_lam_exits_one(tmp_path, capsys, argv, message):
     path.write_text(matrix.matrix_to_csv(np.eye(2, dtype=complex)))
     code, out, err = run_cli(capsys, argv[0], "--matrix", str(path), *argv[1:])
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+@pytest.mark.parametrize("argv", [["neumann"], ["resolvent", "--lam", "2"]])
+def test_non_positive_tol_exits_one(tmp_path, capsys, argv, tol):
+    # resolvent exited 2 with "Singular: inverse residual 0 exceeds tol -1"
+    path = tmp_path / "id.csv"
+    path.write_text(matrix.matrix_to_csv(np.eye(2, dtype=complex)))
+    code, out, err = run_cli(capsys, argv[0], "--matrix", str(path), *argv[1:], "--tol", tol)
+    message = "tol must be positive and finite, got %r" % float(tol)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fekete", "--gen", "geom:0.5", "--n", "0"], "need n >= 1"),
+        (["fekete", "--gen", "geom:0.5", "--n", "-3"], "need n >= 1"),
+        (["convolve", "--a", "geom:0.5", "--b", "geom:0.5", "--n", "0"], "n_out must be >= 1"),
+        (
+            ["convolve", "--a", "geom:0.5", "--b", "geom:0.5", "--n", "-3"],
+            "--a geom:0.5: prefix length must be >= 0, got -3",
+        ),
+    ],
+)
+def test_empty_or_negative_prefix_length_exits_one(capsys, argv, message):
+    # fekete --gen printed a header-only table with exit 0
+    assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
 # --- exit codes ---------------------------------------------------------------------

@@ -90,6 +90,26 @@ class TestLimitBracket:
         with pytest.raises(ValueError, match="not submultiplicative"):
             fekete.limit_bracket(seq(1.0, 3.0))
 
+    def test_empty_prefix_rejected(self):
+        with pytest.raises(ValueError, match="empty prefix"):
+            fekete.limit_bracket(seq())
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda n: fekete.poly_sequence(1.0, n),
+        lambda n: fekete.geometric_sequence(0.5, n),
+        lambda n: fekete.subadd_sequence(0.1, 0.2, n),
+    ],
+    ids=["poly", "geom", "subadd"],
+)
+def test_generators_refuse_a_negative_length(generate):
+    assert generate(0) == seq(head=True)
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="prefix length must be >= 0, got %d" % n):
+            generate(n)
+
 
 class TestSelftestGenerator:
     def test_one_scan_per_sequence(self, monkeypatch):

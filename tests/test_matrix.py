@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from specrad import matrix
 from specrad.algebra import DEFAULT_PROBE_DEPTH, power_norms, spectral_radius_upper
 from specrad.errors import BudgetExceeded, Singular, Unsupported
+from specrad.reports import fmt17
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 SWAPISH = np.array([[0, 2], [0.5, 0]], dtype=complex)
@@ -67,6 +68,12 @@ class TestDirectInverse:
     def test_tiny_pivot_below_threshold(self):
         with pytest.raises(Singular, match="pivot"):
             matrix.direct_inverse(np.diag([1.0, 1e-13]))
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a tol of inf passed every residual; a negative one read as Singular
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            matrix.direct_inverse(np.eye(2), tol=tol)
 
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     def test_pivot_floor_stays_finite_when_the_norm_overflows(self, norm_kind):
@@ -199,22 +206,26 @@ class TestGridSpec:
             matrix.GridSpec(0, side + 1, 0, side, 1)
 
 
+def noninvertible(scan):
+    return scan.cells[~scan.invertible].tolist()
+
+
 class TestSpectrumScan:
     def test_zero_matrix_flags_origin_only(self):
         grid = matrix.GridSpec(-1, 1, -1, 1, 0.5)
         scan = matrix.spectrum_scan(np.zeros((2, 2)), grid)
-        assert scan.noninvertible() == [0j]
+        assert noninvertible(scan) == [0j]
 
     def test_diagonal_spectrum_on_grid(self):
         grid = matrix.GridSpec(0, 3, -0.5, 0.5, 0.5)
         scan = matrix.spectrum_scan(np.diag([1.0, 2.0]), grid)
-        assert sorted(z.real for z in scan.noninvertible()) == [1.0, 2.0]
-        assert all(z.imag == 0 for z in scan.noninvertible())
+        assert sorted(z.real for z in noninvertible(scan)) == [1.0, 2.0]
+        assert all(z.imag == 0 for z in noninvertible(scan))
 
     def test_swapish_spectrum_near_plus_minus_one(self):
         grid = matrix.GridSpec(-1.5, 1.5, 0, 0, 0.25)
         scan = matrix.spectrum_scan(SWAPISH, grid)
-        assert sorted(z.real for z in scan.noninvertible()) == [-1.0, 1.0]
+        assert sorted(z.real for z in noninvertible(scan)) == [-1.0, 1.0]
 
     def test_outside_norm_always_invertible(self):
         rng = np.random.default_rng(53)
@@ -222,17 +233,22 @@ class TestSpectrumScan:
         bound = matrix.inf_norm(a)
         grid = matrix.GridSpec(-2 * bound, 2 * bound, 0, 0, bound / 2)
         scan = matrix.spectrum_scan(a, grid)
-        for cell in scan.cells:
-            if abs(cell.lam) > bound:
-                assert cell.invertible
+        outside = np.abs(scan.cells) > bound
+        assert scan.invertible[outside].all()
 
     def test_matches_oracle_within_one_step(self):
         step = 0.25
         grid = matrix.GridSpec(-2, 2, -2, 2, step)
         scan = matrix.spectrum_scan(SWAPISH, grid)
         eigs = matrix.eigen_oracle(SWAPISH)
-        for lam in scan.noninvertible():
+        for lam in noninvertible(scan):
             assert min(abs(lam - mu) for mu in eigs) <= step
+
+    def test_modulus_past_the_float_range_is_outside_the_bound(self):
+        # abs() of this lambda raised OverflowError in the per-cell scan
+        grid = matrix.GridSpec(1.5e308, 1.5e308, 1.5e308, 1.5e308, 1)
+        scan = matrix.spectrum_scan(np.array([[0.5]]), grid)
+        assert scan.to_csv() == "re,im,invertible,margin\n1.5e+308,1.5e+308,true,inf\n"
 
     def test_csv_schema(self):
         grid = matrix.GridSpec(0, 0.5, 0, 0, 0.5)
@@ -345,24 +361,36 @@ def _reference_direct_inverse(a, tol=1e-10, norm_kind="inf"):
     return inv
 
 
+def _reference_scan_csv(rows):
+    """The CSV of (lam, invertible, margin) rows, three fmt17 calls per line."""
+    lines = ["re,im,invertible,margin"]
+    for lam, invertible, margin in rows:
+        lines.append(
+            "%s,%s,%s,%s"
+            % (fmt17(lam.real), fmt17(lam.imag), "true" if invertible else "false", fmt17(margin))
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _reference_spectrum_scan(a, grid, norm_kind="inf"):
+    """The CSV of spectrum_scan(a, grid, norm_kind), one cell at a time."""
     a = matrix.as_matrix(a)
     n = a.shape[0]
     norm = matrix.NORMS[norm_kind]
     upper = spectral_radius_upper(matrix.MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
     upper *= 1.0 + 1e-12
     eye = np.eye(n, dtype=complex)
-    cells = []
-    for re in grid.re_points():
-        for im in grid.im_points():
-            lam = complex(re, im)
+    rows = []
+    for i in range(len(grid.re_points())):
+        for j in range(len(grid.im_points())):
+            lam = complex(grid.re_min + i * grid.step, grid.im_min + j * grid.step)
             if abs(lam) > upper:
-                cells.append(matrix.ScanCell(lam, True, abs(lam) - upper))
+                rows.append((lam, True, abs(lam) - upper))
                 continue
             shifted = lam * eye - a
             inv, pivot = _reference_gauss_inverse(shifted, matrix.PIVOT_RTOL * norm(shifted))
-            cells.append(matrix.ScanCell(lam, inv is not None, pivot))
-    return matrix.SpectrumGrid(grid, cells)
+            rows.append((lam, inv is not None, pivot))
+    return _reference_scan_csv(rows)
 
 
 def same_bits(x, y) -> bool:
@@ -406,14 +434,22 @@ def scan_inputs(draw):
     return a, draw(st.sampled_from(sorted(matrix.NORMS)))
 
 
+BLOCK_ROWS = matrix.SCAN_BLOCK_ENTRIES  # rows per block of SpectrumGrid.to_csv
+
+
 class TestBatchedElimination:
     @settings(max_examples=60, deadline=None)
-    @given(scan_inputs())
-    @example((np.array([[2.22507386e-311 + 0j]]), "inf"))  # 1 / pivot overflows
-    def test_scan_matches_per_cell_elimination(self, case):
+    @given(scan_inputs(), st.just(SCAN_GRID))
+    @example((np.array([[2.22507386e-311 + 0j]]), "inf"), SCAN_GRID)  # 1 / pivot overflows
+    @example((np.zeros((2, 2)), "inf"), matrix.GridSpec(-0.0, 0.5, -0.0, 0.5, 0.25))
+    @example((np.diag([-0.5, 0.0]), "one"), matrix.GridSpec(-1.0, -0.0, -0.0, -0.0, 0.5))
+    @example((np.array([[8e307, 8e307], [8e307, -8e307]]), "inf"), SCAN_GRID)
+    @example((np.array([[1e308, 0], [7e307j, 1e308]]), "one"),
+             matrix.GridSpec(-1e300, 1e300, -1e300, 1e300, 1e300))
+    def test_scan_matches_per_cell_elimination(self, case, grid):
         a, norm_kind = case
-        want = _reference_spectrum_scan(a, SCAN_GRID, norm_kind).to_csv()
-        assert matrix.spectrum_scan(a, SCAN_GRID, norm_kind).to_csv() == want
+        want = _reference_spectrum_scan(a, grid, norm_kind)
+        assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
 
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     @pytest.mark.parametrize("n", [16, 32])
@@ -422,7 +458,7 @@ class TestBatchedElimination:
         a = random_matrix(rng, n)
         a /= matrix.inf_norm(a)
         grid = matrix.GridSpec(-1.0, 1.0, -1.0, 1.0, 2.0 / 19)
-        want = _reference_spectrum_scan(a, grid, norm_kind).to_csv()
+        want = _reference_spectrum_scan(a, grid, norm_kind)
         assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -438,8 +474,27 @@ class TestBatchedElimination:
         a = np.triu(random_matrix(rng, n), 1)
         a[np.diag_indices(n)] = [4.0, points[0], points[count // 2], points[-1]] * (n // 4)
         scan = matrix.spectrum_scan(a, grid)
-        assert scan.to_csv() == _reference_spectrum_scan(a, grid).to_csv()
-        assert len(scan.noninvertible()) == 3
+        assert scan.to_csv() == _reference_spectrum_scan(a, grid)
+        assert len(noninvertible(scan)) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda c: st.tuples(
+                arrays(np.float64, (c, 3), elements=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())),
+                arrays(np.bool_, c),
+            )
+        )
+    )
+    @example((np.full((BLOCK_ROWS, 3), -0.0), np.zeros(BLOCK_ROWS, dtype=bool)))
+    @example((np.full((BLOCK_ROWS + 1, 3), math.nan), np.ones(BLOCK_ROWS + 1, dtype=bool)))
+    def test_writer_matches_the_per_cell_writer(self, columns):
+        # signed zeros, nan and inf in every column, and blocks of rows past one
+        parts, flags = columns
+        cells = parts[:, :2].copy().view(np.complex128)[:, 0]
+        scan = matrix.SpectrumGrid(cells, flags, parts[:, 2].copy())
+        want = _reference_scan_csv(zip(cells.tolist(), flags.tolist(), parts[:, 2].tolist()))
+        assert scan.to_csv() == want
 
     @settings(max_examples=80, deadline=None)
     @given(

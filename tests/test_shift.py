@@ -71,7 +71,7 @@ class TestFiniteVector:
 
 class TestApplyPower:
     def test_pure_shift(self):
-        t = shift.constant_weights(1.0, 10)
+        t = WeightedShift((1.0,) * 10)
         out = shift.apply_power(t, shift.unit_vector(2, 2.0), 1)
         assert out.values == {1: 1.0 + 0j}
 
@@ -90,12 +90,12 @@ class TestApplyPower:
 
 class TestPowerNormFormula:
     def test_all_ones(self):
-        t = shift.constant_weights(1.0, 5)
+        t = WeightedShift((1.0,) * 5)
         for power in (1, 3, 17):
             assert shift.power_norm_formula(t, power) == 1.0
 
     def test_constant_half(self):
-        t = shift.constant_weights(0.5, 5)
+        t = WeightedShift((0.5,) * 5)
         for power in (1, 4, 20):
             assert shift.power_norm_formula(t, power) == pytest.approx(
                 2.0**-power, rel=1e-12
@@ -113,14 +113,14 @@ class TestPowerNormFormula:
 
 class TestOpNormEmpirical:
     def test_all_ones(self):
-        t = shift.constant_weights(1.0, 50)
+        t = WeightedShift((1.0,) * 50)
         for p in (1.0, 2.0, math.inf):
             attained, ratio = shift.op_norm_empirical(t, 7, p, trials=10)
             assert attained == 1.0
             assert ratio <= 1.0 + 1e-12
 
     def test_constant_half_power_four(self):
-        t = shift.constant_weights(0.5, 50)
+        t = WeightedShift((0.5,) * 50)
         for p in (1.0, 2.0, math.inf):
             attained, _ = shift.op_norm_empirical(t, 4, p, trials=5)
             assert attained == pytest.approx(1.0 / 16.0, rel=1e-15)
@@ -239,7 +239,7 @@ class TestAgainstPerWeightLoops:
 
 class TestShiftLimitExperiment:
     def test_constant_weight_roots(self):
-        t = shift.constant_weights(0.75, 10)
+        t = WeightedShift((0.75,) * 10)
         rep = shift.shift_limit_experiment(t, 40)
         for r in rep.root:
             assert r == pytest.approx(0.75, rel=1e-12)
