@@ -16,7 +16,7 @@ from .algebra import (
     spectral_radius_upper,
     telescope_check,
 )
-from .errors import BudgetExceeded, NotConvergent, Singular, Unsupported
+from .errors import BudgetExceeded, NotConvergent, Singular
 from .fekete import (
     PrefixSequence,
     binomial_convolve,
@@ -73,7 +73,6 @@ __all__ = [
     "Singular",
     "SpectrumGrid",
     "SupEstimate",
-    "Unsupported",
     "WeightedShift",
     "WienerAlgebra",
     "apply_power",

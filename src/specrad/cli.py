@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fekete, matrix, selftest, shift, wiener
 from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
-from .errors import BudgetExceeded, NotConvergent, Singular, Unsupported
+from .errors import BudgetExceeded, NotConvergent, Singular
 from .reports import _json_number
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         # nan by the library, so numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (ValueError, Unsupported, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (NotConvergent, Singular, BudgetExceeded) as exc:

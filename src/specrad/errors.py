@@ -11,7 +11,3 @@ class BudgetExceeded(RuntimeError):
 
 class Singular(RuntimeError):
     """A direct solve found the operand noninvertible."""
-
-
-class Unsupported(ValueError):
-    """Requested operation outside the supported parameter range."""

@@ -50,14 +50,6 @@ class PrefixSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def a(self, j: int) -> float:
-        """Entry a_j, with a_0 = 1 under the unit-head convention."""
-        if j == 0:
-            if not self.has_unit_head:
-                raise ValueError("a_0 requested but has_unit_head is not set")
-            return 1.0
-        return self.values[j - 1]
-
 
 def check_submultiplicative(
     seq: PrefixSequence, tol_rel: float = DEFAULT_TOL_REL
@@ -89,8 +81,11 @@ def root_report(seq: PrefixSequence) -> RootReport:
     """Roots a_k^(1/k) with their running minimum, row per k.
 
     Roots are evaluated as exp(log(a_k)/k) so that large k neither
-    overflows nor underflows; a_k = 0 maps to root 0.
+    overflows nor underflows; a_k = 0 maps to root 0.  Raises ValueError
+    for an empty prefix, which certifies no bound.
     """
+    if not seq.values:
+        raise ValueError("need at least one entry, got an empty prefix")
     return build_report(_logs(seq.values), value_header="value", values=seq.values)
 
 
@@ -102,11 +97,9 @@ def limit_bracket(
     The upper bound is the minimum root over the prefix, rigorous because
     the limit equals the infimum over *all* indices.  The estimate is the
     last root, a heuristic with no certificate attached.  Raises
-    ValueError when the prefix violates submultiplicativity, since the
-    bracket is meaningless then.
+    ValueError when the prefix is empty or violates submultiplicativity,
+    since the bracket is meaningless then.
     """
-    if not seq.values:
-        raise ValueError("limit_bracket needs at least one entry, got an empty prefix")
     violations = check_submultiplicative(seq, tol_rel)
     if violations:
         j, l = violations[0]

@@ -15,7 +15,7 @@ from itertools import accumulate, compress
 import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
-from .errors import BudgetExceeded, Singular, Unsupported
+from .errors import BudgetExceeded, Singular
 from .reports import FMT17, RootReport, build_report, fmt17
 
 PIVOT_RTOL = 1e-12
@@ -23,7 +23,6 @@ PIVOT_RTOL = 1e-12
 # and writes its CSV in blocks of this many rows; stacks four times larger
 # cost 12% more peak memory in a matrix workload
 SCAN_BLOCK_ENTRIES = 2**14
-ORACLE_MAX_DIM = 4
 # a spectrum grid holds at most this many cells: scanning that many for a
 # 1 x 1 matrix takes 6 s and 370 MB (2 cores, numpy 2.4.6)
 MAX_GRID_CELLS = 2**20
@@ -238,77 +237,24 @@ def stacked_power_norms(mats, n: int) -> list[RootReport]:
 
 # --- eigenvalue oracle (independent of the power-norm machinery) ---------
 
-def charpoly(a) -> list[complex]:
-    """Coefficients of det(lambda*I - A) in ascending powers, monic."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    coeffs: list[complex] = [0j] * (n + 1)
-    coeffs[n] = 1.0 + 0j
-    m = np.zeros_like(a)
-    c = 1.0 + 0j
-    for k in range(1, n + 1):
-        m = a @ m + c * eye
-        c = -np.trace(a @ m) / k
-        coeffs[n - k] = c
-    return coeffs
-
-
-def _peval(p: list[complex], z: complex) -> tuple[complex, complex]:
-    """Horner evaluation of p and p' at z (ascending coefficients)."""
-    val = 0j
-    dval = 0j
-    for c in reversed(p):
-        dval = dval * z + val
-        val = val * z + c
-    return val, dval
-
-
-def _polish(p: list[complex], z: complex) -> complex:
-    best = z
-    best_val = abs(_peval(p, z)[0])
-    for _ in range(50):
-        val, dval = _peval(p, z)
-        if dval == 0:
-            break
-        z = z - val / dval
-        v = abs(_peval(p, z)[0])
-        if v < best_val:
-            best, best_val = z, v
-        else:
-            break
-    return best
-
-
-def _poly_roots(p: list[complex]) -> list[complex]:
-    # companion-matrix roots are backward stable; Newton polishing on p
-    # itself then tightens each root's residual
-    return [_polish(p, complex(z)) for z in np.roots(p[::-1])]
-
-
 def eigen_oracle(a) -> list[complex]:
-    """Eigenvalues of a small matrix via its characteristic polynomial.
+    """Eigenvalues of a square matrix, sorted by (re, im).
 
-    Restricted to n <= 4 so the oracle stays independent of the
-    power-norm machinery it cross-checks: triangular matrices read their
-    diagonal exactly, and any other matrix gets companion-matrix roots
-    of its characteristic polynomial (numpy.roots), each polished by
-    Newton steps on that polynomial.  Accuracy is about 1e-8 on
-    well-conditioned desk-scale inputs; repeated eigenvalues of a full
-    matrix sit at the rootfinding conditioning floor (~eps^(1/m)).
+    Shares no code with the power-norm machinery it cross-checks:
+    triangular matrices read their diagonal exactly, and any other matrix
+    gets LAPACK's eigensolver (numpy.linalg.eigvals), backward stable at
+    any scale: each value is off by about eps * norm * its condition.
     """
     a = as_matrix(a)
-    if a.shape[0] > ORACLE_MAX_DIM:
-        raise Unsupported("eigen_oracle supports n <= %d only" % ORACLE_MAX_DIM)
     if (a == np.triu(a)).all() or (a == np.tril(a)).all():
-        roots = [complex(z) for z in np.diag(a)]
+        values = np.diag(a)
     else:
-        roots = _poly_roots(charpoly(a))
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+        values = np.linalg.eigvals(a)
+    return sorted(values.tolist(), key=lambda z: (z.real, z.imag))
 
 
 def oracle_radius(a) -> float:
-    """Spectral radius from the eigenvalue oracle (n <= 4)."""
+    """Spectral radius from the eigenvalue oracle."""
     return max((abs(z) for z in eigen_oracle(a)), default=0.0)
 
 

@@ -46,12 +46,6 @@ class WeightedShift:
         """The constant continuation value, which is also the weight infimum."""
         return self.weights[-1]
 
-    def weight(self, j: int) -> float:
-        """alpha_j for j >= 1, constant at the last stored value beyond the prefix."""
-        if j < 1:
-            raise ValueError("weight indices start at 1")
-        return self.weights[min(j, len(self.weights)) - 1]
-
 
 @dataclass(frozen=True)
 class FiniteVector:

@@ -749,6 +749,16 @@ def test_empty_or_negative_prefix_length_exits_one(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_header_only_fekete_input_exits_one(tmp_path, capsys, fmt):
+    # a header with no rows printed a header-only table, or [] in json, with exit 0
+    path = tmp_path / "empty.csv"
+    path.write_text("k,value\n")
+    assert run_cli(capsys, "--format", fmt, "fekete", "--input", str(path)) == (
+        1, "", "error: need at least one entry, got an empty prefix\n"
+    )
+
+
 # --- exit codes ---------------------------------------------------------------------
 
 

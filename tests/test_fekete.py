@@ -70,6 +70,11 @@ class TestRootReport:
         for r in rep.root:
             assert r <= s.values[0] * (1 + 1e-12)
 
+    def test_empty_prefix_rejected(self):
+        # an empty prefix certifies no bound; it gave a header-only report
+        with pytest.raises(ValueError, match="empty prefix"):
+            fekete.root_report(seq())
+
 
 class TestLimitBracket:
     def test_geometric(self):
@@ -154,9 +159,11 @@ class TestBinomialConvolve:
         a = fekete.subadd_sequence(0.3, 0.4, 20)
         b = fekete.subadd_sequence(-0.2, 0.9, 20)
         c = fekete.binomial_convolve(a, b, 20)
+        # a_0 = b_0 = 1, the unit head, then a_j = values[j - 1]
+        av, bv = (1.0,) + a.values, (1.0,) + b.values
         for n in range(1, 21):
             direct = math.fsum(
-                math.comb(n, j) * a.a(j) * b.a(n - j) for j in range(n + 1)
+                math.comb(n, j) * av[j] * bv[n - j] for j in range(n + 1)
             )
             assert c.values[n - 1] == pytest.approx(direct, rel=1e-12)
 

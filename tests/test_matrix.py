@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from specrad import matrix
 from specrad.algebra import DEFAULT_PROBE_DEPTH, power_norms, spectral_radius_upper
-from specrad.errors import BudgetExceeded, Singular, Unsupported
+from specrad.errors import BudgetExceeded, Singular
 from specrad.reports import fmt17
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -98,27 +99,6 @@ class TestDirectInverse:
         assert matrix.inf_norm(x @ inv - np.eye(3)) <= 1e-10
 
 
-class TestCharpoly:
-    def test_dimension_two_closed_form(self):
-        rng = np.random.default_rng(19)
-        a = random_matrix(rng, 2)
-        c = matrix.charpoly(a)
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        assert c[2] == 1.0
-        assert c[1] == pytest.approx(-tr, rel=1e-13)
-        assert c[0] == pytest.approx(det, rel=1e-13)
-
-    def test_roots_of_triangular(self):
-        a = np.array(
-            [[2.0, 1.0, 0.5], [0, -1.0 + 1j, 3.0], [0, 0, 0.25]], dtype=complex
-        )
-        c = matrix.charpoly(a)
-        for lam in (2.0, -1.0 + 1j, 0.25):
-            val = sum(ci * lam**i for i, ci in enumerate(c))
-            assert abs(val) <= 1e-12
-
-
 class TestEigenOracle:
     def test_nilpotent(self):
         assert matrix.eigen_oracle(NILPOTENT) == [0, 0]
@@ -133,9 +113,11 @@ class TestEigenOracle:
         assert roots[0] == pytest.approx(-1.0 + 2j, abs=1e-12)
         assert roots[1] == pytest.approx(3.0, abs=1e-12)
 
-    def test_dimension_cap(self):
-        with pytest.raises(Unsupported):
-            matrix.eigen_oracle(np.eye(5))
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_cyclic_permutation_past_four(self, n):
+        # every eigenvalue is an n-th root of unity; the oracle stopped at n = 4
+        a = np.roll(np.eye(n), 1, axis=1)
+        assert matrix.oracle_radius(a) == pytest.approx(1.0, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_triangular_diagonal(self, n):
@@ -159,15 +141,54 @@ class TestEigenOracle:
                 prod *= z
             assert prod == pytest.approx(np.linalg.det(a), abs=1e-8)
 
-    def test_char_poly_residual_small(self):
+    def test_backward_error_small(self):
+        # each lambda is an exact eigenvalue of a matrix within sigma_min of A
         rng = np.random.default_rng(43)
         for _ in range(20):
-            n = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 9))
             a = random_matrix(rng, n)
-            c = matrix.charpoly(a)
             for lam in matrix.eigen_oracle(a):
-                val = sum(ci * lam**i for i, ci in enumerate(c))
-                assert abs(val) <= 1e-9 * max(1.0, abs(lam)) ** n
+                sigma_min = np.linalg.svd(lam * np.eye(n) - a, compute_uv=False)[-1]
+                assert sigma_min <= 1e-12 * max(1.0, matrix.inf_norm(a))
+
+
+def _mp_eigenvalues(a):
+    """Eigenvalues of a at 50 digits; mpmath.eig returns a tuple for n = 1."""
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
+    return values[0] if isinstance(values, tuple) else values
+
+
+class TestOracleAccuracy:
+    """The oracle against 50-digit eigenvalues, at any scale of the entries."""
+
+    def check(self, a):
+        got = matrix.eigen_oracle(a)
+        assert all(type(z) is complex for z in got)
+        want = _mp_eigenvalues(a)
+        radius = max(abs(z) for z in want)
+        assert abs(matrix.oracle_radius(a) - radius) <= 1e-13 * radius
+        for z in want:
+            assert min(abs(z - g) for g in got) <= 1e-13 * radius
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 1e200, 1e-200])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_scaled(self, n, scale):
+        rng = np.random.default_rng(59 + n)
+        self.check(scale * random_matrix(rng, n))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # the characteristic polynomial underflowed to radius 0, lost the
+            # small eigenvalue of [[1, 2], [3, 4]], and overflowed to inf
+            1e-200 * np.array([[0, 1], [1, 0]]),
+            1e-200 * np.array([[1, 2], [3, 4]]),
+            1e200 * np.array([[0, 1], [1, 0]]),
+        ],
+    )
+    def test_characteristic_polynomial_failures(self, a):
+        self.check(a)
 
 
 class TestSpectralMapping:

@@ -161,7 +161,7 @@ nonnegative = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(nonnegative, max_size=60))
+@given(st.lists(nonnegative, min_size=1, max_size=60))
 def test_root_report_matches_reference(values):
     seq = PrefixSequence(tuple(values))
     assert_same_report(lambda: fekete.root_report(seq), lambda: _reference_root_report(seq))

@@ -21,14 +21,15 @@ class TestWeightedShift:
 
     def test_tail_continues_last_weight(self):
         t = WeightedShift((1.0, 0.5, 0.25))
-        assert t.weight(3) == 0.25
-        assert t.weight(100) == 0.25
-        assert t.tail == 0.25
+        assert t.tail == t.weights[2] == 0.25
+        # past the prefix T moves x_101 to index 100 scaled by alpha_100 = tail
+        y = shift.apply_power(t, FiniteVector({101: 1.0}, 2.0), 1)
+        assert y.values == {100: 0.25}
 
     def test_harmonic_generator(self):
         t = shift.harmonic_weights(0.5, 1.0, 100)
-        assert t.weight(1) == 1.5
-        assert t.weight(4) == 0.75
+        assert t.weights[0] == 1.5
+        assert t.weights[3] == 0.75
         assert t.tail == 0.5 + 1.0 / 100
 
 
@@ -176,7 +177,8 @@ def _reference_apply_power(t, x, power):
             continue
         coeff = 1.0
         for i in range(j, m):
-            coeff *= t.weight(i)
+            # alpha_i, constant at the tail past the prefix
+            coeff *= t.weights[i - 1] if i <= len(t.weights) else t.tail
             if coeff == 0.0:
                 break
         if coeff != 0.0:
