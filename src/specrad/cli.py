@@ -20,7 +20,6 @@ import numpy as np
 from . import fekete, matrix, selftest, shift, wiener
 from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular
-from .reports import _json_number
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
 
@@ -57,13 +56,6 @@ def _parse_weights(spec: str, m: int) -> shift.WeightedShift:
     except ValueError:
         raise ValueError("--weights %s: expected harmonic:a,b with two numbers" % spec) from None
     return shift.harmonic_weights(a, b, m)
-
-
-def _read_matrix(path: str):
-    text = Path(path).read_text()
-    if text.lstrip().startswith("["):
-        return matrix.read_matrix_json(text)
-    return matrix.read_matrix_csv(text)
 
 
 def _emit(args, text: str) -> None:
@@ -111,26 +103,20 @@ def run_convolve(args) -> int:
             if not math.isfinite(v):
                 raise ValueError("--%s %s: entry %s_%d = %r is not finite" % (name, spec, name, j, v))
     c = fekete.binomial_convolve(a, b, args.n)
-    if args.format == "json":
-        rows = ", ".join(
-            '{"k": %d, "value": %s}' % (k, _json_number(v))
-            for k, v in enumerate(c.values, start=1)
-        )
-        _emit(args, "[" + rows + "]\n")
-    else:
-        _emit(args, fekete.sequence_to_csv(c))
+    write = fekete.sequence_to_json if args.format == "json" else fekete.sequence_to_csv
+    _emit(args, write(c))
     return 0
 
 
 def run_power(args) -> int:
-    a = _read_matrix(args.matrix)
+    a = matrix.read_matrix(Path(args.matrix).read_text())
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
     _emit(args, _report_text(args, power_norms(alg, a, args.n)))
     return 0
 
 
 def run_neumann(args) -> int:
-    a = _read_matrix(args.matrix)
+    a = matrix.read_matrix(Path(args.matrix).read_text())
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
     inv = neumann_inverse(alg, a, tol=_finite_tol(args), max_terms=args.max_terms)
     _emit(args, _matrix_text(args, inv))
@@ -145,14 +131,14 @@ def run_resolvent(args) -> int:
     if not cmath.isfinite(lam):
         raise ValueError("--lam must be finite, got %r" % args.lam)
     tol = _finite_tol(args)
-    a = _read_matrix(args.matrix)
+    a = matrix.read_matrix(Path(args.matrix).read_text())
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
     _emit(args, _matrix_text(args, resolvent(alg, a, lam, tol=tol)))
     return 0
 
 
 def run_spectrum(args) -> int:
-    a = _read_matrix(args.matrix)
+    a = matrix.read_matrix(Path(args.matrix).read_text())
     spec = matrix.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.step)
     _emit(args, matrix.spectrum_scan(a, spec, norm_kind=args.norm).to_csv())
     return 0
@@ -165,6 +151,8 @@ def run_wiener(args) -> int:
 
 
 def run_shift(args) -> int:
+    if args.l < 1:
+        raise ValueError("need l >= 1")
     if args.weights_file:
         t = shift.read_weights_csv(Path(args.weights_file).read_text())
     elif args.weights:
@@ -205,6 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the options of every matrix subcommand, and those of the two inverses
+    matrix_args = argparse.ArgumentParser(add_help=False)
+    matrix_args.add_argument("--matrix", required=True, help="matrix file (CSV re+imj or JSON)")
+    matrix_args.add_argument("--norm", choices=sorted(matrix.NORMS), default="inf")
+    inverse_args = argparse.ArgumentParser(add_help=False, parents=[matrix_args])
+    inverse_args.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("fekete", help="root/running-min table for a sequence prefix")
     p.add_argument("--gen", help="inline generator: %s" % SEQUENCE_GENERATORS)
@@ -218,34 +212,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=30)
     p.set_defaults(handler=run_convolve)
 
-    p = sub.add_parser("power", help="power-norm convergence table for a matrix")
-    p.add_argument("--matrix", required=True, help="matrix file (CSV re+imj or JSON)")
+    p = sub.add_parser("power", parents=[matrix_args],
+                       help="power-norm convergence table for a matrix")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--norm", choices=("inf", "one"), default="inf")
     p.set_defaults(handler=run_power)
 
-    p = sub.add_parser("neumann", help="geometric-series inverse of (I - X)")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p = sub.add_parser("neumann", parents=[inverse_args],
+                       help="geometric-series inverse of (I - X)")
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
-    p.add_argument("--norm", choices=("inf", "one"), default="inf")
     p.set_defaults(handler=run_neumann)
 
-    p = sub.add_parser("resolvent", help="(lambda I - X)^(-1)")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("resolvent", parents=[inverse_args], help="(lambda I - X)^(-1)")
     p.add_argument("--lam", required=True, help="complex scalar, e.g. 2 or 1+0.5j")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--norm", choices=("inf", "one"), default="inf")
     p.set_defaults(handler=run_resolvent)
 
-    p = sub.add_parser("spectrum", help="grid scan for noninvertible lambda I - X")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("spectrum", parents=[matrix_args],
+                       help="grid scan for noninvertible lambda I - X")
     p.add_argument("--re-min", type=float, required=True)
     p.add_argument("--re-max", type=float, required=True)
     p.add_argument("--im-min", type=float, required=True)
     p.add_argument("--im-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--norm", choices=("inf", "one"), default="inf")
     p.set_defaults(handler=run_spectrum)
 
     p = sub.add_parser("wiener", help="l1 power-norm roots of a Laurent element")

@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import FMT17, RootReport, build_report, csv_rows, or_inf
+from .reports import FMT17, RootReport, _json_number, build_report, csv_rows, or_inf
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -223,13 +223,19 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     )
 
 
-# --- CSV interface -------------------------------------------------------
+# --- CSV and JSON interface ----------------------------------------------
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
     row = "%d," + FMT17
     lines = ["k,value"]
     lines += [row % kv for kv in enumerate(seq.values, start=1)]
     return "\n".join(lines) + "\n"
+
+
+def sequence_to_json(seq: PrefixSequence) -> str:
+    """The rows of sequence_to_csv as one line of {"k", "value"} objects."""
+    rows = ['{"k": %d, "value": %s}' % (k, _json_number(v)) for k, v in enumerate(seq.values, 1)]
+    return "[" + ", ".join(rows) + "]\n"
 
 
 def read_sequence_csv(text: str) -> PrefixSequence:

@@ -244,8 +244,9 @@ def eigen_oracle(a) -> list[complex]:
     triangular matrices read their diagonal exactly, and any other matrix
     gets LAPACK's eigensolver (numpy.linalg.eigvals), backward stable at
     any scale: each value is off by about eps * norm * its condition.
+    A non-finite entry is refused with a ValueError that names it.
     """
-    a = as_matrix(a)
+    a = _finite_matrix(a)
     if (a == np.triu(a)).all() or (a == np.tril(a)).all():
         values = np.diag(a)
     else:
@@ -260,11 +261,16 @@ def oracle_radius(a) -> float:
 
 def spectral_mapping_check(a, n: int, tol: float = 1e-6) -> bool:
     """Each oracle eigenvalue lambda of A has lambda^n among the oracle
-    eigenvalues of A^n, within tol * max(1, |lambda|^n)."""
+    eigenvalues of A^n, within tol * max(1, |lambda|^n).  An A^n past the
+    float range is refused with a ValueError."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     eig_a = eigen_oracle(a)
-    eig_an = eigen_oracle(np.linalg.matrix_power(as_matrix(a), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(as_matrix(a), n)
+    if not np.isfinite(power).all():
+        raise ValueError("A^%d has an entry past the float range" % n)
+    eig_an = eigen_oracle(power)
     for lam in eig_a:
         target = lam**n
         allowance = tol * max(1.0, abs(target))
@@ -385,10 +391,9 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
 
 # --- I/O -------------------------------------------------------------------
 
-def format_complex(z: complex) -> str:
-    re, im = complex(z).real, complex(z).imag
-    sign = "+" if im >= 0 or math.isnan(im) else "-"
-    return "%s%s%sj" % (fmt17(re), sign, fmt17(abs(im)))
+# one complex entry as re+imj: "%+" signs the imaginary part, "+" for nan;
+# the writers add 0.0 to it, which turns -0.0 into 0.0 and changes nothing else
+_CSV_CELL = FMT17 + FMT17.replace("%", "%+", 1) + "j"
 
 
 def _rows(template: str, real: np.ndarray, imag: np.ndarray) -> list[str]:
@@ -399,23 +404,19 @@ def _rows(template: str, real: np.ndarray, imag: np.ndarray) -> list[str]:
 
 
 def matrix_to_csv(a) -> str:
-    """One line per row, each entry written as format_complex writes it."""
+    """One line per row, each entry written by _CSV_CELL."""
     a = as_matrix(a)
-    # "%+" signs the imaginary part as format_complex does, "+" for nan;
-    # adding 0.0 turns -0.0 into 0.0 and changes no other entry
-    cell = FMT17 + FMT17.replace("%", "%+", 1) + "j"
-    rows = _rows(",".join([cell] * a.shape[0]), a.real, a.imag + 0.0)
+    rows = _rows(",".join([_CSV_CELL] * a.shape[0]), a.real, a.imag + 0.0)
     return "\n".join(rows) + "\n"
 
 
 def _finite_matrix(rows) -> np.ndarray:
-    """as_matrix(rows) for file input, refusing a non-finite entry."""
+    """as_matrix(rows), refusing a non-finite entry."""
     m = as_matrix(rows)
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = bad[0].tolist()
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0].tolist()
         z = complex(m[i, j])
-        text = fmt17(z.real) if z.imag == 0 else format_complex(z)
+        text = fmt17(z.real) if z.imag == 0 else _CSV_CELL % (z.real, z.imag + 0.0)
         raise ValueError("matrix entry (%d, %d) is not finite: %s" % (i + 1, j + 1, text))
     return m
 
@@ -430,6 +431,11 @@ def read_matrix_csv(text: str) -> np.ndarray:
     if not rows:
         raise ValueError("empty matrix input")
     return _finite_matrix(rows)
+
+
+def read_matrix(text: str) -> np.ndarray:
+    """A matrix file: JSON when its first non-blank character is "[", CSV otherwise."""
+    return read_matrix_json(text) if text.lstrip().startswith("[") else read_matrix_csv(text)
 
 
 def matrix_to_json(a) -> str:

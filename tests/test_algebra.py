@@ -292,6 +292,10 @@ class TestInvertNear:
         with pytest.raises(ValueError, match="perturbation too large"):
             invert_near(ALG2, ALG2.one, x, y, 1e-10)
 
+    def test_zero_inverse_rejected(self):
+        with pytest.raises(ValueError, match="x_inv has norm 0 and cannot be an inverse"):
+            invert_near(ALG2, ALG2.zero, ALG2.one, ALG2.one, 1e-10)
+
 
 class TestResolvent:
     def test_zero_element(self):
@@ -355,4 +359,8 @@ class TestTelescope:
             alg = MatrixAlgebra(3)
             x = random_matrix(rng, 3)
             assert telescope_check(alg, x, 8) <= 1e-12
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            telescope_check(ALG2, ALG2.one, -1)
 

@@ -100,6 +100,22 @@ def test_shift_bad_weights_names_the_option(capsys, spec):
     assert err == "error: --weights %s: expected harmonic:a,b with two numbers\n" % spec
 
 
+@pytest.mark.parametrize("l", ["0", "-2"])
+@pytest.mark.parametrize(
+    "source",
+    [["--weights", "harmonic:1,1"], ["--weights", "harmonic:1,1", "--m", "5"], ["w.csv"]],
+    ids=["weights", "weights-m", "weights-file"],
+)
+def test_shift_non_positive_l_names_the_option(tmp_path, capsys, source, l):
+    # the weight count defaulted to --l, so --l 0 said "need at least one weight",
+    # and with --m or a weights file "max_power must be >= 1"
+    path = tmp_path / "w.csv"
+    path.write_text("j,alpha\n1,1\n2,1\n")
+    if source == ["w.csv"]:
+        source = ["--weights-file", str(path)]
+    assert run_cli(capsys, "shift", *source, "--l", l) == (1, "", "error: need l >= 1\n")
+
+
 def test_shift_weights_file(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("j,alpha\n" + "".join("%d,%r\n" % (j, 0.5 + 1.0 / j) for j in range(1, 51)))
@@ -658,6 +674,48 @@ def test_convolve_bad_b_entry_names_the_option(capsys):
     code, out, err = run_cli(capsys, "convolve", "--a", "poly:1", "--b", "subadd:nan,0", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: --b subadd:nan,0: entry b_1 = nan is negative or NaN\n"
+
+
+REFUSAL_FILES = {
+    "one.csv": "0.5+0j\n",
+    "short.csv": "j,alpha\n1,1\n2\n",
+    "blank.csv": "\n  \n",
+    "wide.csv": "1+0j,2+0j\n",
+}
+SCAN = ["spectrum", "--matrix", "one.csv", "--im-min", "0", "--im-max", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SCAN, "--re-min", "0", "--re-max", "1", "--step", "0"], "step must be positive"),
+        ([*SCAN, "--re-min", "0", "--re-max", "1", "--step", "-1"], "step must be positive"),
+        ([*SCAN, "--re-min", "1", "--re-max", "0", "--step", "1"], "empty grid range"),
+        (["shift"], "shift needs --weights or --weights-file"),
+        (["shift", "--weights", "foo:1"], "unknown weight generator 'foo:1' (use harmonic:a,b)"),
+        (
+            ["shift", "--weights", "harmonic:-1,1"],
+            "need a, b >= 0 for nonnegative nonincreasing weights",
+        ),
+        (["shift", "--weights-file", "short.csv"], "bad row '2'"),
+        (
+            ["fekete", "--gen", "geom:-1"],
+            "bad generator arguments 'geom:-1': ratio must be nonnegative",
+        ),
+        (
+            ["fekete", "--gen", "subadd:0,-1"],
+            "bad generator arguments 'subadd:0,-1': "
+            "d must be >= 0 (sqrt term must stay subadditive)",
+        ),
+        (["power", "--matrix", "blank.csv"], "empty matrix input"),
+        (["power", "--matrix", "wide.csv"], "expected a square matrix, got shape (1, 2)"),
+    ],
+)
+def test_bad_input_exits_one_with_its_message(tmp_path, capsys, argv, message):
+    for name, text in REFUSAL_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / token) if token.endswith(".csv") else token for token in argv]
+    assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
 
 
 # --- Wiener supports wider than the coefficient cap ------------------------------

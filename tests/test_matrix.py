@@ -45,6 +45,14 @@ class TestNorms:
                 alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 assert norm(alpha * x) == pytest.approx(abs(alpha) * norm(x), rel=1e-12)
 
+    def test_algebra_refuses_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            matrix.MatrixAlgebra(0)
+
+    def test_algebra_refuses_an_unknown_norm(self):
+        with pytest.raises(ValueError, match=r"norm_kind must be one of \['inf', 'one'\]"):
+            matrix.MatrixAlgebra(2, "fro")
+
 
 class TestDirectInverse:
     def test_identity(self):
@@ -112,6 +120,19 @@ class TestEigenOracle:
         roots = matrix.eigen_oracle(np.diag([3.0, -1.0 + 2j]))
         assert roots[0] == pytest.approx(-1.0 + 2j, abs=1e-12)
         assert roots[1] == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            # the triangular path returned inf as an eigenvalue
+            ([[math.inf, 1], [0, 1]], r"matrix entry \(1, 1\) is not finite: inf"),
+            ([[1, 2], [complex(3, math.nan), 4]], r"matrix entry \(2, 1\) is not finite: 3\+nanj"),
+        ],
+        ids=["triangular-inf", "nan"],
+    )
+    def test_refuses_a_non_finite_entry(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            matrix.eigen_oracle(a)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_cyclic_permutation_past_four(self, n):
@@ -208,6 +229,21 @@ class TestSpectralMapping:
             a = random_matrix(rng, int(rng.integers(1, 5)))
             for n in (2, 3, 5):
                 assert matrix.spectral_mapping_check(a, n)
+
+    def test_rounding_fails_a_zero_tolerance(self):
+        # the eigenvalues of A^3 and the cubes of those of A differ by rounding
+        assert not matrix.spectral_mapping_check([[1, 2], [3, 4]], 3, tol=0.0)
+
+    def test_refuses_a_power_past_the_float_range(self):
+        # matrix_power warned twice, then eigvals raised LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^A\^2 has an entry past the float range$"):
+                matrix.spectral_mapping_check([[1e200, 1], [1, 0]], 2)
+
+    def test_refuses_power_zero(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            matrix.spectral_mapping_check(np.eye(2), 0)
 
 
 class TestGridSpec:
@@ -323,6 +359,10 @@ class TestMatrixIO:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             matrix.read_matrix_csv("1+0j,2+0j\n3+0j\n")
+
+    def test_csv_skips_blank_lines(self):
+        a = matrix.read_matrix_csv("1+0j,0+0j\n\n  \n0+0j,1+0j\n")
+        assert np.array_equal(a, np.eye(2))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -88,6 +88,10 @@ class TestApplyPower:
         assert set(out.values) == {1}
         assert out.values[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
 
+    def test_power_zero_rejected(self):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            shift.apply_power(WeightedShift((1.0,)), shift.unit_vector(1, 2.0), 0)
+
 
 class TestPowerNormFormula:
     def test_all_ones(self):
@@ -110,6 +114,10 @@ class TestPowerNormFormula:
         t = WeightedShift((1.0, 0.5, 0.0))
         assert shift.power_norm_formula(t, 3) == 0.0
         assert shift.power_norm_formula(t, 50) == 0.0
+
+    def test_power_zero_rejected(self):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            shift.power_norm_formula(WeightedShift((1.0,)), 0)
 
 
 class TestOpNormEmpirical:
@@ -142,6 +150,10 @@ class TestOpNormEmpirical:
             for p in (1.0, 2.0, math.inf):
                 attained, _ = shift.op_norm_empirical(t, power, p, trials=3)
                 assert abs(attained - formula) <= 1e-12 * max(attained, formula)
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            shift.op_norm_empirical(WeightedShift((1.0,)), 1, 2.0, trials=0)
 
     def test_weights_past_the_float_range(self):
         attained, ratio = shift.op_norm_empirical(WeightedShift((1e200,) * 3), 1, 2.0, 3)
@@ -251,6 +263,10 @@ class TestShiftLimitExperiment:
         rep = shift.shift_limit_experiment(t, 6)
         assert rep.root[0] == 1.0
         assert rep.root[2:] == [0.0, 0.0, 0.0, 0.0]
+
+    def test_max_power_zero_rejected(self):
+        with pytest.raises(ValueError, match="max_power must be >= 1"):
+            shift.shift_limit_experiment(WeightedShift((1.0,)), 0)
 
     def test_harmonic_converges_to_tail(self):
         t = shift.harmonic_weights(0.5, 1.0, 4000)

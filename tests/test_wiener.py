@@ -670,3 +670,8 @@ class TestInverseOnArrays:
             "product support span 100000000000000000001 exceeds coefficient cap 1000000"
         )
         assert peak < 2**20
+
+    def test_first_sum_past_the_cap_checks_tol(self):
+        # the edge path refuses a bad tol itself; neumann_inverse never runs
+        with pytest.raises(ValueError, match=r"tol must be positive and finite, got 0\.0"):
+            wiener.wiener_inverse({0: 1.0 + 0j, 10**20: 0.5 + 0j}, tol=0.0)
