@@ -153,6 +153,8 @@ def run_wiener(args) -> int:
 def run_shift(args) -> int:
     if args.l < 1:
         raise ValueError("need l >= 1")
+    if args.m < 0:  # --m 0 means "default to --l"
+        raise ValueError("need m >= 0")
     if args.weights_file:
         t = shift.read_weights_csv(Path(args.weights_file).read_text())
     elif args.weights:
@@ -164,6 +166,8 @@ def run_shift(args) -> int:
 
 
 def run_selftest(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0, got %d" % args.seed)
     buffer = io.StringIO()
     ok = selftest.run_selftest(args.seed, buffer)
     _emit(args, buffer.getvalue())

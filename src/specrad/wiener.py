@@ -131,12 +131,23 @@ def _convolve(x, y, cap: int):
 
 def _scale(alpha: complex, a):
     """alpha * a entrywise, rounded as Python's complex product
-    (ar*vr - ai*vi) + (ar*vi + ai*vr)j, which numpy's complex multiply
-    does not; inf and nan stay as silent as in Python's arithmetic."""
+    (ar*vr - ai*vi) + (ar*vi + ai*vr)j; inf and nan stay as silent as in
+    Python's arithmetic.  For a finite nonzero real alpha (imaginary part
+    +0.0), numpy's complex multiply differs from it only in the sign of a
+    part whose nonzero product underflows to zero, as it fuses a multiply
+    and an add; it is used unless a nonzero part became zero, which a
+    factor of modulus 1 or more never makes."""
     alpha = complex(alpha)
-    pairs = a.view(np.float64).reshape(-1, 2)
+    ar, ai = alpha.real, alpha.imag
+    parts = a.view(np.float64)
+    if ai == 0 and math.copysign(1.0, ai) > 0 and 0 < abs(ar) < math.inf:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = a * ar
+        if abs(ar) >= 1 or not ((out.view(np.float64) == 0) > (parts == 0)).any():
+            return out
+    pairs = parts.reshape(-1, 2)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = pairs * alpha.real + pairs[:, ::-1] * np.array([-alpha.imag, alpha.imag])
+        out = pairs * ar + pairs[:, ::-1] * np.array([-ai, ai])
     return out.view(np.complex128).reshape(-1)
 
 
@@ -146,12 +157,13 @@ def _l1(a) -> float:
     # the order sets its speed: in degree order the moduli of a power
     # climb through hundreds of orders of magnitude and fall again, and
     # fsum keeps about 200 partials on a span of 3217; sorted descending,
-    # a dozen.  The sort is in place, on the array hypot made.
+    # a dozen.  The sort is in place, on the array hypot made, and fsum
+    # reads that array through a memoryview, with no list in between.
     with np.errstate(over="ignore"):
         moduli = np.hypot(a.real, a.imag)
     moduli[::-1].sort()
     try:
-        return math.fsum(moduli.tolist())
+        return math.fsum(memoryview(moduli))
     except OverflowError:
         # past the float range; fsum raises before it reports a nan term
         return math.nan if np.isnan(moduli).any() else math.inf

@@ -116,6 +116,28 @@ def test_shift_non_positive_l_names_the_option(tmp_path, capsys, source, l):
     assert run_cli(capsys, "shift", *source, "--l", l) == (1, "", "error: need l >= 1\n")
 
 
+@pytest.mark.parametrize("source", [["--weights", "harmonic:1,1"], ["w.csv"]])
+def test_shift_negative_m_names_the_option(tmp_path, capsys, source, monkeypatch):
+    # harmonic_weights got m = -3 and built no weight: "need at least one weight"
+    path = tmp_path / "w.csv"
+    path.write_text("j,alpha\n1,1\n2,1\n")
+    if source == ["w.csv"]:
+        source = ["--weights-file", str(path)]
+    built = []
+    monkeypatch.setattr(cli.shift, "harmonic_weights", lambda *a: built.append(a))
+    argv = ["shift", *source, "--m", "-3", "--l", "4"]
+    assert run_cli(capsys, *argv) == (1, "", "error: need m >= 0\n")
+    assert built == []
+
+
+def test_shift_m_zero_defaults_to_l(capsys):
+    def rows(m):
+        return run_cli(capsys, "shift", "--weights", "harmonic:0.5,1", "--m", m, "--l", "6")
+
+    assert rows("0") == rows("6")
+    assert rows("0")[0] == 0
+
+
 def test_shift_weights_file(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("j,alpha\n" + "".join("%d,%r\n" % (j, 0.5 + 1.0 / j) for j in range(1, 51)))
@@ -272,6 +294,13 @@ def test_selftest_passes(capsys):
     lines = out.splitlines()
     assert lines[-1].startswith("selftest:")
     assert all(ln.startswith("PASS") for ln in lines[:-1])
+
+
+def test_selftest_negative_seed_names_the_option(capsys):
+    # numpy refused it as "expected non-negative integer", naming no option
+    assert run_cli(capsys, "--seed", "-1", "selftest") == (
+        1, "", "error: --seed must be >= 0, got -1\n"
+    )
 
 
 def test_missing_file_exits_one(capsys):

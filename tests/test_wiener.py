@@ -474,6 +474,27 @@ def equal_span_pairs(draw):
     return element(), element()
 
 
+# every kind of part: both zeros, subnormals, inf and nan among them
+edge_part = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-320, 2.0**-1022, math.inf, -math.inf, math.nan]),
+)
+edge_coeffs = st.lists(st.builds(complex, edge_part, edge_part), max_size=12)
+# the real factors of the engine (1/norm, its 2**600 rescale, sub's -1.0)
+# and any other across the float range, signed zeros included; a -0.0
+# imaginary part changes the signs of zero parts
+real_factor = st.one_of(
+    st.sampled_from([-1.0, 2.0**600, 0.0, -0.0, 1e-10, 0.37, 3.0, 1e-308, 1e308]),
+    st.sampled_from([complex(0.5, -0.0), complex(-1.0, -0.0)]),
+    st.builds(
+        lambda m, e, sign: sign * m * 10.0**e,
+        st.floats(min_value=1.0, max_value=9.99),
+        st.integers(min_value=-308, max_value=307),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
 class TestKernelsMatchDictLoops:
     @settings(max_examples=100, deadline=None)
     @given(elements)
@@ -489,6 +510,16 @@ class TestKernelsMatchDictLoops:
     @given(coeff, elements)
     def test_scale_complex(self, alpha, f):
         assert wiener.scale(alpha, f) == wiener.clean({k: alpha * v for k, v in f.items()})
+
+    @settings(max_examples=300, deadline=None)
+    @given(real_factor, edge_coeffs)
+    # a zero part turns nan while another underflows: equal zero counts
+    @example(1e-10, [complex(0.0, math.inf), complex(-1e-320, -1.0)])
+    @example(1e-10, [complex(-1e-320, -1.0825896458679949)])
+    def test_scale_real_rounds_as_python(self, alpha, values):
+        # reprs, which tell the signed zeros apart and show every nan
+        got = wiener._scale(alpha, np.array(values, np.complex128)).tolist()
+        assert repr(got) == repr([complex(alpha) * z for z in values])
 
     def test_add_keeps_signed_zeros(self):
         # dict == treats -0.0 as 0.0, so compare the reprs
@@ -618,6 +649,15 @@ class TestPowerTablesOnArrays:
         assert items(alg.as_dict(alg.scale(0.5j, x))) == items(wiener.scale(0.5j, f))
         assert alg.norm(x) == wiener.l1_norm(f)
         assert items(alg.as_dict(alg.add(x, y))) == items(wiener.add(f, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(real_factor, edge_coeffs)
+    @example(1e-10, [complex(0.0, math.inf), complex(-1e-320, -1.0)])
+    def test_engine_real_scale_matches_the_dict_function(self, r, values):
+        f = dict(enumerate(values))
+        alg = wiener.WienerAlgebra()
+        got = alg.as_dict(alg.scale(r, alg.element(f)))
+        assert repr(sorted(got.items())) == repr(sorted(wiener.scale(r, f).items()))
 
 
 # --- Neumann inverses on trimmed arrays ----------------------------------------
