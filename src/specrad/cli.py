@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fekete, matrix, selftest, shift, wiener
-from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
+from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
@@ -110,8 +110,7 @@ def run_convolve(args) -> int:
 
 def run_power(args) -> int:
     a = matrix.read_matrix(Path(args.matrix).read_text())
-    alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
-    _emit(args, _report_text(args, power_norms(alg, a, args.n)))
+    _emit(args, _report_text(args, matrix.stacked_power_norms([a], args.n, args.norm)[0]))
     return 0
 
 
@@ -158,7 +157,8 @@ def run_shift(args) -> int:
     if args.weights_file:
         t = shift.read_weights_csv(Path(args.weights_file).read_text())
     elif args.weights:
-        t = _parse_weights(args.weights, args.m or args.l)
+        # weights past --l never reach the table, so they are not built
+        t = _parse_weights(args.weights, min(args.m or args.l, args.l))
     else:
         raise ValueError("shift needs --weights or --weights-file")
     _emit(args, _report_text(args, shift.shift_limit_experiment(t, args.l)))

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
-from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
+from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms
 from .errors import BudgetExceeded, Singular
 from .reports import FMT17, RootReport, build_report, fmt17
 
@@ -187,52 +187,79 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
 
 # --- power tables of matrix stacks ----------------------------------------
 
-def stacked_power_norms(mats, n: int) -> list[RootReport]:
-    """power_norms(MatrixAlgebra(d), as_matrix(x), n) for each x in mats, in order.
+def _chain_power_logs(x: np.ndarray, n: int, axis: int) -> list[float] | None:
+    """The log column of power_norms on one matrix, run on two buffers with
+    row sums for axis 1 (inf) or column sums for axis 0 (one), or None once
+    a norm leaves the normal range.  np.dot rounds as x @ y and costs less."""
+    direction, spare = np.empty_like(x), np.empty_like(x)
+    mags, sums = np.empty(x.shape), np.empty(len(x))
+    absolute, add, dot, maximum = np.absolute, np.add.reduce, np.dot, np.maximum.reduce
+    lo, hi, logs, total, w = sys.float_info.min, sys.float_info.max, [], 0.0, x
+    for k in range(n):
+        if k:
+            w = dot(direction, x, out=spare)
+            direction, spare = spare, direction
+        absolute(w, out=mags)
+        add(mags, axis, out=sums)
+        nw = float(maximum(sums))
+        if not lo <= nw <= hi:
+            return None
+        np.multiply(1.0 / nw, w, out=direction)  # the scalar first, as MatrixAlgebra.scale
+        total += math.log(nw)
+        logs.append(total)
+    return logs
 
-    Each x is taken as a complex matrix, as MatrixAlgebra holds them: a
-    real x runs complex products, which power_norms on the real array
-    itself would not.  The matrices of each dimension d run as one
-    (c, d, d) stack through the renormalized loop of power_norms: a
-    batched product, the inf norm of each matrix, its scale by 1/norm
-    and math.log of the norm.  Each entry goes through the operations of
-    the one-matrix loop, so every report is bit-identical to power_norms.
-    A matrix whose norm at some step is 0, below the normal range (where
-    power_norms rescales), inf or nan leaves the stack and runs through
-    power_norms itself, which also emits any numpy warning that matrix
-    raises there.
+
+def _stack_power_logs(x: np.ndarray, n: int, axis: int) -> list[list[float] | None]:
+    """_chain_power_logs for each matrix of a (c, d, d) stack, run as one
+    batched loop; a nan or inf in one matrix leaves the others alone."""
+    direction, spare = np.empty_like(x), np.empty_like(x)
+    mags, sums, norms, w = np.empty(x.shape), np.empty(x.shape[:2]), np.empty((n, len(x))), x
+    for k in range(n):
+        if k:
+            w = np.matmul(direction, x, out=spare)
+            direction, spare = spare, direction
+        np.absolute(w, out=mags)
+        np.add.reduce(mags, axis + 1, out=sums)
+        np.maximum.reduce(sums, 1, out=norms[k])
+        np.multiply(np.divide(1.0, norms[k])[:, None, None], w, out=direction)
+    ok = ((norms >= sys.float_info.min) & (norms <= sys.float_info.max)).all(axis=0)
+    return [list(accumulate(map(math.log, col))) if good else None
+            for good, col in zip(ok.tolist(), norms.T.tolist())]
+
+
+def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport]:
+    """power_norms(MatrixAlgebra(d, norm_kind), as_matrix(x), n) for each x
+    in mats, in order, bit for bit: the one power loop for matrix tables.
+
+    Each x is taken as complex, as MatrixAlgebra holds it (a real x runs
+    complex products).  The loop runs on preallocated buffers: a lone
+    matrix of its dimension as a chain of 2-D products, the matrices of a
+    shared dimension as one (c, d, d) stack.  A matrix with a norm of 0,
+    below the normal range (where power_norms rescales), inf or nan at
+    some step runs through power_norms itself, with its numpy warnings;
+    so does a matrix that is not C-contiguous, such as a transposed view.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if norm_kind not in NORMS:
+        raise ValueError("norm_kind must be one of %s" % sorted(NORMS))
+    axis = 1 if norm_kind == "inf" else 0  # row sums for inf, column sums for one
     mats = [as_matrix(x) for x in mats]
-    reports: list[RootReport | None] = [None] * len(mats)
     by_dim: dict[int, list[int]] = {}
     for i, x in enumerate(mats):
-        by_dim.setdefault(x.shape[0], []).append(i)
-    for index in by_dim.values():
-        x = np.stack([mats[i] for i in index])
-        direction = x
-        steps = []  # steps[k][j]: the log that power_norms adds at step k + 1 for matrix j
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n):
-                if k:
-                    direction = direction @ x
-                norms = _stack_norms(direction, "inf")
-                ok = (norms >= sys.float_info.min) & (norms <= sys.float_info.max)
-                if not ok.all():
-                    keep = ok.tolist()
-                    index = list(compress(index, keep))
-                    steps = [list(compress(row, keep)) for row in steps]
-                    direction, x, norms = direction[ok], x[ok], norms[ok]
-                direction = direction * (1.0 / norms)[:, None, None]
-                steps.append(list(map(math.log, norms.tolist())))
-        for i, logs in zip(index, zip(*steps)):
-            reports[i] = build_report(list(accumulate(logs)), value_header="norm")
-    for i, report in enumerate(reports):
-        if report is None:
-            x = mats[i]
-            reports[i] = power_norms(MatrixAlgebra(x.shape[0]), x, n)
-    return reports
+        if x.flags.c_contiguous:  # another layout sums its first norm in another order
+            by_dim.setdefault(x.shape[0], []).append(i)
+    logs: dict[int, list[float] | None] = {}
+    with np.errstate(all="ignore"):
+        for index in by_dim.values():
+            if len(index) == 1:
+                logs[index[0]] = _chain_power_logs(mats[index[0]], n, axis)
+            else:
+                stack = np.stack([mats[i] for i in index])
+                logs.update(zip(index, _stack_power_logs(stack, n, axis)))
+    return [power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n) if logs.get(i) is None
+            else build_report(logs[i], value_header="norm") for i, x in enumerate(mats)]
 
 
 # --- eigenvalue oracle (independent of the power-norm machinery) ---------
@@ -364,7 +391,7 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     """
     a = as_matrix(a)
     n = a.shape[0]
-    upper = spectral_radius_upper(MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
+    upper = stacked_power_norms([a], DEFAULT_PROBE_DEPTH, norm_kind)[0].certified_upper
     # the bound is computed through exp/log and may sit an ulp below
     # the true radius: inflate before using it to skip elimination
     upper *= 1.0 + 1e-12

@@ -138,6 +138,21 @@ def test_shift_m_zero_defaults_to_l(capsys):
     assert rows("0")[0] == 0
 
 
+@pytest.mark.parametrize("m", ["3", "1000", str(10**9)])
+def test_shift_weights_past_l_are_not_built(capsys, m):
+    # weights past --l never reach the table; --m 10**9 built them all
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "shift", "--weights", "harmonic:1,1", "--m", m, "--l", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    digest = "314899322cc432e298cb7f8158e320964024ce5e85d30c37ab5d30058c18344d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert peak < 2**20
+
+
 def test_shift_weights_file(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("j,alpha\n" + "".join("%d,%r\n" % (j, 0.5 + 1.0 / j) for j in range(1, 51)))
@@ -399,6 +414,25 @@ def test_readme_invocation_output_is_unchanged(tmp_path, capsys, name, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, fmt]
+
+
+# The README invocations of power and spectrum with --norm one
+NORM_ONE_SHA256 = {
+    ("power", "csv"): "e44541031d1434a85efa2c9ad0668d410031c65ef2889cf92bdabaafefe61990",
+    ("power", "json"): "e235cad3e3e68da60917f6f064ec3409204b546c8e9a2bfab9aff0296ff8fbf5",
+    ("spectrum", "csv"): "afe47d8256b259791bf630e080fc9c767e2c515df36e678e5eff94bd027c820d",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(NORM_ONE_SHA256))
+def test_norm_one_output_is_unchanged(tmp_path, capsys, name, fmt):
+    path = tmp_path / "m.csv"
+    path.write_text(matrix.matrix_to_csv(GOLDEN_MATRIX))
+    argv = [arg.replace("{m}", str(path)) for arg in README_INVOCATIONS[name]]
+    argv += ["--norm", "one"]  # the last --norm wins over the README's --norm inf
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == NORM_ONE_SHA256[name, fmt]
 
 
 # --- generic Laurent elements, byte for byte ------------------------------------

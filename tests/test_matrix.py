@@ -696,3 +696,84 @@ class TestStackedPowerNorms:
         with pytest.raises(ValueError, match="n >= 1"):
             matrix.stacked_power_norms([NILPOTENT], 0)
         assert matrix.stacked_power_norms([], 4) == []
+
+
+# --- the one matrix power loop, both norms -----------------------------------------
+
+def _reference_power_norms_of(x, n, norm_kind):
+    alg = matrix.MatrixAlgebra(x.shape[0], norm_kind)
+    return power_norms(alg, matrix.as_matrix(x), n)
+
+
+def _tables_and_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = run()
+    return list(map(_columns, reports)), [str(w.message) for w in caught]
+
+
+def _assert_one_loop_matches(mats, n, norm_kind):
+    got = _tables_and_warnings(lambda: matrix.stacked_power_norms(mats, n, norm_kind))
+    want = _tables_and_warnings(
+        lambda: [_reference_power_norms_of(x, n, norm_kind) for x in mats])
+    assert got == want
+
+
+class TestOnePowerLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.just(n), st.just(n), st.just(2)),
+                elements=st.floats(-1e3, 1e3, allow_nan=False),
+            )
+        ),
+        st.integers(1, 40),
+        st.sampled_from(sorted(matrix.NORMS)),
+    )
+    def test_matches_power_norms(self, parts, n, norm_kind):
+        # one matrix runs the two-buffer chain, several run as a stack
+        mats = list(parts.view(np.complex128)[..., 0])
+        _assert_one_loop_matches(mats, n, norm_kind)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.integers(1, 5).flatmap(
+                lambda n: arrays(np.float64, (n, n, 2), elements=st.floats(-2, 2, allow_nan=False))
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(sorted(matrix.NORMS)),
+    )
+    def test_mixed_dimensions_keep_input_order(self, parts, norm_kind):
+        mats = [p.view(np.complex128)[..., 0] for p in parts]
+        _assert_one_loop_matches(mats, 12, norm_kind)
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    @pytest.mark.parametrize("name", sorted(STACK_EDGE_CASES))
+    def test_edge_case_alone_runs_the_chain(self, name, norm_kind):
+        _assert_one_loop_matches([STACK_EDGE_CASES[name]], 6, norm_kind)
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    @pytest.mark.parametrize("name", sorted(STACK_EDGE_CASES))
+    def test_edge_case_among_others_leaves_the_stack(self, name, norm_kind):
+        x = STACK_EDGE_CASES[name]
+        rng = np.random.default_rng(5)
+        d = x.shape[0]
+        mats = [random_matrix(rng, d), x, random_matrix(rng, d), random_matrix(rng, d + 1)]
+        _assert_one_loop_matches(mats, 6, norm_kind)
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_layout_other_than_c_matches(self, norm_kind):
+        # a transposed view sums its first norm in another order than a C copy;
+        # at d >= 8 numpy's pairwise row sums can round differently
+        rng = np.random.default_rng(11)
+        mats = [random_matrix(rng, d).T for d in (8, 12, 16, 16)]
+        _assert_one_loop_matches(mats, 20, norm_kind)
+
+    def test_unknown_norm_kind_is_refused(self):
+        with pytest.raises(ValueError, match="norm_kind must be one of"):
+            matrix.stacked_power_norms([NILPOTENT], 4, "fro")
