@@ -777,3 +777,86 @@ class TestOnePowerLoop:
     def test_unknown_norm_kind_is_refused(self):
         with pytest.raises(ValueError, match="norm_kind must be one of"):
             matrix.stacked_power_norms([NILPOTENT], 4, "fro")
+
+
+# --- blocked power tables past POWER_BLOCK rows --------------------------------------
+
+def _mp_roots(x, n, norm_kind):
+    """norm(x^k)^(1/k), k = 1..n, at 50 digits."""
+    with mpmath.workdps(50):
+        rows = [[mpmath.mpc(z) for z in row] for row in x.tolist()]
+        cols = list(zip(*rows))
+        power, roots = rows, []
+        for k in range(1, n + 1):
+            if k > 1:
+                power = [[mpmath.fdot(row, col) for col in cols] for row in power]
+            lines = power if norm_kind == "inf" else zip(*power)
+            norm = max(mpmath.fsum(abs(z) for z in line) for line in lines)
+            roots.append(norm ** (mpmath.mpf(1) / k))
+        return roots
+
+
+def _root_error(report, want):
+    """Largest relative error of the roots past the first block."""
+    pairs = list(zip(report.root, want))[matrix.POWER_BLOCK :]
+    return max(float(abs(got - root) / root) for got, root in pairs)
+
+
+class TestBlockedPowerTables:
+    def test_block_covers_every_certificate(self):
+        # the spectrum bound, the battery and the README's --n 64 read chain rows only
+        assert matrix.POWER_BLOCK >= max(DEFAULT_PROBE_DEPTH, 64)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda d: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 3), st.just(d), st.just(d), st.just(2)),
+                elements=st.floats(-1e3, 1e3, allow_nan=False),
+            )
+        ),
+        st.integers(65, 200),
+        st.sampled_from(sorted(matrix.NORMS)),
+    )
+    def test_first_block_matches_power_norms(self, parts, n, norm_kind):
+        mats = list(parts.view(np.complex128)[..., 0])
+        for x, report in zip(mats, matrix.stacked_power_norms(mats, n, norm_kind)):
+            want = _reference_power_norms_of(x, n, norm_kind)
+            assert len(report) == n
+            block = slice(matrix.POWER_BLOCK)
+            assert repr(report.value[block]) == repr(want.value[block])
+            assert repr(report.root[block]) == repr(want.root[block])
+            assert repr(report.running_min[block]) == repr(want.running_min[block])
+
+    def test_no_less_accurate_than_the_chain(self):
+        # roots past the first block against 50 digits: each draw within
+        # 2^-50 of the chain's error, and no worse than it on average
+        rng = np.random.default_rng(2024)
+        blocked, chained = [], []
+        for i in range(24):
+            d, n = int(rng.integers(1, 7)), int(rng.integers(65, 301))
+            norm_kind = sorted(matrix.NORMS)[i % 2]
+            x = random_matrix(rng, d)
+            want = _mp_roots(x, n, norm_kind)
+            blocked.append(_root_error(matrix.stacked_power_norms([x], n, norm_kind)[0], want))
+            chained.append(_root_error(_reference_power_norms_of(x, n, norm_kind), want))
+            assert blocked[-1] <= chained[-1] + 2.0**-50, (d, n, norm_kind)
+        assert sum(blocked) <= sum(chained)
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_zero_norm_in_a_later_block_runs_power_norms(self, norm_kind):
+        # x^70 = 0: the second block's products vanish from k = 70
+        x = np.diag(np.full(69, 0.9), k=1)
+        _assert_one_loop_matches([x], 200, norm_kind)
+        report = matrix.stacked_power_norms([x], 200, norm_kind)[0]
+        assert report.value[68] > 0.0 and set(report.value[69:]) == {0.0}
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    @pytest.mark.parametrize("n", [65, 130, 300])
+    def test_table_does_not_depend_on_the_others(self, n, norm_kind):
+        rng = np.random.default_rng(n)
+        mats = [random_matrix(rng, 5) for _ in range(3)]
+        alone = [matrix.stacked_power_norms([x], n, norm_kind)[0] for x in mats]
+        together = matrix.stacked_power_norms(mats, n, norm_kind)
+        assert list(map(_columns, together)) == list(map(_columns, alone))
