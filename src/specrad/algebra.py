@@ -92,7 +92,7 @@ def power_norms(alg: Algebra, x, n: int) -> RootReport:
     direction, log_norm = _normalize(alg, x)
     logs = [log_norm]
     for _ in range(n - 1):
-        if log_norm < math.inf:  # an overflowed (or nan) norm stays as it is
+        if -math.inf < log_norm < math.inf:  # a zero, overflowed or nan power stays as it is
             direction, log_w = _normalize(alg, alg.mul(direction, x))
             log_norm += log_w
         logs.append(log_norm)

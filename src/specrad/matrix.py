@@ -26,10 +26,10 @@ SCAN_BLOCK_ENTRIES = 2**14
 # a spectrum grid holds at most this many cells: scanning that many for a
 # 1 x 1 matrix takes 6 s and 370 MB (2 cores, numpy 2.4.6)
 MAX_GRID_CELLS = 2**20
-# power tables run their first this many rows as power_norms' chain, bit for
+# power tables run their first this many rows as power_norms does, bit for
 # bit, and each later block of this many rows as one batched product; it must
-# stay >= DEFAULT_PROBE_DEPTH, so the spectrum bound and the battery read chain
-# rows only, and >= 64, so the README's `power --n 64` keeps its digests
+# stay >= DEFAULT_PROBE_DEPTH, so the spectrum bound and the battery read
+# first-block rows only, and >= 64, so the README's `power --n 64` keeps its digests
 POWER_BLOCK = 64
 
 
@@ -40,14 +40,24 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+# the axis each norm sums over: rows for inf, columns for one; negative, so
+# one formula serves a matrix, a (c, d, d) stack and an (r, c, d, d) block
+SUM_AXIS = {"inf": -1, "one": -2}
+
+
+def _norms(a: np.ndarray, kind: str) -> np.ndarray:
+    """NORMS[kind] of each matrix over the last two axes of a, bit for bit."""
+    return np.abs(a).sum(axis=SUM_AXIS[kind]).max(axis=-1)
+
+
 def inf_norm(a) -> float:
     """Induced infinity norm: max absolute row sum."""
-    return float(np.abs(as_matrix(a)).sum(axis=1).max())
+    return float(_norms(as_matrix(a), "inf"))
 
 
 def one_norm(a) -> float:
     """Induced 1-norm: max absolute column sum."""
-    return float(np.abs(as_matrix(a)).sum(axis=0).max())
+    return float(_norms(as_matrix(a), "one"))
 
 
 NORMS = {"inf": inf_norm, "one": one_norm}
@@ -141,12 +151,6 @@ def _gauss_inverse(stack: np.ndarray, floors: np.ndarray, rhs: np.ndarray | None
     return ok, margin, work[:, :, n:] if full else None
 
 
-def _stack_norms(stack: np.ndarray, norm_kind: str) -> np.ndarray:
-    """NORMS[norm_kind](m) for each matrix m of a (c, n, n) stack, bit for bit."""
-    # row sums for the inf norm, column sums for the 1-norm, as NORMS
-    return np.abs(stack).sum(axis=2 if norm_kind == "inf" else 1).max(axis=1)
-
-
 def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
     """PIVOT_RTOL * norm(m) for each matrix m of a (c, n, n) stack.
 
@@ -154,10 +158,10 @@ def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
     is finite for finite entries; a finite floor keeps every bit.
     """
     with np.errstate(over="ignore"):
-        floors = PIVOT_RTOL * _stack_norms(stack, norm_kind)
+        floors = PIVOT_RTOL * _norms(stack, norm_kind)
     big = np.isinf(floors)
     if big.any():
-        floors[big] = _stack_norms(stack[big] * PIVOT_RTOL, norm_kind)
+        floors[big] = _norms(stack[big] * PIVOT_RTOL, norm_kind)
     return floors
 
 
@@ -192,72 +196,64 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
 
 # --- power tables of matrix stacks ----------------------------------------
 
-def _chain_power_logs(x: np.ndarray, n: int, axis: int) -> list[float] | None:
-    """The log column of norm(x^k), k = 1..n, for one matrix, with row sums
-    for axis 1 (inf) or column sums for axis 0 (one), or None once a norm
-    leaves the normal range.
+def _power_logs(stack: np.ndarray, n: int, axis: int) -> list[list[float] | None]:
+    """The log column of norm(x^k), k = 1..n, for each matrix x of a
+    (c, d, d) stack, with sums over ``axis`` (SUM_AXIS), or None for a
+    matrix whose norm leaves the normal range at some step.
 
-    Rows 1..B, B = POWER_BLOCK, are power_norms' chain bit for bit (np.dot
-    rounds as x @ y and costs less); ``powers`` keeps their unit-norm
-    directions D_k = x^k / norm(x^k).  Block j = 1, 2, ... is one batched
-    product D_(Bj) @ powers, whose i-th matrix is x^(Bj+i) / (norm(x^(Bj))
-    norm(x^i)); so log norm(x^(Bj+i)) is the sum of those two logs and the
-    log of that matrix's norm.  Such a row rests on j + i dependent
-    products, not Bj + i: it agrees with the chain within rounding, and
-    measured closer to 50-digit powers.
+    Rows 1..B, B = POWER_BLOCK, are power_norms' loop bit for bit, all
+    matrices at once; ``powers`` keeps their unit-norm directions
+    D_k = x^k / norm(x^k).  Block j = 1, 2, ... is one batched product
+    D_(Bj) @ powers, whose i-th matrix is x^(Bj+i) / (norm(x^(Bj))
+    norm(x^i)); so log norm(x^(Bj+i)) is the sum of those two logs and
+    the log of that matrix's norm.  Such a row rests on j + i dependent
+    products, not Bj + i: it agrees with power_norms within rounding,
+    and measured closer to 50-digit powers.  Each matrix of a batched
+    product is its own product, so no column depends on the other
+    matrices.  The loop stops after a block that leaves no matrix in range.
     """
     block = min(n, POWER_BLOCK)
-    powers = np.empty((block,) + x.shape, x.dtype)
-    mags, sums, norms = np.empty(powers.shape), np.empty(powers.shape[:2]), np.empty(block)
-    absolute, add, dot, maximum = np.absolute, np.add.reduce, np.dot, np.maximum.reduce
-    lo, hi, logs, total, mag, row = sys.float_info.min, sys.float_info.max, [], 0.0, mags[0], sums[0]
-    for k, w in enumerate(powers):
+    powers = np.empty((block,) + stack.shape, stack.dtype)
+    mags, sums = np.empty(powers.shape), np.empty(powers.shape[:-1])
+    norms, recip = np.empty(powers.shape[:2]), np.empty((len(stack), 1, 1))
+    absolute, add, divide, matmul = np.absolute, np.add.reduce, np.divide, np.matmul
+    maximum, multiply = np.maximum.reduce, np.multiply
+    lo, hi = sys.float_info.min, sys.float_info.max
+    mag, row, inv = mags[0], sums[0], recip[:, 0, 0]
+    powers[0] = stack
+    for k, (w, nw) in enumerate(zip(powers, norms)):
         if k:
-            dot(powers[k - 1], x, out=w)
-        else:
-            w[...] = x
+            matmul(prev, stack, out=w)
         absolute(w, out=mag)
         add(mag, axis, out=row)
-        nw = float(maximum(row))
-        if not lo <= nw <= hi:
-            return None
-        np.multiply(1.0 / nw, w, out=w)  # the scalar first, as MatrixAlgebra.scale
-        total += math.log(nw)
-        logs.append(total)
-    if n == block:
+        maximum(row, -1, out=nw)
+        divide(1.0, nw, out=inv)
+        prev = multiply(recip, w, out=w)  # the scalar first, as MatrixAlgebra.scale
+    ok = ((norms >= lo) & (norms <= hi)).all(axis=0)  # a nan fails both
+    logs = [list(accumulate(map(math.log, col))) if good else None
+            for good, col in zip(ok.tolist(), norms.T.tolist())]
+    if n == block or not ok.any():
         return logs
-    head, lead, products, first = powers[-1], np.empty_like(x), np.empty_like(powers), logs[:]
+    first = [None if col is None else col[:] for col in logs]
+    head, lead, products = powers[-1], np.empty_like(stack), np.empty_like(powers)
     for start in range(block, n, block):
         r = min(block, n - start)
-        w = np.matmul(head, powers[:r], out=products[:r])
+        w = matmul(head, powers[:r], out=products[:r])
         absolute(w, out=mags[:r])
-        add(mags[:r], axis + 1, out=sums[:r])
-        nws = maximum(sums[:r], 1, out=norms[:r])
-        if not ((nws >= lo) & (nws <= hi)).all():  # a nan fails both
-            return None
-        nws = nws.tolist()
-        base = logs[-1]
-        logs += [base + li + lw for li, lw in zip(first, map(math.log, nws))]
-        head = np.multiply(1.0 / nws[-1], w[-1], out=lead)  # D_(B(j+1)) for the next block
+        add(mags[:r], axis, out=sums[:r])
+        nws = maximum(sums[:r], -1, out=norms[:r])
+        ok &= ((nws >= lo) & (nws <= hi)).all(axis=0)
+        for i, (good, col) in enumerate(zip(ok.tolist(), nws.T.tolist())):
+            if good:
+                base = logs[i][-1]
+                logs[i] += [base + li + lw for li, lw in zip(first[i], map(math.log, col))]
+            else:
+                logs[i] = None
+        if not ok.any():
+            break
+        divide(1.0, nws[-1], out=inv)
+        head = multiply(recip, w[-1], out=lead)  # D_(B(j+1)) for the next block
     return logs
-
-
-def _stack_power_logs(x: np.ndarray, n: int, axis: int) -> list[list[float] | None]:
-    """_chain_power_logs for each matrix of a (c, d, d) stack, n <= POWER_BLOCK,
-    run as one batched loop; a nan or inf in one matrix leaves the others alone."""
-    direction, spare = np.empty_like(x), np.empty_like(x)
-    mags, sums, norms, w = np.empty(x.shape), np.empty(x.shape[:2]), np.empty((n, len(x))), x
-    for k in range(n):
-        if k:
-            w = np.matmul(direction, x, out=spare)
-            direction, spare = spare, direction
-        np.absolute(w, out=mags)
-        np.add.reduce(mags, axis + 1, out=sums)
-        np.maximum.reduce(sums, 1, out=norms[k])
-        np.multiply(np.divide(1.0, norms[k])[:, None, None], w, out=direction)
-    ok = ((norms >= sys.float_info.min) & (norms <= sys.float_info.max)).all(axis=0)
-    return [list(accumulate(map(math.log, col))) if good else None
-            for good, col in zip(ok.tolist(), norms.T.tolist())]
 
 
 def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport]:
@@ -265,22 +261,20 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     in mats, in order: the one power loop for matrix tables.
 
     Each x is taken as complex, as MatrixAlgebra holds it (a real x runs
-    complex products).  The loop runs on preallocated buffers.  Rows
-    1..POWER_BLOCK are bit-identical to power_norms: a lone matrix of its
-    dimension runs as a chain of 2-D products, the matrices of a shared
-    dimension as one (c, d, d) stack.  For n > POWER_BLOCK every matrix
-    runs as a lone chain, whose later rows come from block products
-    (_chain_power_logs): within rounding of power_norms, and independent
-    of the other matrices passed.  A matrix with a norm of 0, below the
-    normal range (where power_norms rescales), inf or nan at some step
-    runs through power_norms itself, with its numpy warnings; so does a
-    matrix that is not C-contiguous, such as a transposed view.
+    complex products).  The matrices of each dimension run as one
+    (c, d, d) stack through _power_logs, on preallocated buffers.  Rows
+    1..POWER_BLOCK are bit-identical to power_norms; later rows come from
+    block products, within rounding of power_norms.  Every row of a
+    matrix is independent of the other matrices passed.  A matrix with a
+    norm of 0, below the normal range (where power_norms rescales), inf
+    or nan at some step runs through power_norms itself, with its numpy
+    warnings; so does a matrix that is not C-contiguous, such as a
+    transposed view.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if norm_kind not in NORMS:
         raise ValueError("norm_kind must be one of %s" % sorted(NORMS))
-    axis = 1 if norm_kind == "inf" else 0  # row sums for inf, column sums for one
     mats = [as_matrix(x) for x in mats]
     by_dim: dict[int, list[int]] = {}
     for i, x in enumerate(mats):
@@ -289,11 +283,8 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     logs: dict[int, list[float] | None] = {}
     with np.errstate(all="ignore"):
         for index in by_dim.values():
-            if len(index) > 1 and n <= POWER_BLOCK:
-                stack = np.stack([mats[i] for i in index])
-                logs.update(zip(index, _stack_power_logs(stack, n, axis)))
-            else:
-                logs.update((i, _chain_power_logs(mats[i], n, axis)) for i in index)
+            stack = np.stack([mats[i] for i in index])
+            logs.update(zip(index, _power_logs(stack, n, SUM_AXIS[norm_kind])))
     return [power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n) if logs.get(i) is None
             else build_report(logs[i], value_header="norm") for i, x in enumerate(mats)]
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import warnings
@@ -733,7 +734,7 @@ class TestOnePowerLoop:
         st.sampled_from(sorted(matrix.NORMS)),
     )
     def test_matches_power_norms(self, parts, n, norm_kind):
-        # one matrix runs the two-buffer chain, several run as a stack
+        # one matrix or several, each dimension as one stack
         mats = list(parts.view(np.complex128)[..., 0])
         _assert_one_loop_matches(mats, n, norm_kind)
 
@@ -802,6 +803,23 @@ def _root_error(report, want):
     return max(float(abs(got - root) / root) for got, root in pairs)
 
 
+# nilpotent: x^70 = 0
+SHIFT_70 = np.diag(np.full(69, 0.9), k=1)
+# power_norms' columns on SHIFT_70 at n = 4000, in either norm, as printed by the
+# loop that multiplied every row after the zero power
+SHIFT_70_COLUMNS_SHA256 = "4fe3f096373e56968b245c452604bb8f97323fa42595ceb69139a95b7c5dc24a"
+
+
+class _CountingAlgebra(matrix.MatrixAlgebra):
+    """MatrixAlgebra that counts its products."""
+
+    products = 0
+
+    def mul(self, x, y):
+        self.products += 1
+        return super().mul(x, y)
+
+
 class TestBlockedPowerTables:
     def test_block_covers_every_certificate(self):
         # the spectrum bound, the battery and the README's --n 64 read chain rows only
@@ -847,10 +865,25 @@ class TestBlockedPowerTables:
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     def test_zero_norm_in_a_later_block_runs_power_norms(self, norm_kind):
         # x^70 = 0: the second block's products vanish from k = 70
-        x = np.diag(np.full(69, 0.9), k=1)
+        x = SHIFT_70
         _assert_one_loop_matches([x], 200, norm_kind)
         report = matrix.stacked_power_norms([x], 200, norm_kind)[0]
         assert report.value[68] > 0.0 and set(report.value[69:]) == {0.0}
+        # in a stack with two others past the first block, each column is as alone
+        rng = np.random.default_rng(70)
+        mats = [random_matrix(rng, 70), x, random_matrix(rng, 70)]
+        alone = [matrix.stacked_power_norms([m], 200, norm_kind)[0] for m in mats]
+        together = matrix.stacked_power_norms(mats, 200, norm_kind)
+        assert list(map(_columns, together)) == list(map(_columns, alone))
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_power_norms_stops_at_a_zero_power(self, norm_kind):
+        # x^70 = 0, so every later row reads 0 without a product
+        alg = _CountingAlgebra(70, norm_kind)
+        report = power_norms(alg, matrix.as_matrix(SHIFT_70), 4000)
+        assert alg.products <= 70
+        digest = hashlib.sha256("\n".join(_columns(report)).encode()).hexdigest()
+        assert digest == SHIFT_70_COLUMNS_SHA256
 
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     @pytest.mark.parametrize("n", [65, 130, 300])
