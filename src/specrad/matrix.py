@@ -34,7 +34,7 @@ POWER_BLOCK = 64
 
 
 def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("expected a square matrix, got shape %r" % (m.shape,))
     return m
@@ -176,7 +176,7 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % tol)
     a = as_matrix(a)
-    norm = NORMS[norm_kind]
+    norm = MatrixAlgebra(a.shape[0], norm_kind).norm
     floors = _pivot_floors(a[None], norm_kind)
     eye = np.eye(a.shape[0], dtype=complex)
     ok, margin, inv = _gauss_inverse(a[None], floors, eye[None])
@@ -268,8 +268,8 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     matrix is independent of the other matrices passed.  A matrix with a
     norm of 0, below the normal range (where power_norms rescales), inf
     or nan at some step runs through power_norms itself, with its numpy
-    warnings; so does a matrix that is not C-contiguous, such as a
-    transposed view.
+    warnings.  as_matrix gives C order, so a transposed view runs as its
+    C copy, whose norms both paths sum in one order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -278,8 +278,7 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     mats = [as_matrix(x) for x in mats]
     by_dim: dict[int, list[int]] = {}
     for i, x in enumerate(mats):
-        if x.flags.c_contiguous:  # another layout sums its first norm in another order
-            by_dim.setdefault(x.shape[0], []).append(i)
+        by_dim.setdefault(x.shape[0], []).append(i)
     logs: dict[int, list[float] | None] = {}
     with np.errstate(all="ignore"):
         for index in by_dim.values():

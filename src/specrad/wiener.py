@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, build_report, or_inf
+from .reports import RootReport, or_inf
 
 Element = dict[int, complex]
 
@@ -209,9 +209,8 @@ def evaluate(f: Element, theta: float) -> complex:
     every power-norm root of f.  Terms are summed in degree order with
     exact rounded partial sums, so equal elements evaluate identically.
     """
-    re = math.fsum((v * cmath.exp(1j * k * theta)).real for k, v in sorted(f.items()))
-    im = math.fsum((v * cmath.exp(1j * k * theta)).imag for k, v in sorted(f.items()))
-    return complex(re, im)
+    terms = [v * cmath.exp(1j * k * theta) for k, v in sorted(f.items())]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 class WienerAlgebra(Algebra):
@@ -250,6 +249,26 @@ class WienerAlgebra(Algebra):
 
     def is_zero(self, x) -> bool:
         return not x[1].size
+
+
+class _DictWiener(WienerAlgebra):
+    """WienerAlgebra on the API's dicts, for an element wider than the cap:
+    its products go through ``multiply``, which refuses them before any array."""
+
+    element = as_dict = staticmethod(lambda f: f)
+    one, zero = property(lambda self: {0: 1.0 + 0j}), property(lambda self: {})
+    add, scale, norm = staticmethod(add), staticmethod(scale), staticmethod(l1_norm)
+
+    def mul(self, x, y):
+        return multiply(x, y, self.cap)
+
+    def is_zero(self, x) -> bool:
+        return not any(x.values())
+
+
+def _engine(f: Element, cap: int) -> WienerAlgebra:
+    """The instance for a clean f: on arrays when its span fits ``cap``, else on dicts."""
+    return (WienerAlgebra if not f or max(f) - min(f) < cap else _DictWiener)(cap)
 
 
 @dataclass(frozen=True)
@@ -323,19 +342,11 @@ def wiener_spectral_radius(
     """Roots of the l1 norms of f^k for k = 1..n; the running minimum
     converges to the sup norm of f (downward, being an upper bound at
     every k).  The powers are carried as trimmed arrays, except for an f
-    whose own support span exceeds ``cap``: that f is never laid out as an
-    array, and its first product raises BudgetExceeded."""
+    whose own support span exceeds ``cap``: that f runs as a dict, and
+    its first product raises BudgetExceeded."""
     f = clean(f)
-    degrees, coeffs = _terms(f)
-    span = _span(degrees)
-    if span > cap:  # the engine's rows, up to the product that passes the cap
-        if n < 1:
-            raise ValueError("need n >= 1")
-        l1 = _l1(coeffs)
-        if math.isfinite(l1) and n > 1:  # x^2 = (x / l1) * x
-            _check_span(_span(_terms(scale(1.0 / l1, f))[0]) + span - 1, cap)
-        return build_report([math.log(l1)] * n, value_header="norm")
-    return power_norms(WienerAlgebra(cap), _laurent(degrees, coeffs), n)
+    alg = _engine(f, cap)
+    return power_norms(alg, alg.element(f), n)
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:
@@ -357,20 +368,8 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
             "degree-0 coefficient is zero; cannot factor f = c*(e - g)"
         )
     g = {k: -v / c for k, v in f.items() if k != 0}
-    y = add({0: 1.0 + 0j}, g)  # the series' first partial sum
-    if max(y) - min(y) + 1 <= cap:
-        alg = WienerAlgebra(cap)
-        return scale(1.0 / c, alg.as_dict(neumann_inverse(alg, alg.element(g), tol)))
-    # y is never laid out: as in neumann_inverse, g*g raises or underflows to
-    # zero, leaving y, or the next product, (e - g)*y or y*g^2, passes the cap
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite, got %r" % tol)
-    t = multiply(g, g, cap)
-    if t:
-        q = l1_norm(t)
-        bound = l1_norm(y) * q / (1.0 - q) if q < 1.0 else math.inf
-        multiply(y if max(q, bound) <= tol / 2 else t, y, cap)
-    return scale(1.0 / c, y)
+    alg = _engine(add({0: 1.0 + 0j}, g), cap)  # by the first partial sum's span
+    return scale(1.0 / c, alg.as_dict(neumann_inverse(alg, alg.element(g), tol)))
 
 
 # --- I/O -------------------------------------------------------------------

@@ -85,6 +85,11 @@ class TestDirectInverse:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             matrix.direct_inverse(np.eye(2), tol=tol)
 
+    def test_unknown_norm_kind_is_refused_by_name(self):
+        # by name, as MatrixAlgebra and the stacked power loop refuse it
+        with pytest.raises(ValueError, match=r"norm_kind must be one of \['inf', 'one'\]"):
+            matrix.direct_inverse(np.eye(2), norm_kind="two")
+
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     def test_pivot_floor_stays_finite_when_the_norm_overflows(self, norm_kind):
         # norm(a) is 2e308 = inf, but both pivots are 1e308
@@ -778,6 +783,27 @@ class TestOnePowerLoop:
     def test_unknown_norm_kind_is_refused(self):
         with pytest.raises(ValueError, match="norm_kind must be one of"):
             matrix.stacked_power_norms([NILPOTENT], 4, "fro")
+
+
+class TestCOrder:
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_views_run_as_their_c_copies_in_the_stack(self, norm_kind, monkeypatch):
+        # at d >= 8 numpy's pairwise sums over a transposed view can round
+        # otherwise than over a C copy; as_matrix makes the C copy first
+        rng = np.random.default_rng(11)
+        views = [random_matrix(rng, d).T for d in (8, 12, 16, 16, 24, 32)]
+        norm = matrix.NORMS[norm_kind]
+        for x in views:
+            assert not x.flags.c_contiguous
+            assert norm(x) == norm(np.ascontiguousarray(x))
+        want = [r.to_csv() for r in matrix.stacked_power_norms(
+            [np.ascontiguousarray(x) for x in views], 20, norm_kind)]
+
+        def refuse(*args):
+            raise AssertionError("a view left the stacked loop for power_norms")
+
+        monkeypatch.setattr(matrix, "power_norms", refuse)
+        assert [r.to_csv() for r in matrix.stacked_power_norms(views, 20, norm_kind)] == want
 
 
 # --- blocked power tables past POWER_BLOCK rows --------------------------------------
