@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, or_inf
+from .reports import RootReport, build_report, or_inf
 
 Element = dict[int, complex]
 
@@ -336,17 +337,63 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 
+def _power_logs(x, n: int, cap: int) -> list[float] | None:
+    """The log column of norm(x^k), k = 1..n, for a trimmed x, bit for bit
+    as power_norms(WienerAlgebra(cap), x, n), or None once a norm leaves
+    the normal range (zero, subnormal, inf or nan), where power_norms
+    stops, rescales or warns.
+
+    Each step fuses mul, norm and scale.  Operands of equal size (the
+    first step, each step of a monomial) go through _convolve for its
+    operand order, others through np.convolve after the same span check,
+    trimmed only when an end entry is zero.  The norm is _l1's.  numpy's
+    multiply is _scale's result unless a nonzero part underflowed to zero;
+    with a normal norm every part is finite, so that shows as fewer
+    nonzero parts, and then _scale and _trimmed run.
+    """
+    (lo_x, a), (lo, w) = x, x
+    normal, hi = sys.float_info.min, sys.float_info.max
+    count, convolve, hypot = np.count_nonzero, np.convolve, np.hypot
+    norms = []
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            if k and d.size == a.size:
+                lo, w = _convolve((lo, d), x, cap)
+            elif k:
+                _check_span(d.size + a.size - 1, cap)
+                lo, w = lo + lo_x, convolve(d, a)
+                if not (w[0] and w[-1]):
+                    lo, w = _trimmed(lo, w)
+            moduli = hypot(w.real, w.imag)
+            moduli[::-1].sort()
+            try:
+                nw = math.fsum(memoryview(moduli))
+            except OverflowError:
+                return None
+            if not normal <= nw <= hi:
+                return None
+            norms.append(nw)
+            inv = 1.0 / nw
+            d = w * inv
+            if inv < 1.0 and count(d.view(float)) != count(w.view(float)):
+                lo, d = _trimmed(lo, _scale(inv, w))
+    return list(accumulate(map(math.log, norms)))
+
+
 def wiener_spectral_radius(
     f: Element, n: int, cap: int = COEFF_CAP
 ) -> RootReport:
     """Roots of the l1 norms of f^k for k = 1..n; the running minimum
     converges to the sup norm of f (downward, being an upper bound at
-    every k).  The powers are carried as trimmed arrays, except for an f
-    whose own support span exceeds ``cap``: that f runs as a dict, and
-    its first product raises BudgetExceeded."""
+    every k).  The table is power_norms(WienerAlgebra(cap), ...), run by
+    _power_logs on trimmed arrays, or by power_norms itself once a norm
+    leaves the normal range.  An f whose own support span exceeds ``cap``
+    runs as a dict, and its first product raises BudgetExceeded."""
     f = clean(f)
     alg = _engine(f, cap)
-    return power_norms(alg, alg.element(f), n)
+    x = alg.element(f)
+    logs = _power_logs(x, n, cap) if n >= 1 and not isinstance(alg, _DictWiener) else None
+    return power_norms(alg, x, n) if logs is None else build_report(logs, value_header="norm")
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:
@@ -375,7 +422,7 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
 # --- I/O -------------------------------------------------------------------
 
 def parse_inline(spec: str) -> Element:
-    """Parse 'deg:coeff,deg:coeff' pairs; coefficients in complex syntax, finite."""
+    """Parse 'deg:coeff,deg:coeff' pairs, each degree once; finite complex coefficients."""
     out: Element = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -387,5 +434,7 @@ def parse_inline(spec: str) -> Element:
         deg, coeff = int(deg_text), complex(coeff_text)
         if not cmath.isfinite(coeff):
             raise ValueError("coefficient of degree %d is not finite: %r" % (deg, coeff_text))
+        if deg in out:
+            raise ValueError("degree %d appears twice" % deg)
         out[deg] = coeff
     return clean(out)

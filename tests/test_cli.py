@@ -521,6 +521,13 @@ def test_wiener_non_finite_coefficient_exits_one(capsys, spec):
     assert "degree %s " % spec.partition(":")[0] in err
 
 
+# a repeated degree once kept its last coefficient; "00" and "+0" are degree 0 too
+@pytest.mark.parametrize("spec", ["0:1,0:2", "00:1,+0:2", "1:0.5,-1:0.5,0:1,0:0"])
+def test_wiener_repeated_degree_exits_one(capsys, spec):
+    code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", "2")
+    assert (code, out, err) == (1, "", "error: degree 0 appears twice\n")
+
+
 # "{m}" stands for a CSV file holding 1e-320 * I (2 x 2)
 SUBNORMAL_NORM_INVOCATIONS = {
     "wiener": ["wiener", "--f=3:1e-320,4:1e-320", "--n", "64"],

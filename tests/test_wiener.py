@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +376,10 @@ class TestIO:
         with pytest.raises(ValueError):
             wiener.parse_inline("nonsense")
 
+    def test_parse_inline_rejects_a_repeated_degree(self):
+        with pytest.raises(ValueError, match="^degree -3 appears twice$"):
+            wiener.parse_inline("-3:1, 2:1, -03:2")
+
 
 # --- bit identity of the array kernels with their dict-loop definitions -------
 
@@ -660,6 +665,79 @@ class TestPowerTablesOnArrays:
         assert repr(sorted(got.items())) == repr(sorted(wiener.scale(r, f).items()))
 
 
+# --- the fused power loop ------------------------------------------------------
+
+# parts across the float range, and ends whose scale or product underflows
+power_loop_coeff = st.one_of(
+    table_coeff,
+    st.builds(complex, wide_part, wide_part),
+    st.sampled_from([5e-324 + 0j, 1e-200 + 0j, complex(1.0, 5e-324), 1e-310 + 0j, 1e308 + 0j]),
+)
+
+
+def _table_and_warnings(call, *args):
+    """The reprs of a table's columns (they keep nan and -0.0), or the
+    exception's text, with the warnings recorded while it ran."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            t = call(*args)
+            out = (repr(t.value), repr(t.root), repr(t.running_min))
+        except BudgetExceeded as exc:
+            out = "BudgetExceeded: %s" % exc
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+# (f, n, whether _power_logs gives the table) for each path of the loop
+POWER_LOOP_PATHS = {
+    "monomial: every step is _convolve": ({0: 2.0 + 0j}, 1100, True),
+    "each scale underflows a part: _scale": ({0: 2.0 + 0j, 1: 5e-324 + 0j}, 8, True),
+    "an underflowed end of equal-size operands, trimmed by _convolve": (
+        {0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, True
+    ),
+    "an underflowed end of a longer direction, trimmed": ({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, True),
+    "subnormal norm: power_norms rescales": ({0: 1e-310 + 0j}, 4, False),
+    "norm past the float range": ({0: 1e308 + 0j, 1: 1e308 + 0j}, 4, False),
+}
+
+
+class TestWienerPowerLoop:
+    """wiener_spectral_radius runs _power_logs on arrays, and power_norms
+    where it gives None: either way the table is power_norms' on WienerAlgebra."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-8, 8), power_loop_coeff, min_size=1, max_size=12),
+        st.integers(1, 96),
+        st.sampled_from([wiener.COEFF_CAP, wiener.COEFF_CAP, 3, 40]),
+    )
+    # the inputs of POWER_LOOP_PATHS
+    @example({0: 2.0 + 0j}, 1100, wiener.COEFF_CAP)
+    @example({0: 2.0 + 0j, 1: 5e-324 + 0j}, 8, wiener.COEFF_CAP)
+    @example({0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, wiener.COEFF_CAP)
+    @example({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, wiener.COEFF_CAP)
+    @example({0: 1e-310 + 0j}, 4, wiener.COEFF_CAP)
+    @example({0: 1e308 + 0j, 1: 1e308 + 0j}, 4, wiener.COEFF_CAP)
+    # refused at x^40, and at the first, equal-size product
+    @example({0: 1.0 + 0j, 1: 1.0 + 0j}, 64, 40)
+    @example({0: 1.0 + 0j, 500: 1.0 + 0j}, 2, 900)
+    # trimmed directions keep each span within the cap; one with its zero
+    # end kept would be refused
+    @example({0: 2.0 + 0j, 1: 5e-324 + 0j}, 8, 2)
+    @example({0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, 3)
+    @example({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, 5)
+    def test_table_and_warnings_as_power_norms(self, f, n, cap):
+        alg = wiener.WienerAlgebra(cap)
+        want = _table_and_warnings(power_norms, alg, alg.element(wiener.clean(f)), n)
+        assert _table_and_warnings(wiener.wiener_spectral_radius, f, n, cap) == want
+
+    @pytest.mark.parametrize("path", POWER_LOOP_PATHS)
+    def test_each_path_runs_where_it_should(self, path):
+        f, n, fused = POWER_LOOP_PATHS[path]
+        logs = wiener._power_logs(wiener.WienerAlgebra.element(f), n, wiener.COEFF_CAP)
+        assert (logs is not None) == fused
+
+
 # --- Neumann inverses on trimmed arrays ----------------------------------------
 
 # signed zero parts, which dict equality ignores, and NaN, which it never matches
@@ -712,6 +790,6 @@ class TestInverseOnArrays:
         assert peak < 2**20
 
     def test_first_sum_past_the_cap_checks_tol(self):
-        # the edge path refuses a bad tol itself; neumann_inverse never runs
+        # the over-cap element runs the dict engine, whose neumann_inverse refuses the tol
         with pytest.raises(ValueError, match=r"tol must be positive and finite, got 0\.0"):
             wiener.wiener_inverse({0: 1.0 + 0j, 10**20: 0.5 + 0j}, tol=0.0)
