@@ -99,11 +99,6 @@ def _laurent(degrees, coeffs):
     return lo, a
 
 
-def _as_dict(x) -> Element:
-    lo, a = x
-    return _element(range(lo, lo + a.size), a)
-
-
 def _content_key(lo: int, a):
     """Sorted (degree, re, im) items of the nonzero terms, by count first."""
     nonzero = np.flatnonzero(a)
@@ -184,7 +179,8 @@ def multiply(f: Element, g: Element, cap: int = COEFF_CAP) -> Element:
     if not cf.size or not cg.size:
         return {}
     _check_span(_span(df) + _span(dg) - 1, cap)
-    return _as_dict(_convolve(_laurent(df, cf), _laurent(dg, cg), cap))
+    lo, a = _convolve(_laurent(df, cf), _laurent(dg, cg), cap)
+    return _element(range(lo, lo + a.size), a)
 
 
 def add(f: Element, g: Element) -> Element:
@@ -215,61 +211,30 @@ def evaluate(f: Element, theta: float) -> complex:
 
 
 class WienerAlgebra(Algebra):
-    """The Wiener algebra as an engine instance on trimmed (lo, array)
-    elements; ``element`` and ``as_dict`` convert from and to dicts at the
-    API, and ``add`` goes through the dict ``add``, keeping its signed zeros."""
+    """The Wiener algebra as an engine instance on the API's clean dicts,
+    through the dict functions; ``mul`` is ``multiply``, which refuses a
+    product past ``cap`` before laying out any array.  Trimmed arrays live
+    only inside the kernels and ``_power_logs``."""
 
     def __init__(self, cap: int = COEFF_CAP):
         self.cap = cap
 
-    @staticmethod
-    def element(f: Element):
-        return _laurent(*_terms(f))
-
-    as_dict = staticmethod(_as_dict)
+    element = as_dict = staticmethod(clean)
+    add, scale, norm = staticmethod(add), staticmethod(scale), staticmethod(l1_norm)
 
     @property
     def one(self):
-        return 0, np.ones(1, np.complex128)
+        return {0: 1.0 + 0j}
 
     @property
     def zero(self):
-        return 0, _EMPTY
-
-    def add(self, x, y):
-        return self.element(add(_as_dict(x), _as_dict(y)))
-
-    def scale(self, alpha, x):
-        return _trimmed(x[0], _scale(alpha, x[1]))
-
-    def mul(self, x, y):
-        return _convolve(x, y, self.cap)
-
-    def norm(self, x) -> float:
-        return _l1(x[1])
-
-    def is_zero(self, x) -> bool:
-        return not x[1].size
-
-
-class _DictWiener(WienerAlgebra):
-    """WienerAlgebra on the API's dicts, for an element wider than the cap:
-    its products go through ``multiply``, which refuses them before any array."""
-
-    element = as_dict = staticmethod(lambda f: f)
-    one, zero = property(lambda self: {0: 1.0 + 0j}), property(lambda self: {})
-    add, scale, norm = staticmethod(add), staticmethod(scale), staticmethod(l1_norm)
+        return {}
 
     def mul(self, x, y):
         return multiply(x, y, self.cap)
 
     def is_zero(self, x) -> bool:
         return not any(x.values())
-
-
-def _engine(f: Element, cap: int) -> WienerAlgebra:
-    """The instance for a clean f: on arrays when its span fits ``cap``, else on dicts."""
-    return (WienerAlgebra if not f or max(f) - min(f) < cap else _DictWiener)(cap)
 
 
 @dataclass(frozen=True)
@@ -337,20 +302,25 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 
-def _power_logs(x, n: int, cap: int) -> list[float] | None:
-    """The log column of norm(x^k), k = 1..n, for a trimmed x, bit for bit
-    as power_norms(WienerAlgebra(cap), x, n), or None once a norm leaves
-    the normal range (zero, subnormal, inf or nan), where power_norms
-    stops, rescales or warns.
+def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
+    """The log column of norm(f^k), k = 1..n, for a clean f, bit for bit
+    as power_norms(WienerAlgebra(cap), f, n), or None for n < 1, for an f
+    whose support span exceeds ``cap`` (it is never laid out), and once a
+    norm leaves the normal range (zero, subnormal, inf or nan), where
+    power_norms refuses, stops, rescales or warns.
 
-    Each step fuses mul, norm and scale.  Operands of equal size (the
-    first step, each step of a monomial) go through _convolve for its
-    operand order, others through np.convolve after the same span check,
-    trimmed only when an end entry is zero.  The norm is _l1's.  numpy's
-    multiply is _scale's result unless a nonzero part underflowed to zero;
-    with a normal norm every part is finite, so that shows as fewer
-    nonzero parts, and then _scale and _trimmed run.
+    f is laid out as a trimmed array x, and each step fuses mul, norm and
+    scale on trimmed arrays.  Operands of equal size (the first step, each
+    step of a monomial) go through _convolve for its operand order, others
+    through np.convolve after the same span check, trimmed only when an
+    end entry is zero.  The norm is _l1's.  numpy's multiply is _scale's
+    result unless a nonzero part underflowed to zero; with a normal norm
+    every part is finite, so that shows as fewer nonzero parts, and then
+    _scale and _trimmed run.
     """
+    if n < 1 or (f and max(f) - min(f) >= cap):
+        return None
+    x = _laurent(*_terms(f))
     (lo_x, a), (lo, w) = x, x
     normal, hi = sys.float_info.min, sys.float_info.max
     count, convolve, hypot = np.count_nonzero, np.convolve, np.hypot
@@ -385,15 +355,15 @@ def wiener_spectral_radius(
 ) -> RootReport:
     """Roots of the l1 norms of f^k for k = 1..n; the running minimum
     converges to the sup norm of f (downward, being an upper bound at
-    every k).  The table is power_norms(WienerAlgebra(cap), ...), run by
-    _power_logs on trimmed arrays, or by power_norms itself once a norm
-    leaves the normal range.  An f whose own support span exceeds ``cap``
-    runs as a dict, and its first product raises BudgetExceeded."""
+    every k).  The table is power_norms(WienerAlgebra(cap), f, n), run by
+    _power_logs, or by power_norms itself where that gives None.  An f
+    whose own support span exceeds ``cap`` runs on the dict, and its first
+    product raises BudgetExceeded."""
     f = clean(f)
-    alg = _engine(f, cap)
-    x = alg.element(f)
-    logs = _power_logs(x, n, cap) if n >= 1 and not isinstance(alg, _DictWiener) else None
-    return power_norms(alg, x, n) if logs is None else build_report(logs, value_header="norm")
+    logs = _power_logs(f, n, cap)
+    if logs is None:
+        return power_norms(WienerAlgebra(cap), f, n)
+    return build_report(logs, value_header="norm")
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:
@@ -415,8 +385,7 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
             "degree-0 coefficient is zero; cannot factor f = c*(e - g)"
         )
     g = {k: -v / c for k, v in f.items() if k != 0}
-    alg = _engine(add({0: 1.0 + 0j}, g), cap)  # by the first partial sum's span
-    return scale(1.0 / c, alg.as_dict(neumann_inverse(alg, alg.element(g), tol)))
+    return scale(1.0 / c, neumann_inverse(WienerAlgebra(cap), g, tol))
 
 
 # --- I/O -------------------------------------------------------------------
@@ -426,8 +395,6 @@ def parse_inline(spec: str) -> Element:
     out: Element = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            continue
         deg_text, _, coeff_text = chunk.partition(":")
         if not coeff_text:
             raise ValueError("expected deg:coeff, got %r" % chunk)

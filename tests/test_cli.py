@@ -528,6 +528,29 @@ def test_wiener_repeated_degree_exits_one(capsys, spec):
     assert (code, out, err) == (1, "", "error: degree 0 appears twice\n")
 
 
+# an empty term, a blank one or a trailing comma was once skipped, and "" ran
+# as the zero element
+@pytest.mark.parametrize("spec", ["", ",", "0:1, ,1:2", "0:1,"])
+def test_wiener_empty_term_exits_one(capsys, spec):
+    code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", "2")
+    assert (code, out, err) == (1, "", "error: expected deg:coeff, got ''\n")
+
+
+# tables whose norm leaves the normal range run power_norms on the dict
+# engine: a subnormal norm, rescaled by 2**600, and a norm past the float range
+FALLBACK_TABLE_SHA256 = {
+    "0:1e-310": "21d03f30caaae42250e26c1cb2225626c6409fafad03687b8b9eb113edeff337",
+    "0:1e308,1:1e308": "771db99691bd9faa41835fbe4c708c0884ab28c0c3ade127a28576a5cb41a957",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FALLBACK_TABLE_SHA256))
+def test_wiener_fallback_table_is_unchanged(capsys, spec):
+    code, out, err = run_cli(capsys, "wiener", "--f", spec, "--n", "8")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FALLBACK_TABLE_SHA256[spec]
+
+
 # "{m}" stands for a CSV file holding 1e-320 * I (2 x 2)
 SUBNORMAL_NORM_INVOCATIONS = {
     "wiener": ["wiener", "--f=3:1e-320,4:1e-320", "--n", "64"],

@@ -789,6 +789,20 @@ class TestInverseOnArrays:
         )
         assert peak < 2**20
 
+    def test_sparse_sum_near_the_cap_is_never_laid_out_whole(self):
+        # the partial sum of four terms has ten terms on a span of 1500004
+        # degrees (24 MB as an array), and stays a dict; its product with
+        # g^4 is refused before either operand is laid out
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                wiener.wiener_inverse({0: 1.0 + 0j, 500000: 0.1 + 0j, 500001: 0.1 + 0j})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "product support span 1500008 exceeds coefficient cap 1000000"
+        assert peak < 32 * 2**20
+
     def test_first_sum_past_the_cap_checks_tol(self):
         # the over-cap element runs the dict engine, whose neumann_inverse refuses the tol
         with pytest.raises(ValueError, match=r"tol must be positive and finite, got 0\.0"):
