@@ -132,14 +132,16 @@ def _scale(alpha: complex, a):
     +0.0), numpy's complex multiply differs from it only in the sign of a
     part whose nonzero product underflows to zero, as it fuses a multiply
     and an add; it is used unless a nonzero part became zero, which a
-    factor of modulus 1 or more never makes."""
+    factor of modulus above 1/2 never makes: a nonzero part p has
+    |p| >= 2^-1074, so |p * alpha| > 2^-1075 rounds to a nonzero, while
+    at exactly 1/2, 5e-324 * 0.5 ties to 0."""
     alpha = complex(alpha)
     ar, ai = alpha.real, alpha.imag
     parts = a.view(np.float64)
     if ai == 0 and math.copysign(1.0, ai) > 0 and 0 < abs(ar) < math.inf:
         with np.errstate(invalid="ignore", over="ignore"):
             out = a * ar
-        if abs(ar) >= 1 or not ((out.view(np.float64) == 0) > (parts == 0)).any():
+        if abs(ar) > 0.5 or not ((out.view(np.float64) == 0) > (parts == 0)).any():
             return out
     pairs = parts.reshape(-1, 2)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -147,19 +149,80 @@ def _scale(alpha: complex, a):
     return out.view(np.complex128).reshape(-1)
 
 
+# Arrays of at least this many moduli are summed by _split_sum, shorter
+# ones by sort + fsum.  Sort + fsum grows from about 1 us at 8 moduli;
+# the split costs about 6 us up to 512.  On the moduli of power tables
+# their times crossed between 190 and 250 moduli (2 vCPU Xeon, numpy
+# 2.4.6), and whole tables ran equally fast with the route at 128, 192
+# or 256.  At 192, the short tables of the selftest (up to 129 moduli)
+# stay on fsum.
+SPLIT_SUM_SIZE = 192
+
+
+def _split_sum(x) -> float | None:
+    """math.fsum(x) for a 1-D float64 array of moduli (entries >= 0), bit
+    for bit, decided in a few numpy passes; None where it is not decided.
+
+    The split of Rump, Ogita and Oishi (Accurate floating-point summation,
+    part I, SIAM J. Sci. Comput. 31, 2008).  The maximum t lies in
+    [2^(e-1), 2^e); with 2^c > 2m for the size m and sigma = 2^(e+c),
+    each q = (x + sigma) - sigma and r = x - q is exact.  Every q is a
+    multiple of 2^(e+c-52) in [0, 2^e], so Q = sum q < 2^(e+c-1) is
+    exact in any order.  Each |r| <= 2^(e+c-53), so numpy's sum R of
+    the r, in whatever order, is within gamma_(m-1) m 2^(e+c-53) <=
+    B = m^2 2^(e+c-106) of its exact value.  The exact sum lies in
+    [Q + R - B, Q + R + B] and rounding to nearest is monotone, so when
+    fsum rounds both ends alike, that is fsum(x).  None also where t is
+    0, inf or nan, where e + c leaves [-916, 1022] (sigma, 2 sigma and B
+    must be normal floats) and for m >= 2^26 (m^2 must be exact).
+    """
+    m = x.size
+    t = float(np.maximum.reduce(x)) if m else 0.0
+    if not 0 < t < math.inf or m >= 2**26:
+        return None
+    ec = math.frexp(t)[1] + (2 * m).bit_length()
+    if not -916 <= ec <= 1022:
+        return None
+    sigma = math.ldexp(1.0, ec)
+    q = np.add(x, sigma)
+    q -= sigma
+    sum_q, sum_r = np.add.reduce(q), np.add.reduce(np.subtract(x, q, out=q))
+    bound = math.ldexp(m * m, ec - 106)
+    low = math.fsum((sum_q, sum_r, -bound))
+    return low if low == math.fsum((sum_q, sum_r, bound)) else None
+
+
+def _moduli_sum(moduli) -> float:
+    """math.fsum(moduli) for a 1-D float64 array of moduli, which it may
+    reorder in place.  A finite sum of nonnegative terms is the same in
+    any order, bit for bit; past the float range, or with an inf or nan
+    modulus, this is fsum's inf, nan or OverflowError on the moduli sorted
+    descending.
+
+    _split_sum decides arrays of SPLIT_SUM_SIZE moduli or more; the rest,
+    and whatever it leaves undecided, go to fsum.  The order changes no
+    bit of a finite sum, but it sets fsum's speed: in degree order the
+    moduli of a power climb through hundreds of orders of magnitude and
+    fall again, and fsum keeps about 200 partials on a span of 3217;
+    sorted descending, a dozen.  The sort is in place, and fsum reads the
+    array through a memoryview, with no list in between.
+    """
+    if moduli.size >= SPLIT_SUM_SIZE:
+        total = _split_sum(moduli)
+        if total is not None:
+            return total
+    moduli[::-1].sort()
+    return math.fsum(memoryview(moduli))
+
+
 def _l1(a) -> float:
-    # np.hypot rounds as abs(complex) does; np.abs does not.  fsum is
-    # exactly rounded, so zero entries and the order change no bit, but
-    # the order sets its speed: in degree order the moduli of a power
-    # climb through hundreds of orders of magnitude and fall again, and
-    # fsum keeps about 200 partials on a span of 3217; sorted descending,
-    # a dozen.  The sort is in place, on the array hypot made, and fsum
-    # reads that array through a memoryview, with no list in between.
+    """The l1 norm of a complex128 array, exactly rounded: _moduli_sum of
+    its moduli, inf past the float range and nan with a nan entry.
+    np.hypot rounds as abs(complex) does; np.abs does not."""
     with np.errstate(over="ignore"):
         moduli = np.hypot(a.real, a.imag)
-    moduli[::-1].sort()
     try:
-        return math.fsum(memoryview(moduli))
+        return _moduli_sum(moduli)
     except OverflowError:
         # past the float range; fsum raises before it reports a nan term
         return math.nan if np.isnan(moduli).any() else math.inf
@@ -313,10 +376,12 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     scale on trimmed arrays.  Operands of equal size (the first step, each
     step of a monomial) go through _convolve for its operand order, others
     through np.convolve after the same span check, trimmed only when an
-    end entry is zero.  The norm is _l1's.  numpy's multiply is _scale's
+    end entry is zero.  The norm is _l1's: _moduli_sum of the moduli,
+    which _split_sum decides on long powers.  numpy's multiply is _scale's
     result unless a nonzero part underflowed to zero; with a normal norm
     every part is finite, so that shows as fewer nonzero parts, and then
-    _scale and _trimmed run.
+    _scale and _trimmed run.  As in _scale, no part underflows when
+    1/norm > 1/2, so the parts are counted only for norms of 2 and more.
     """
     if n < 1 or (f and max(f) - min(f) >= cap):
         return None
@@ -334,10 +399,8 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
                 lo, w = lo + lo_x, convolve(d, a)
                 if not (w[0] and w[-1]):
                     lo, w = _trimmed(lo, w)
-            moduli = hypot(w.real, w.imag)
-            moduli[::-1].sort()
             try:
-                nw = math.fsum(memoryview(moduli))
+                nw = _moduli_sum(hypot(w.real, w.imag))
             except OverflowError:
                 return None
             if not normal <= nw <= hi:
@@ -345,7 +408,7 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
             norms.append(nw)
             inv = 1.0 / nw
             d = w * inv
-            if inv < 1.0 and count(d.view(float)) != count(w.view(float)):
+            if inv <= 0.5 and count(d.view(float)) != count(w.view(float)):
                 lo, d = _trimmed(lo, _scale(inv, w))
     return list(accumulate(map(math.log, norms)))
 
@@ -376,7 +439,9 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
     start.  The series is summed by repeated squaring until its tail bound
     meets ``tol``, so the partial sum's support doubles with each step;
     ``cap`` bounds the support span of every product (BudgetExceeded),
-    alongside the term budget of neumann_inverse.
+    alongside the term budget of neumann_inverse.  NotConvergent is also
+    raised when a coefficient of the reciprocal passes the float range
+    (a tiny c), as no float element then meets the residual contract.
     """
     f = clean(f)
     c = f.get(0, 0j)
@@ -385,7 +450,12 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
             "degree-0 coefficient is zero; cannot factor f = c*(e - g)"
         )
     g = {k: -v / c for k, v in f.items() if k != 0}
-    return scale(1.0 / c, neumann_inverse(WienerAlgebra(cap), g, tol))
+    y = scale(1.0 / c, neumann_inverse(WienerAlgebra(cap), g, tol))
+    if not all(map(cmath.isfinite, y.values())):
+        raise NotConvergent(
+            "reciprocal has a coefficient past the float range (1/c = %r)" % (1.0 / c)
+        )
+    return y
 
 
 # --- I/O -------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad import wiener
-from specrad.algebra import Algebra, neumann_inverse, power_norms
+from specrad.algebra import Algebra, power_norms
 from specrad.errors import BudgetExceeded, NotConvergent
 
 E = {0: 1.0 + 0j}
@@ -152,6 +152,94 @@ class TestL1Norm:
         before = a.tobytes()
         wiener._l1(a)
         assert a.tobytes() == before
+
+
+SPLIT = wiener.SPLIT_SUM_SIZE
+# moduli for the split sum: (name, seeded numpy fill for a size)
+MODULI_FILLS = {
+    "zeros": lambda rng, m: np.zeros(m),
+    "unit": lambda rng, m: rng.random(m),
+    "flat": lambda rng, m: rng.uniform(0.8, 1.0, m),  # the q sum needs the most bits
+    "subnormal": lambda rng, m: rng.integers(0, 2**52, m) * 5e-324,
+    "wide": lambda rng, m: 10.0 ** rng.uniform(-300, 300, m),
+    "past the float range": lambda rng, m: rng.uniform(1e306, 1.7e308, m),
+}
+special_moduli = st.one_of(
+    st.floats(min_value=0.0),  # inf included
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 2.0**-53, 1e308, math.inf, math.nan]),
+)
+
+
+@st.composite
+def moduli_arrays(draw):
+    """Nonnegative float64 arrays of sizes across SPLIT_SUM_SIZE up to 10^5:
+    a seeded fill, a few drawn entries (inf and nan among them) at drawn
+    places, and sometimes one more entry that puts the exact sum within
+    rounding of a tie between two floats."""
+    size = draw(st.sampled_from([0, 1, 3, SPLIT - 1, SPLIT, SPLIT + 1, 1000, 10**5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = MODULI_FILLS[draw(st.sampled_from(sorted(MODULI_FILLS)))](rng, size)
+    if size:
+        specials = draw(st.lists(special_moduli, max_size=4))
+        x[rng.integers(0, size, len(specials))] = specials
+    if draw(st.booleans()):
+        try:
+            s = math.fsum(x.tolist())
+        except OverflowError:
+            s = math.inf
+        if 0 < s < math.inf:
+            # fsum's rounded remainder, and the term that moves the sum to s + ulp/2
+            rest = math.fsum([*x.tolist(), -s])
+            tie = math.fsum([math.ulp(s) / 2, -rest])
+            x = np.append(x, draw(st.sampled_from(
+                [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)]
+            )))
+    return x
+
+
+def _fsum_outcome(call, x):
+    try:
+        return repr(call(x))
+    except OverflowError:
+        return "OverflowError"
+
+
+class TestSplitSum:
+    """_split_sum, where it decides, and _moduli_sum are math.fsum bit for
+    bit.  Past the float range, fsum's inf, nan or OverflowError depends
+    on the order of the terms, and _moduli_sum may raise where fsum in
+    degree order gives inf or nan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(moduli_arrays())
+    def test_equals_fsum(self, x):
+        want = _fsum_outcome(math.fsum, x.tolist())
+        before = x.tobytes()
+        split = wiener._split_sum(x)
+        assert x.tobytes() == before
+        assert split is None or repr(split) == want
+        got = _fsum_outcome(wiener._moduli_sum, x)
+        assert got == want or (want in ("inf", "nan") and got == "OverflowError")
+
+    @pytest.mark.parametrize("size", [0, 1, SPLIT, 10**5])
+    def test_zeros_are_left_to_fsum(self, size):
+        assert wiener._split_sum(np.zeros(size)) is None
+        assert repr(wiener._moduli_sum(np.zeros(size))) == "0.0"
+
+    @pytest.mark.parametrize("size", [SPLIT, 10**5])
+    def test_decides_long_power_moduli(self, size):
+        # the moduli of a normalized power: smooth, over many orders of magnitude
+        x = np.exp(-((np.arange(size) - size / 2) ** 2) / size)
+        assert wiener._split_sum(x) == math.fsum(x.tolist())
+
+    def test_a_tie_broken_below_the_bound_is_left_to_fsum(self):
+        # 1 + 2^-53 is a tie, which rounds to 1; 2^-140 breaks it upward,
+        # but the float sum of the low parts loses it and reads the tie
+        x = np.zeros(SPLIT)
+        x[:3] = 1.0, 2.0**-53, 2.0**-140
+        assert math.fsum(x.tolist()) == 1.0 + 2.0**-52
+        assert wiener._split_sum(x) is None
+        assert wiener._moduli_sum(x) == 1.0 + 2.0**-52
 
 
 class TestEvaluate:
@@ -305,6 +393,18 @@ class TestWienerInverse:
         assert wiener.l1_norm(wiener.add(inv, wiener.scale(-1.0, closed_form))) <= tol
         assert dropped_tail <= tol
 
+    @pytest.mark.parametrize("f", [
+        {0: 1e-310 + 0j},
+        {0: 1e-310 + 0j, 1: 1e-311 + 0j},
+        {0: complex(-0.0, 1e-320)},
+        {0: 1e-308 + 0j, 1: -0.45e-308 + 0j, -1: -0.45e-308 + 0j},
+    ])
+    def test_reciprocal_past_the_float_range_is_refused(self, f):
+        # 1/c passes the float range (inf, or nan parts), or in the last,
+        # 1/c = 1e308 is finite but the degree-0 coefficient is about 2.3e308
+        with pytest.raises(NotConvergent, match="past the float range"):
+            wiener.wiener_inverse(f)
+
     def test_vanishing_symbol_not_convergent(self):
         with pytest.raises(NotConvergent):
             wiener.wiener_inverse({0: 1.0 + 0j, 1: -1.0 + 0j})
@@ -443,12 +543,23 @@ class _DictWiener(Algebra):
         return all(v == 0 for v in x.values())
 
 
-def _dict_inverse(f, tol=1e-10, cap=wiener.COEFF_CAP):
-    """wiener_inverse of an f with a nonzero degree-0 coefficient, on _DictWiener."""
-    f = wiener.clean(f)
-    c = f[0]
-    g = {k: -v / c for k, v in f.items() if k != 0}
-    return wiener.scale(1.0 / c, neumann_inverse(_DictWiener(cap), g, tol))
+def _exact_residual_l1(f, y) -> Fraction:
+    """The l1 norm of f*y - 1 from exact products and sums, each modulus
+    rounded up to a multiple of 2^-2148 (floats are multiples of 2^-1074)."""
+    def fixed(z):
+        return int(Fraction(z.real) * 2**1074), int(Fraction(z.imag) * 2**1074)
+
+    def ceil_sqrt(n):
+        return math.isqrt(n - 1) + 1 if n else 0
+
+    out = {0: (-(2**2148), 0)}
+    for j, u in f.items():
+        ur, ui = fixed(u)
+        for k, v in y.items():
+            vr, vi = fixed(v)
+            re, im = out.get(j + k, (0, 0))
+            out[j + k] = (re + ur * vr - ui * vi, im + ur * vi + ui * vr)
+    return Fraction(sum(ceil_sqrt(re * re + im * im) for re, im in out.values()), 2**2148)
 
 
 def _outcome(call, *args):
@@ -642,18 +753,25 @@ class TestPowerTablesOnArrays:
     @settings(max_examples=100, deadline=None)
     @given(elements, elements)
     @example({0: complex(-0.0, 1.0), 2: complex(1.0, -0.0)}, {1: 1.0 + 0j})
+    @example({0: 1.0 + 0j}, {1: complex(1.0, -0.0)})  # 0j + g_1 makes the -0.0 a +0.0
     def test_engine_operations_match_the_dict_functions(self, f, g):
-        # the engine's elements, converted back, are the dict kernels'
-        # results, signed zeros included (dict equality ignores them)
+        # the engine's elements, converted back, are those of the dict-loop
+        # oracles, signed zeros included (dict equality ignores them), and
+        # its norm is the exact l1 sum of Python's moduli, rounded once
         def items(h):
             return repr(sorted(h.items()))
 
         alg = wiener.WienerAlgebra()
         x, y = alg.element(f), alg.element(g)
-        assert items(alg.as_dict(alg.mul(x, y))) == items(wiener.multiply(f, g))
-        assert items(alg.as_dict(alg.scale(0.5j, x))) == items(wiener.scale(0.5j, f))
-        assert alg.norm(x) == wiener.l1_norm(f)
-        assert items(alg.as_dict(alg.add(x, y))) == items(wiener.add(f, g))
+        f, g = wiener.clean(f), wiener.clean(g)
+        assert items(alg.as_dict(alg.mul(x, y))) == items(_reference_multiply(f, g))
+        scaled = {k: 0.5j * v for k, v in f.items()}
+        assert items(alg.as_dict(alg.scale(0.5j, x))) == items(wiener.clean(scaled))
+        assert alg.norm(x) == float(sum(Fraction(abs(v)) for v in f.values()))
+        summed = dict(f)
+        for k, v in g.items():
+            summed[k] = summed.get(k, 0j) + v
+        assert items(alg.as_dict(alg.add(x, y))) == items(wiener.clean(summed))
 
     @settings(max_examples=100, deadline=None)
     @given(real_factor, edge_coeffs)
@@ -738,6 +856,32 @@ class TestWienerPowerLoop:
         assert (logs is not None) == fused
 
 
+class TestUnderflowBoundary:
+    """A real factor above 1/2 underflows no nonzero part; at exactly 1/2,
+    5e-324 * 0.5 ties to 0.  Both _scale's shortcut and the power loop's
+    part count must treat 1/2 as a factor that can underflow."""
+
+    def test_scale_by_one_half_rounds_as_python(self):
+        # numpy's fused product gives the first real part -0.0, Python's +0.0
+        values = [complex(-5e-324, -1.0), complex(5e-324, 1.0), complex(-1.0, 5e-324)]
+        got = wiener._scale(0.5, np.array(values)).tolist()
+        assert repr(got) == repr([0.5 * z for z in values])
+
+    @pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), -math.nextafter(0.5, 1.0)])
+    def test_scale_just_above_one_half_keeps_every_part(self, alpha):
+        values = [complex(5e-324, -5e-324), complex(-5e-324, 1.0)]
+        got = wiener._scale(alpha, np.array(values)).tolist()
+        assert repr(got) == repr([alpha * z for z in values])
+        assert all(z.real and z.imag for z in got)
+
+    def test_power_loop_rescales_by_one_half_as_power_norms(self):
+        # norm(f) = 2, so 1/norm is 1/2 and the far term 5e-324 / 2 ties to
+        # 0; kept as a zero end, the direction would make x^2 pass the cap
+        f, alg = {0: 2.0 + 0j, 1: 5e-324 + 0j}, wiener.WienerAlgebra(2)
+        want = power_norms(alg, f, 8).to_csv()
+        assert wiener.wiener_spectral_radius(f, 8, cap=2).to_csv() == want
+
+
 # --- Neumann inverses on trimmed arrays ----------------------------------------
 
 # signed zero parts, which dict equality ignores, and NaN, which it never matches
@@ -772,8 +916,22 @@ class TestInverseOnArrays:
     @example({0: 1.0 + 0j, 10**20: 1e-200 + 0j}, 1e-10, wiener.COEFF_CAP)  # g*g is 0
     @example({0: 1.0 + 0j, 10**20: 1e-6 + 0j}, 1e-10, wiener.COEFF_CAP)  # converged
     def test_matches_the_dict_engine(self, f, tol, cap):
-        want = _outcome(_dict_inverse, f, tol, cap)
-        assert _outcome(wiener.wiener_inverse, f, tol, cap) == want
+        # a returned reciprocal meets tol in the exact residual, up to the
+        # rounding of the float residual that certified it; a small g with
+        # finite terms on a narrow support, and a c that is not tiny, must
+        # be inverted
+        try:
+            y = wiener.wiener_inverse(f, tol, cap)
+        except (BudgetExceeded, NotConvergent):
+            # then |y_k| <= 2 / |c| stays below the float range
+            c = f[0]
+            g_l1 = sum(abs(v / c) for k, v in f.items() if k != 0)
+            small = g_l1 <= 0.5 and abs(c) >= 2.0**-1000
+            assert not (small and cap == wiener.COEFF_CAP and max(f) - min(f) < 100)
+            return
+        f = wiener.clean(f)
+        slack = 2.0**-40 * (1.0 + sum(map(abs, f.values())) * sum(map(abs, y.values())))
+        assert _exact_residual_l1(f, y) <= Fraction(tol) + Fraction(slack)
 
     def test_first_sum_past_the_cap_is_never_laid_out(self):
         # e + g spans 10^20 + 1 degrees; the product y * g^2 passes the cap
