@@ -86,16 +86,23 @@ def power_norms(alg: Algebra, x, n: int) -> RootReport:
     a zero power).  The value sequence is submultiplicative (up to
     roundoff), so the running minimum is a certified upper bound for the
     limit of the roots and hence for the spectral radius.
+
+    An instance may run its own loop, ``power_logs(x, n)``: this chain's
+    logs on the instance's own operations, or None to run the chain.  A
+    subclass that overrides ``mul`` or ``norm`` sets ``power_logs = None``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    direction, log_norm = _normalize(alg, x)
-    logs = [log_norm]
-    for _ in range(n - 1):
-        if -math.inf < log_norm < math.inf:  # a zero, overflowed or nan power stays as it is
-            direction, log_w = _normalize(alg, alg.mul(direction, x))
-            log_norm += log_w
-        logs.append(log_norm)
+    own = getattr(alg, "power_logs", None)
+    logs = own(x, n) if own is not None else None
+    if logs is None:
+        direction, log_norm = _normalize(alg, x)
+        logs = [log_norm]
+        for _ in range(n - 1):
+            if -math.inf < log_norm < math.inf:  # a zero, overflowed or nan power stays as it is
+                direction, log_w = _normalize(alg, alg.mul(direction, x))
+                log_norm += log_w
+            logs.append(log_norm)
     return build_report(logs, value_header="norm")
 
 

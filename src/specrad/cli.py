@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fekete, matrix, selftest, shift, wiener
-from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, resolvent
+from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
@@ -110,7 +110,8 @@ def run_convolve(args) -> int:
 
 def run_power(args) -> int:
     a = matrix.read_matrix(Path(args.matrix).read_text())
-    _emit(args, _report_text(args, matrix.stacked_power_norms([a], args.n, args.norm)[0]))
+    alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
+    _emit(args, _report_text(args, power_norms(alg, a, args.n)))
     return 0
 
 

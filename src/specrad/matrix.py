@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms
+from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular
 from .reports import FMT17, RootReport, build_report, fmt17
 
@@ -26,9 +26,9 @@ SCAN_BLOCK_ENTRIES = 2**14
 # a spectrum grid holds at most this many cells: scanning that many for a
 # 1 x 1 matrix takes 6 s and 370 MB (2 cores, numpy 2.4.6)
 MAX_GRID_CELLS = 2**20
-# power tables run their first this many rows as power_norms does, bit for
-# bit, and each later block of this many rows as one batched product; it must
-# stay >= DEFAULT_PROBE_DEPTH, so the spectrum bound and the battery read
+# power tables run their first this many rows as power_norms' generic chain, bit
+# for bit, and each later block of this many rows as one batched product; it
+# must stay >= DEFAULT_PROBE_DEPTH, so the spectrum bound and the battery read
 # first-block rows only, and >= 64, so the README's `power --n 64` keeps its digests
 POWER_BLOCK = 64
 
@@ -97,6 +97,9 @@ class MatrixAlgebra(Algebra):
 
     def is_zero(self, x) -> bool:
         return bool((np.asarray(x) == 0).all())
+
+    def power_logs(self, x, n: int):
+        return _power_logs(as_matrix(x)[None], n, SUM_AXIS[self.norm_kind])[0]
 
     def direct_inverse(self, x, tol: float = 1e-10):
         return direct_inverse(x, tol, norm_kind=self.norm_kind)
@@ -196,18 +199,19 @@ def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
 
 # --- power tables of matrix stacks ----------------------------------------
 
+@np.errstate(all="ignore")
 def _power_logs(stack: np.ndarray, n: int, axis: int) -> list[list[float] | None]:
     """The log column of norm(x^k), k = 1..n, for each matrix x of a
-    (c, d, d) stack, with sums over ``axis`` (SUM_AXIS), or None for a
-    matrix whose norm leaves the normal range at some step.
+    (c, d, d) stack, with sums over ``axis`` (SUM_AXIS), or None, with no
+    numpy warning, for a matrix whose norm leaves the normal range.
 
-    Rows 1..B, B = POWER_BLOCK, are power_norms' loop bit for bit, all
-    matrices at once; ``powers`` keeps their unit-norm directions
+    Rows 1..B, B = POWER_BLOCK, are power_norms' generic chain bit for
+    bit, all matrices at once; ``powers`` keeps their unit-norm directions
     D_k = x^k / norm(x^k).  Block j = 1, 2, ... is one batched product
     D_(Bj) @ powers, whose i-th matrix is x^(Bj+i) / (norm(x^(Bj))
     norm(x^i)); so log norm(x^(Bj+i)) is the sum of those two logs and
     the log of that matrix's norm.  Such a row rests on j + i dependent
-    products, not Bj + i: it agrees with power_norms within rounding,
+    products, not Bj + i: it agrees with the chain within rounding,
     and measured closer to 50-digit powers.  Each matrix of a batched
     product is its own product, so no column depends on the other
     matrices.  The loop stops after a block that leaves no matrix in range.
@@ -257,19 +261,11 @@ def _power_logs(stack: np.ndarray, n: int, axis: int) -> list[list[float] | None
 
 
 def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport]:
-    """power_norms(MatrixAlgebra(d, norm_kind), as_matrix(x), n) for each x
-    in mats, in order: the one power loop for matrix tables.
-
-    Each x is taken as complex, as MatrixAlgebra holds it (a real x runs
-    complex products).  The matrices of each dimension run as one
-    (c, d, d) stack through _power_logs, on preallocated buffers.  Rows
-    1..POWER_BLOCK are bit-identical to power_norms; later rows come from
-    block products, within rounding of power_norms.  Every row of a
-    matrix is independent of the other matrices passed.  A matrix with a
-    norm of 0, below the normal range (where power_norms rescales), inf
-    or nan at some step runs through power_norms itself, with its numpy
-    warnings.  as_matrix gives C order, so a transposed view runs as its
-    C copy, whose norms both paths sum in one order.
+    """power_norms(MatrixAlgebra(d, norm_kind), x, n) for each x in mats, in
+    order: the matrices of each dimension run as one (c, d, d) stack through
+    _power_logs, and no row depends on the other matrices.  A matrix whose
+    norm is 0, subnormal, inf or nan at some step runs through power_norms
+    alone, with its numpy warnings.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -280,10 +276,9 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     for i, x in enumerate(mats):
         by_dim.setdefault(x.shape[0], []).append(i)
     logs: dict[int, list[float] | None] = {}
-    with np.errstate(all="ignore"):
-        for index in by_dim.values():
-            stack = np.stack([mats[i] for i in index])
-            logs.update(zip(index, _power_logs(stack, n, SUM_AXIS[norm_kind])))
+    for index in by_dim.values():
+        stack = np.stack([mats[i] for i in index])
+        logs.update(zip(index, _power_logs(stack, n, SUM_AXIS[norm_kind])))
     return [power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n) if logs.get(i) is None
             else build_report(logs[i], value_header="norm") for i, x in enumerate(mats)]
 
@@ -417,7 +412,7 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     """
     a = as_matrix(a)
     n = a.shape[0]
-    upper = stacked_power_norms([a], DEFAULT_PROBE_DEPTH, norm_kind)[0].certified_upper
+    upper = spectral_radius_upper(MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
     # the bound is computed through exp/log and may sit an ulp below
     # the true radius: inflate before using it to skip elimination
     upper *= 1.0 + 1e-12

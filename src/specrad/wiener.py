@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, build_report, or_inf
+from .reports import RootReport, or_inf
 
 Element = dict[int, complex]
 
@@ -299,6 +299,9 @@ class WienerAlgebra(Algebra):
     def is_zero(self, x) -> bool:
         return not any(x.values())
 
+    def power_logs(self, x, n: int):
+        return _power_logs(x, n, self.cap)
+
 
 @dataclass(frozen=True)
 class SupEstimate:
@@ -366,11 +369,11 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
 
 
 def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
-    """The log column of norm(f^k), k = 1..n, for a clean f, bit for bit
-    as power_norms(WienerAlgebra(cap), f, n), or None for n < 1, for an f
-    whose support span exceeds ``cap`` (it is never laid out), and once a
-    norm leaves the normal range (zero, subnormal, inf or nan), where
-    power_norms refuses, stops, rescales or warns.
+    """The log column of norm(f^k), k = 1..n >= 1, for a clean f, bit for
+    bit as power_norms' generic chain on WienerAlgebra(cap), or None for an
+    f whose support span exceeds ``cap`` (it is never laid out), and once a
+    norm leaves the normal range (zero, subnormal, inf or nan), where the
+    chain refuses, stops, rescales or warns.
 
     f is laid out as a trimmed array x, and each step fuses mul, norm and
     scale on trimmed arrays.  Operands of equal size (the first step, each
@@ -383,7 +386,7 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     _scale and _trimmed run.  As in _scale, no part underflows when
     1/norm > 1/2, so the parts are counted only for norms of 2 and more.
     """
-    if n < 1 or (f and max(f) - min(f) >= cap):
+    if f and max(f) - min(f) >= cap:
         return None
     x = _laurent(*_terms(f))
     (lo_x, a), (lo, w) = x, x
@@ -416,17 +419,11 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
 def wiener_spectral_radius(
     f: Element, n: int, cap: int = COEFF_CAP
 ) -> RootReport:
-    """Roots of the l1 norms of f^k for k = 1..n; the running minimum
-    converges to the sup norm of f (downward, being an upper bound at
-    every k).  The table is power_norms(WienerAlgebra(cap), f, n), run by
-    _power_logs, or by power_norms itself where that gives None.  An f
-    whose own support span exceeds ``cap`` runs on the dict, and its first
-    product raises BudgetExceeded."""
-    f = clean(f)
-    logs = _power_logs(f, n, cap)
-    if logs is None:
-        return power_norms(WienerAlgebra(cap), f, n)
-    return build_report(logs, value_header="norm")
+    """power_norms(WienerAlgebra(cap), f, n): the running minimum of the
+    roots converges to the sup norm of f (downward, being an upper bound
+    at every k).  An f whose own support span exceeds ``cap`` runs on the
+    dict, and its first product raises BudgetExceeded."""
+    return power_norms(WienerAlgebra(cap), clean(f), n)
 
 
 def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:

@@ -26,26 +26,38 @@ def random_matrix(rng, n):
     return rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
 
 
+class ChainMatrixAlgebra(MatrixAlgebra):
+    """MatrixAlgebra without its own power loop: power_norms runs the chain."""
+
+    power_logs = None
+
+
 class TestPowerNorms:
+    """power_norms on MatrixAlgebra, which runs its own loop."""
+
+    ALG = MatrixAlgebra
+
     def test_identity_roots_are_one(self):
-        rep = power_norms(ALG2, ALG2.one, 16)
+        alg = self.ALG(2)
+        rep = power_norms(alg, alg.one, 16)
         assert rep.root == [1.0] * 16
         assert rep.value == [1.0] * 16
 
     def test_nilpotent(self):
-        rep = power_norms(ALG2, NILPOTENT, 6)
+        rep = power_norms(self.ALG(2), NILPOTENT, 6)
         assert rep.value == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert rep.certified_upper == 0.0
 
     def test_alternating_norms(self):
-        rep = power_norms(ALG2, SWAPISH, 10)
+        rep = power_norms(self.ALG(2), SWAPISH, 10)
         for k, v in enumerate(rep.value, start=1):
             expected = 2.0 if k % 2 else 1.0
             assert v == pytest.approx(expected, rel=1e-12)
         assert rep.root[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_element(self):
-        rep = power_norms(ALG2, ALG2.zero, 4)
+        alg = self.ALG(2)
+        rep = power_norms(alg, alg.zero, 4)
         assert rep.value == [0.0] * 4
 
     @pytest.mark.parametrize("entry", [1e308, math.inf])
@@ -54,24 +66,26 @@ class TestPowerNorms:
         # and an inf entry must not be scaled by 0 into nan
         big = np.array([[entry, entry], [0, entry]], dtype=complex)
         with np.errstate(over="ignore"):  # numpy warns on the 2e308 row sum
-            rep = power_norms(ALG2, big, 4)
+            rep = power_norms(self.ALG(2), big, 4)
         assert rep.value == rep.root == [math.inf] * 4
         assert rep.certified_upper == math.inf
 
     def test_norm_axiom_violation_detected(self):
         class Broken(MatrixAlgebra):
+            power_logs = None  # its norm overrides MatrixAlgebra's
+
             def norm(self, x):
                 return 0.0
 
         with pytest.raises(ValueError, match="norm axioms"):
-            power_norms(Broken(2), NILPOTENT, 4)
+            power_norms(Broken(2), SWAPISH, 4)
 
     def test_value_sequence_is_submultiplicative(self):
         rng = np.random.default_rng(7)
         for kind in ("inf", "one"):
             for _ in range(8):
                 n = int(rng.integers(1, 5))
-                alg = MatrixAlgebra(n, kind)
+                alg = self.ALG(n, kind)
                 rep = power_norms(alg, random_matrix(rng, n), 24)
                 s = fekete.PrefixSequence(tuple(rep.value))
                 assert fekete.check_submultiplicative(s) == []
@@ -80,11 +94,17 @@ class TestPowerNorms:
     def test_value_column_matches_raw_power_norms(self, kind):
         rng = np.random.default_rng(11)
         x = random_matrix(rng, 3)
-        alg = MatrixAlgebra(3, kind)
+        alg = self.ALG(3, kind)
         rep = power_norms(alg, x, 12)
         for k in range(1, 13):
             raw = alg.norm(np.linalg.matrix_power(x, k))
             assert abs(rep.value[k - 1] - raw) <= 1e-9 * raw
+
+
+class TestPowerNormsOnTheChain(TestPowerNorms):
+    """The same cases on power_norms' generic chain."""
+
+    ALG = ChainMatrixAlgebra
 
 
 class TestSpectralRadiusUpper:
@@ -184,6 +204,8 @@ class TestNeumannInverse:
 
 
 class CountingMatrixAlgebra(MatrixAlgebra):
+    power_logs = None  # its mul overrides MatrixAlgebra's
+
     def __init__(self, n):
         super().__init__(n)
         self.muls = 0
@@ -331,6 +353,7 @@ class TestResolvent:
         # the series' own squarings certify convergence: no separate
         # 32-power radius probe (31 products) before the Neumann sum
         class Counting(WienerAlgebra):
+            power_logs = None  # its mul overrides WienerAlgebra's
             muls = 0
 
             def mul(self, x, y):

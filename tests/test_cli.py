@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +435,18 @@ def test_norm_one_output_is_unchanged(tmp_path, capsys, name, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == NORM_ONE_SHA256[name, fmt]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library examples, matrices and then the Wiener algebra, with their asserts
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, "README.md python block %d" % (i + 1), "exec"), {})
+    assert capsys.readouterr().out == "[2.0, 1.0, 2.0, 1.0]\n"
 
 
 # `power --n 4000` on GOLDEN_MATRIX: rows past matrix.POWER_BLOCK come from

@@ -23,6 +23,13 @@ def random_matrix(rng, n):
     return rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
 
 
+class _Chain(matrix.MatrixAlgebra):
+    """MatrixAlgebra without its own power loop: power_norms runs the
+    generic chain on its mul and norm, the reference for _power_logs."""
+
+    power_logs = None
+
+
 class TestNorms:
     def test_identity_norm_is_exactly_one(self):
         for n in (1, 2, 5):
@@ -444,7 +451,7 @@ def _reference_spectrum_scan(a, grid, norm_kind="inf"):
     a = matrix.as_matrix(a)
     n = a.shape[0]
     norm = matrix.NORMS[norm_kind]
-    upper = spectral_radius_upper(matrix.MatrixAlgebra(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
+    upper = spectral_radius_upper(_Chain(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
     upper *= 1.0 + 1e-12
     eye = np.eye(n, dtype=complex)
     rows = []
@@ -619,14 +626,14 @@ class TestBatchedElimination:
                 assert same_bits(solution[i], inv)
 
 
-# --- stacked power tables against power_norms, one matrix at a time ------------
+# --- stacked power tables against the chain, one matrix at a time --------------
 
 def _columns(report):
     return repr(report.value), repr(report.root), repr(report.running_min)
 
 
 def _reference_power_norms(x, n):
-    return power_norms(matrix.MatrixAlgebra(x.shape[0]), matrix.as_matrix(x), n)
+    return power_norms(_Chain(x.shape[0]), matrix.as_matrix(x), n)
 
 
 def _assert_stacked_matches(mats, n):
@@ -707,8 +714,7 @@ class TestStackedPowerNorms:
 # --- the one matrix power loop, both norms -----------------------------------------
 
 def _reference_power_norms_of(x, n, norm_kind):
-    alg = matrix.MatrixAlgebra(x.shape[0], norm_kind)
-    return power_norms(alg, matrix.as_matrix(x), n)
+    return power_norms(_Chain(x.shape[0], norm_kind), matrix.as_matrix(x), n)
 
 
 def _tables_and_warnings(run):
@@ -836,8 +842,8 @@ SHIFT_70 = np.diag(np.full(69, 0.9), k=1)
 SHIFT_70_COLUMNS_SHA256 = "4fe3f096373e56968b245c452604bb8f97323fa42595ceb69139a95b7c5dc24a"
 
 
-class _CountingAlgebra(matrix.MatrixAlgebra):
-    """MatrixAlgebra that counts its products."""
+class _CountingAlgebra(_Chain):
+    """The chain on MatrixAlgebra, counting its products."""
 
     products = 0
 
@@ -910,6 +916,15 @@ class TestBlockedPowerTables:
         assert alg.products <= 70
         digest = hashlib.sha256("\n".join(_columns(report)).encode()).hexdigest()
         assert digest == SHIFT_70_COLUMNS_SHA256
+
+    @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
+    def test_power_norms_is_the_blocked_table(self, norm_kind):
+        # the API and the CLI give one table, past the first block too
+        a = random_matrix(np.random.default_rng(1), 8)
+        alg = matrix.MatrixAlgebra(8, norm_kind)
+        want = matrix.stacked_power_norms([a], 1000, norm_kind)[0]
+        assert _columns(power_norms(alg, a, 1000)) == _columns(want)
+        assert _columns(power_norms(_Chain(8, norm_kind), a, 1000)) != _columns(want)
 
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     @pytest.mark.parametrize("n", [65, 130, 300])

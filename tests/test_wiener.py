@@ -434,6 +434,7 @@ class TestWienerInverse:
         # norm(g^32) = 0.99998^32 or 0.99999^32 reaches tol/2 by squaring
         # only past 2^20 terms; summing up to the budget takes seconds
         class ProductLimit(wiener.WienerAlgebra):
+            power_logs = None  # its mul overrides WienerAlgebra's
             muls = 0
 
             def mul(self, x, y):
@@ -819,9 +820,16 @@ POWER_LOOP_PATHS = {
 }
 
 
+class _Chain(wiener.WienerAlgebra):
+    """WienerAlgebra without its own power loop: power_norms runs the
+    generic chain on its mul and norm, the reference for _power_logs."""
+
+    power_logs = None
+
+
 class TestWienerPowerLoop:
-    """wiener_spectral_radius runs _power_logs on arrays, and power_norms
-    where it gives None: either way the table is power_norms' on WienerAlgebra."""
+    """power_norms on WienerAlgebra runs _power_logs on arrays, and the chain
+    where that gives None: either way the table is the chain's."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -845,9 +853,20 @@ class TestWienerPowerLoop:
     @example({0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, 3)
     @example({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, 5)
     def test_table_and_warnings_as_power_norms(self, f, n, cap):
-        alg = wiener.WienerAlgebra(cap)
-        want = _table_and_warnings(power_norms, alg, alg.element(wiener.clean(f)), n)
+        want = _table_and_warnings(power_norms, _Chain(cap), wiener.clean(f), n)
         assert _table_and_warnings(wiener.wiener_spectral_radius, f, n, cap) == want
+
+    def test_power_norms_runs_the_loop_without_multiply(self, monkeypatch):
+        # the README's element: no dict product is left to run
+        f = {1: 0.5 + 0j, -1: 0.5 + 0j}
+        want = power_norms(_Chain(), f, 64).to_csv()
+
+        def refuse(*args):
+            raise AssertionError("power_norms multiplied dicts")
+
+        monkeypatch.setattr(wiener, "multiply", refuse)
+        report = power_norms(wiener.WienerAlgebra(), wiener.WienerAlgebra.element(f), 64)
+        assert report.to_csv() == want and report.root == [1.0] * 64
 
     @pytest.mark.parametrize("path", POWER_LOOP_PATHS)
     def test_each_path_runs_where_it_should(self, path):
@@ -877,8 +896,8 @@ class TestUnderflowBoundary:
     def test_power_loop_rescales_by_one_half_as_power_norms(self):
         # norm(f) = 2, so 1/norm is 1/2 and the far term 5e-324 / 2 ties to
         # 0; kept as a zero end, the direction would make x^2 pass the cap
-        f, alg = {0: 2.0 + 0j, 1: 5e-324 + 0j}, wiener.WienerAlgebra(2)
-        want = power_norms(alg, f, 8).to_csv()
+        f = {0: 2.0 + 0j, 1: 5e-324 + 0j}
+        want = power_norms(_Chain(2), f, 8).to_csv()
         assert wiener.wiener_spectral_radius(f, 8, cap=2).to_csv() == want
 
 
