@@ -88,8 +88,9 @@ def power_norms(alg: Algebra, x, n: int) -> RootReport:
     limit of the roots and hence for the spectral radius.
 
     An instance may run its own loop, ``power_logs(x, n)``: this chain's
-    logs on the instance's own operations, or None to run the chain.  A
-    subclass that overrides ``mul`` or ``norm`` sets ``power_logs = None``.
+    logs on the instance's own operations, or None to run the chain.  The
+    chain runs ``mul``, ``norm``, ``scale``, ``is_zero`` and ``zero``; a
+    subclass that overrides any of them sets ``power_logs = None``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -136,6 +137,8 @@ def neumann_inverse(alg: Algebra, x, tol: float = 1e-10, max_terms: int = DEFAUL
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % tol)
+    if max_terms < 2:  # y below starts with two terms
+        raise ValueError("max_terms must be at least 2, got %r" % max_terms)
     y = alg.add(alg.one, x)
     t = x
     terms = 2  # y = sum_{j<terms} x^j, and t becomes x^terms below

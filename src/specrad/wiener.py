@@ -108,17 +108,15 @@ def _content_key(lo: int, a):
 
 
 def _convolve(x, y, cap: int):
-    """Product of trimmed elements: coefficient convolution, trimmed.
+    """Product of nonzero trimmed elements: coefficient convolution, trimmed.
 
-    np.convolve puts the longer operand first; for operands of equal
+    numpy's convolve puts the longer operand first; for operands of equal
     span the order is canonicalized before convolving, so that x*y and
     y*x are the same float computation, making commutativity exact
     coefficient-wise.  Raises BudgetExceeded when the product span would
     exceed ``cap``.
     """
     (lo_x, a), (lo_y, b) = x, y
-    if not a.size or not b.size:
-        return 0, _EMPTY
     _check_span(a.size + b.size - 1, cap)
     if a.size == b.size and _content_key(lo_y, b) < _content_key(lo_x, a):
         a, b = b, a
@@ -282,7 +280,6 @@ class WienerAlgebra(Algebra):
     def __init__(self, cap: int = COEFF_CAP):
         self.cap = cap
 
-    element = as_dict = staticmethod(clean)
     add, scale, norm = staticmethod(add), staticmethod(scale), staticmethod(l1_norm)
 
     @property
@@ -376,32 +373,24 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     chain refuses, stops, rescales or warns.
 
     f is laid out as a trimmed array x, and each step fuses mul, norm and
-    scale on trimmed arrays.  Operands of equal size (the first step, each
-    step of a monomial) go through _convolve for its operand order, others
-    through np.convolve after the same span check, trimmed only when an
-    end entry is zero.  The norm is _l1's: _moduli_sum of the moduli,
-    which _split_sum decides on long powers.  numpy's multiply is _scale's
-    result unless a nonzero part underflowed to zero; with a normal norm
-    every part is finite, so that shows as fewer nonzero parts, and then
-    _scale and _trimmed run.  As in _scale, no part underflows when
-    1/norm > 1/2, so the parts are counted only for norms of 2 and more.
+    scale on trimmed arrays.  The product is multiply's kernel, _convolve.
+    The norm is _l1's: _moduli_sum of the moduli, which _split_sum decides
+    on long powers.  numpy's multiply is _scale's result unless a nonzero
+    part underflowed to zero; with a normal norm every part is finite, so
+    that shows as fewer nonzero parts, and then _scale and _trimmed run.
+    As in _scale, no part underflows when 1/norm > 1/2, so the parts are
+    counted only for norms of 2 and more.
     """
     if f and max(f) - min(f) >= cap:
         return None
-    x = _laurent(*_terms(f))
-    (lo_x, a), (lo, w) = x, x
+    lo, w = x = _laurent(*_terms(f))
     normal, hi = sys.float_info.min, sys.float_info.max
-    count, convolve, hypot = np.count_nonzero, np.convolve, np.hypot
+    count, hypot = np.count_nonzero, np.hypot
     norms = []
     with np.errstate(all="ignore"):
         for k in range(n):
-            if k and d.size == a.size:
+            if k:
                 lo, w = _convolve((lo, d), x, cap)
-            elif k:
-                _check_span(d.size + a.size - 1, cap)
-                lo, w = lo + lo_x, convolve(d, a)
-                if not (w[0] and w[-1]):
-                    lo, w = _trimmed(lo, w)
             try:
                 nw = _moduli_sum(hypot(w.real, w.imag))
             except OverflowError:

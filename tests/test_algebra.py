@@ -187,6 +187,14 @@ class TestNeumannInverse:
         with pytest.raises(BudgetExceeded):
             neumann_inverse(ALG2, 0.999 * ALG2.one, tol=1e-12, max_terms=50)
 
+    @pytest.mark.parametrize("max_terms", [1, 0, -5])
+    @pytest.mark.parametrize("x", [0.5 * ALG2.one, NILPOTENT], ids=["half", "nilpotent"])
+    def test_max_terms_below_two_is_refused(self, x, max_terms):
+        # y = e + x has two terms from the start; these raised BudgetExceeded
+        # after one squaring, and the nilpotent x returned e + x
+        with pytest.raises(ValueError, match="max_terms must be at least 2, got %d$" % max_terms):
+            neumann_inverse(ALG2, x, max_terms=max_terms)
+
     def test_nilpotent_exact_finite_sum(self):
         y = neumann_inverse(ALG2, NILPOTENT, tol=1e-15)
         assert np.array_equal(y, ALG2.one + NILPOTENT)
@@ -334,7 +342,7 @@ class TestResolvent:
 
     def test_neumann_path_without_direct_solver(self):
         alg = WienerAlgebra()
-        f = alg.element({1: 0.5 + 0j})
+        f = {1: 0.5 + 0j}
         lam = 2.0
         r = resolvent(alg, f, lam, tol=1e-12)
         shifted = alg.sub(alg.scale(lam, alg.one), f)
@@ -343,11 +351,11 @@ class TestResolvent:
     def test_neumann_path_requires_radius_margin(self):
         alg = WienerAlgebra()
         with pytest.raises(NotConvergent, match="radius bound"):
-            resolvent(alg, alg.element({1: 1.0 + 0j}), 0.5)
+            resolvent(alg, {1: 1.0 + 0j}, 0.5)
 
     def test_neumann_path_refuses_lambda_zero(self):
         with pytest.raises(NotConvergent, match="radius bound"):
-            resolvent(WienerAlgebra(), WienerAlgebra.element({1: 0.5 + 0j}), 0)
+            resolvent(WienerAlgebra(), {1: 0.5 + 0j}, 0)
 
     def test_neumann_path_probes_only_when_not_converging(self):
         # the series' own squarings certify convergence: no separate
@@ -360,7 +368,7 @@ class TestResolvent:
                 Counting.muls += 1
                 return super().mul(x, y)
 
-        resolvent(Counting(), Counting.element({1: 0.5 + 0j}), 2.0)
+        resolvent(Counting(), {1: 0.5 + 0j}, 2.0)
         assert Counting.muls <= 10
 
     def test_nan_lambda_fails_the_residual_check(self):

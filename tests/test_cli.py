@@ -192,6 +192,15 @@ def test_neumann_unattainable_tol_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("max_terms", ["0", "-5", "1"])
+def test_neumann_max_terms_below_two_exits_one(tmp_path, capsys, max_terms):
+    # these exited 2 with "BudgetExceeded: ... past max_terms=0"
+    path = tmp_path / "one.csv"
+    path.write_text("0.5+0j\n")
+    code, out, err = run_cli(capsys, "neumann", "--matrix", str(path), "--max-terms", max_terms)
+    assert (code, out, err) == (1, "", "error: max_terms must be at least 2, got %s\n" % max_terms)
+
+
 def test_resolvent_nilpotent(tmp_path, capsys):
     path = tmp_path / "nilp.csv"
     path.write_text(NILPOTENT_CSV)

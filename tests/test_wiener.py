@@ -97,6 +97,10 @@ class TestMultiply:
         with pytest.raises(BudgetExceeded, match="cap"):
             wiener.multiply(wide, wide, cap=900)
 
+    def test_zero_terms_are_not_in_the_span(self):
+        # laid out, the zero term at degree 2*10^6 would pass the cap
+        assert wiener.multiply({0: 1, 2_000_000: 0}, {0: 2}) == {0: 2}
+
     @settings(max_examples=60, deadline=None)
     @given(elements, elements)
     def test_commutative_exactly(self, f, g):
@@ -756,23 +760,23 @@ class TestPowerTablesOnArrays:
     @example({0: complex(-0.0, 1.0), 2: complex(1.0, -0.0)}, {1: 1.0 + 0j})
     @example({0: 1.0 + 0j}, {1: complex(1.0, -0.0)})  # 0j + g_1 makes the -0.0 a +0.0
     def test_engine_operations_match_the_dict_functions(self, f, g):
-        # the engine's elements, converted back, are those of the dict-loop
+        # the engine's elements, clean dicts, are those of the dict-loop
         # oracles, signed zeros included (dict equality ignores them), and
         # its norm is the exact l1 sum of Python's moduli, rounded once
         def items(h):
             return repr(sorted(h.items()))
 
         alg = wiener.WienerAlgebra()
-        x, y = alg.element(f), alg.element(g)
+        x, y = wiener.clean(f), wiener.clean(g)
         f, g = wiener.clean(f), wiener.clean(g)
-        assert items(alg.as_dict(alg.mul(x, y))) == items(_reference_multiply(f, g))
+        assert items(alg.mul(x, y)) == items(_reference_multiply(f, g))
         scaled = {k: 0.5j * v for k, v in f.items()}
-        assert items(alg.as_dict(alg.scale(0.5j, x))) == items(wiener.clean(scaled))
+        assert items(alg.scale(0.5j, x)) == items(wiener.clean(scaled))
         assert alg.norm(x) == float(sum(Fraction(abs(v)) for v in f.values()))
         summed = dict(f)
         for k, v in g.items():
             summed[k] = summed.get(k, 0j) + v
-        assert items(alg.as_dict(alg.add(x, y))) == items(wiener.clean(summed))
+        assert items(alg.add(x, y)) == items(wiener.clean(summed))
 
     @settings(max_examples=100, deadline=None)
     @given(real_factor, edge_coeffs)
@@ -780,7 +784,7 @@ class TestPowerTablesOnArrays:
     def test_engine_real_scale_matches_the_dict_function(self, r, values):
         f = dict(enumerate(values))
         alg = wiener.WienerAlgebra()
-        got = alg.as_dict(alg.scale(r, alg.element(f)))
+        got = alg.scale(r, wiener.clean(f))
         assert repr(sorted(got.items())) == repr(sorted(wiener.scale(r, f).items()))
 
 
@@ -865,13 +869,27 @@ class TestWienerPowerLoop:
             raise AssertionError("power_norms multiplied dicts")
 
         monkeypatch.setattr(wiener, "multiply", refuse)
-        report = power_norms(wiener.WienerAlgebra(), wiener.WienerAlgebra.element(f), 64)
+        report = power_norms(wiener.WienerAlgebra(), f, 64)
         assert report.to_csv() == want and report.root == [1.0] * 64
+
+    @pytest.mark.parametrize(
+        "f, n, cap",
+        [
+            ({0: 1, 5: 0, 1: 0.3}, 40, wiener.COEFF_CAP),
+            ({-3: 0, 0: 0.7, 2: 0.2j}, 40, wiener.COEFF_CAP),
+            ({0: 1, 50: 0}, 40, 10),
+        ],
+    )
+    def test_unclean_dict_as_the_chain(self, f, n, cap):
+        # the engine instance takes dicts with zero terms, which are never
+        # laid out: they widen neither an array nor a product's span
+        want = _table_and_warnings(power_norms, _Chain(cap), f, n)
+        assert _table_and_warnings(power_norms, wiener.WienerAlgebra(cap), f, n) == want
 
     @pytest.mark.parametrize("path", POWER_LOOP_PATHS)
     def test_each_path_runs_where_it_should(self, path):
         f, n, fused = POWER_LOOP_PATHS[path]
-        logs = wiener._power_logs(wiener.WienerAlgebra.element(f), n, wiener.COEFF_CAP)
+        logs = wiener._power_logs(f, n, wiener.COEFF_CAP)
         assert (logs is not None) == fused
 
 
