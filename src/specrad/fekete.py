@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -51,6 +52,37 @@ class PrefixSequence:
         return len(self.values)
 
 
+_PAIR_BLOCK = 1 << 15  # pairs per block: about 1.5 MB of temporaries
+_CACHED_N = 40  # prefixes up to this length reuse their pair indices
+
+
+def _pairs(n: int, j0: int, j1: int):
+    """Index arrays j, l, j + l of the pairs j <= l <= n - j with
+    j0 <= j < j1, in the order of increasing j, then l."""
+    j = np.arange(j0, j1)
+    counts = n - 2 * j + 1
+    j = np.repeat(j, counts)
+    l = np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts) + j
+    return j, l, j + l
+
+
+@lru_cache(maxsize=None)
+def _cached_pairs(n: int):
+    pairs = _pairs(n, 1, n // 2 + 1)
+    for index in pairs:
+        index.flags.writeable = False  # shared by every later call
+    return (pairs,)
+
+
+def _pair_blocks(n: int):
+    """_pairs over every row j, in blocks of at most _PAIR_BLOCK pairs (or
+    one row, when a row has more)."""
+    if n <= _CACHED_N:
+        return _cached_pairs(n)
+    rows = max(1, _PAIR_BLOCK // n)
+    return (_pairs(n, j0, min(j0 + rows, n // 2 + 1)) for j0 in range(1, n // 2 + 1, rows))
+
+
 def check_submultiplicative(
     seq: PrefixSequence, tol_rel: float = DEFAULT_TOL_REL
 ) -> list[tuple[int, int]]:
@@ -59,15 +91,18 @@ def check_submultiplicative(
     An empty result means the prefix is consistent with being the start
     of a submultiplicative sequence.  The relative tolerance absorbs
     representation error in user-supplied floating data; (l, j) mirrors
-    are omitted since the product a_j * a_l is symmetric.
+    are omitted since the product a_j * a_l is symmetric.  Pairs come in
+    the order of increasing j, then l.  The comparisons run in numpy over
+    blocks of pairs, the same IEEE products as (a_j * a_l) * (1 + tol_rel)
+    in Python, so the extra memory stays bounded as n grows.
     """
-    a = seq.values
-    n = len(a)
+    a = np.array((0.0,) + seq.values)  # a[j] is a_j
+    factor = 1.0 + tol_rel
     violations = []
-    for j in range(1, n // 2 + 1):
-        for l in range(j, n - j + 1):
-            if a[j + l - 1] > a[j - 1] * a[l - 1] * (1.0 + tol_rel):
-                violations.append((j, l))
+    with np.errstate(all="ignore"):  # inf products and inf * 0, silent as in Python
+        for j, l, jl in _pair_blocks(len(seq.values)):
+            hit = np.flatnonzero(a[jl] > a[j] * a[l] * factor)
+            violations += zip(j[hit].tolist(), l[hit].tolist())
     return violations
 
 
@@ -189,13 +224,21 @@ def _check_length(n: int) -> None:
         raise ValueError("prefix length must be >= 0, got %d" % n)
 
 
+def _mapped(f, *args) -> PrefixSequence:
+    """The prefix of f over the zipped sequences args, with unit head.
+    float pow and math.exp raise past the float range: only then does each
+    entry go through or_inf."""
+    try:
+        values = tuple(map(f, *args))
+    except OverflowError:
+        values = tuple(map(or_inf, repeat(f), *args))
+    return PrefixSequence(values, has_unit_head=True)
+
+
 def poly_sequence(c: float, n: int) -> PrefixSequence:
     """a_j = (j+1)^c; submultiplicative for c >= 0 with limit 1."""
     _check_length(n)
-    return PrefixSequence(
-        tuple(map(or_inf, repeat(pow), map(float, range(2, n + 2)), repeat(c))),
-        has_unit_head=True,
-    )
+    return _mapped(pow, list(map(float, range(2, n + 2))), [c] * n)
 
 
 def geometric_sequence(r: float, n: int) -> PrefixSequence:
@@ -203,9 +246,7 @@ def geometric_sequence(r: float, n: int) -> PrefixSequence:
     _check_length(n)
     if r < 0:
         raise ValueError("ratio must be nonnegative")
-    return PrefixSequence(
-        tuple(map(or_inf, repeat(pow), repeat(float(r)), range(1, n + 1))), has_unit_head=True
-    )
+    return _mapped(pow, [float(r)] * n, range(1, n + 1))
 
 
 def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
@@ -217,10 +258,8 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     _check_length(n)
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
-    exp, sqrt = math.exp, math.sqrt
-    return PrefixSequence(
-        tuple([or_inf(exp, c * j + d * sqrt(j)) for j in range(1, n + 1)]), has_unit_head=True
-    )
+    sqrt = math.sqrt
+    return _mapped(math.exp, [c * j + d * sqrt(j) for j in range(1, n + 1)])
 
 
 # --- CSV and JSON interface ----------------------------------------------

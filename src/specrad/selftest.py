@@ -8,6 +8,7 @@ plus a summary count.  Identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,19 +57,37 @@ def check_fekete_power_bound(rng) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _division_triples(length: int):
+    """The triples n = p*k + r with 1 <= r < k <= n <= length, in the order
+    of increasing k, then p, then r: the k - 1 and p of each (k, p) pair,
+    and, per triple, the index of its pair and the indices n - 1 and r."""
+    ks, ps, pair, n, r = [], [], [], [], []
+    for k in range(2, length + 1):
+        for p in range(1, (length - 1) // k + 1):
+            rs = range(1, min(k, length - p * k + 1))
+            pair += [len(ks)] * len(rs)
+            n += range(p * k, p * k + len(rs))
+            r += rs
+            ks.append(k - 1)
+            ps.append(p)
+    indices = [np.array(index, np.intp) for index in (pair, n, r)]
+    for index in indices:
+        index.flags.writeable = False  # shared by every later call
+    return (tuple(ks), tuple(ps), *indices)
+
+
 def check_fekete_division_bound(rng) -> bool:
-    for _ in range(20):
-        seq = fekete.subadd_sequence(rng.uniform(-1, 1), rng.uniform(0, 1), 40)
-        a = seq.values
-        length = len(a)
-        a1_pow = [a[0] ** r for r in range(length)]
-        # n = p*k + r with 1 <= r < k, in increasing n for each k
-        for k in range(2, length + 1):
-            for p in range(1, (length - 1) // k + 1):
-                ak_pow = a[k - 1] ** p
-                for r in range(1, min(k, length - p * k + 1)):
-                    if a[p * k + r - 1] > ak_pow * a1_pow[r] * (1 + SLACK):
-                        return False
+    # a_n <= a_k^p * a_1^r for n = p*k + r, every triple in one comparison
+    with np.errstate(all="ignore"):  # a product past the float range is inf, as in Python
+        for _ in range(20):
+            seq = fekete.subadd_sequence(rng.uniform(-1, 1), rng.uniform(0, 1), 40)
+            a = seq.values
+            ks, ps, pair, n, r = _division_triples(len(a))
+            a1_pow = np.array([a[0] ** e for e in range(len(a))])
+            ak_pow = np.array(list(map(pow, map(a.__getitem__, ks), ps)))
+            if (np.array(a)[n] > ak_pow[pair] * a1_pow[r] * (1 + SLACK)).any():
+                return False
     return True
 
 

@@ -67,51 +67,68 @@ class FiniteVector:
         object.__setattr__(self, "values", vals)
 
     def norm(self) -> float:
-        """The p-norm.  When the sum of |x_j|^p overflows or falls below the
-        normal range, it is taken relative to the largest modulus M, as
-        M * fsum((|x_j|/M)^p)^(1/p)."""
-        if not self.values:
-            return 0.0
-        mags = [abs(v) for v in self.values.values()]
-        p = self.p
-        if p == math.inf:
-            return max(mags)
-        try:
-            total = math.fsum(m**p for m in mags)
-        except OverflowError:  # float pow and fsum raise past the float range
-            total = None
-        # a normal sum keeps its bits; an inf or nan modulus gives an inf or nan sum
-        if total is not None and not total < sys.float_info.min:
-            return total ** (1.0 / p)
-        big = max(mags)
-        if big == math.inf:
-            return big
-        return big * math.fsum((m / big) ** p for m in mags) ** (1.0 / p)
+        """The p-norm, as _p_norm takes it."""
+        return _p_norm([abs(v) for v in self.values.values()], self.p)
+
+
+def _p_norm(mags: list[float], p: float) -> float:
+    """The p-norm of a vector whose nonzero entries have the moduli ``mags``.
+    When the sum of m^p overflows or falls below the normal range, it is
+    taken relative to the largest modulus M, as M * fsum((m/M)^p)^(1/p)."""
+    if not mags:
+        return 0.0
+    if p == math.inf:
+        return max(mags)
+    try:
+        total = math.fsum(m**p for m in mags)
+    except OverflowError:  # float pow and fsum raise past the float range
+        total = None
+    # a normal sum keeps its bits; an inf or nan modulus gives an inf or nan sum
+    if total is not None and not total < sys.float_info.min:
+        return total ** (1.0 / p)
+    big = max(mags)
+    if big == math.inf:
+        return big
+    return big * math.fsum((m / big) ** p for m in mags) ** (1.0 / p)
 
 
 def unit_vector(j: int, p: float) -> FiniteVector:
     return FiniteVector({j: 1.0 + 0j}, p)
 
 
+def _window_product(shift: WeightedShift, j: int, power: int) -> float:
+    """alpha_j * ... * alpha_{j+power-1}, the tail weight standing in past
+    the prefix; math.prod multiplies left to right in doubles, from 1."""
+    weights, stored = shift.weights, len(shift.weights)
+    window = weights[j - 1 : j + power - 1]
+    if j + power - 1 > stored:
+        window += (shift.tail,) * (j + power - 1 - max(j - 1, stored))
+    return math.prod(window)
+
+
+def _shifted(values: dict[int, complex], power: int, products) -> dict[int, complex]:
+    """The nonzero entries of T^l x for the nonzero entries ``values`` of x:
+    (T^l x)_j = products[j] * x_{j+l}, where products[j] is the window
+    product alpha_j..alpha_{j+l-1} for every j >= 1 that an entry reaches."""
+    out: dict[int, complex] = {}
+    for m, v in values.items():
+        j = m - power
+        if j < 1:
+            continue  # shifted off the front
+        coeff = products[j]
+        if coeff != 0.0:
+            z = coeff * v
+            if z != 0:
+                out[j] = z
+    return out
+
+
 def apply_power(shift: WeightedShift, x: FiniteVector, power: int) -> FiniteVector:
     """T^l x, computed directly: (T^l x)_j = (prod of alpha_j..alpha_{j+l-1}) * x_{j+l}."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    weights, stored = shift.weights, len(shift.weights)
-    out: dict[int, complex] = {}
-    for m, v in x.values.items():
-        j = m - power
-        if j < 1:
-            continue  # shifted off the front
-        # alpha_j..alpha_{m-1}, the tail weight standing in past the prefix;
-        # math.prod multiplies left to right in doubles, from 1
-        window = weights[j - 1 : m - 1]
-        if m - 1 > stored:
-            window += (shift.tail,) * (m - 1 - max(j - 1, stored))
-        coeff = math.prod(window)
-        if coeff != 0.0:
-            out[j] = coeff * v
-    return FiniteVector(out, x.p)
+    products = {m - power: _window_product(shift, m - power, power) for m in x.values if m > power}
+    return FiniteVector(_shifted(x.values, power, products), x.p)
 
 
 def power_norm_formula(shift: WeightedShift, power: int) -> float:
@@ -153,6 +170,8 @@ def op_norm_empirical(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     attained = apply_power(shift, unit_vector(power + 1, p), power).norm()
+    # the window products of every j = m - power that a trial index m < power + 40 reaches
+    products = {j: _window_product(shift, j, power) for j in range(1, 40)}
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
@@ -160,11 +179,14 @@ def op_norm_empirical(
         indices = rng.integers(1, power + 40, size=size).tolist()
         # one draw of 2*size normals is the stream of 2*size single draws
         parts = rng.standard_normal(2 * size).tolist()
-        x = FiniteVector(dict(zip(indices, map(complex, parts[0::2], parts[1::2]))), p)
-        nx = x.norm()
+        x = dict(zip(indices, map(complex, parts[0::2], parts[1::2])))
+        if 0 in x.values():  # a zero entry is no entry, as in FiniteVector
+            x = {j: v for j, v in x.items() if v != 0}
+        nx = _p_norm(list(map(abs, x.values())), p)
         if nx == 0.0:
             continue
-        best = max(best, apply_power(shift, x, power).norm() / nx)
+        tx = _shifted(x, power, products)
+        best = max(best, _p_norm(list(map(abs, tx.values())), p) / nx)
     return attained, best
 
 

@@ -368,7 +368,8 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
 def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     """The log column of norm(f^k), k = 1..n >= 1, for a clean f, bit for
     bit as power_norms' generic chain on WienerAlgebra(cap), or None for an
-    f whose support span exceeds ``cap`` (it is never laid out), and once a
+    f whose nonzero terms span more than ``cap`` degrees (it is never laid
+    out; a zero term does not widen the span, as in multiply), and once a
     norm leaves the normal range (zero, subnormal, inf or nan), where the
     chain refuses, stops, rescales or warns.
 
@@ -381,9 +382,10 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     As in _scale, no part underflows when 1/norm > 1/2, so the parts are
     counted only for norms of 2 and more.
     """
-    if f and max(f) - min(f) >= cap:
+    degrees, coeffs = _terms(f)
+    if _span(degrees) > cap:
         return None
-    lo, w = x = _laurent(*_terms(f))
+    lo, w = x = _laurent(degrees, coeffs)
     normal, hi = sys.float_info.min, sys.float_info.max
     count, hypot = np.count_nonzero, np.hypot
     norms = []

@@ -322,6 +322,16 @@ def test_selftest_passes(capsys):
     assert all(ln.startswith("PASS") for ln in lines[:-1])
 
 
+def test_selftest_digest_over_200_seeds():
+    # the battery's output over seeds 0..199, as before its pair checks and
+    # shift trials ran as array kernels: every check, every seed, every byte
+    out = io.StringIO()
+    for seed in range(200):
+        cli.selftest.run_selftest(seed, out)
+    digest = "7553f89e3a5a308bf843533f4e071ef9ad0a2141098ad2e6c598261a6461c5b6"
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_selftest_negative_seed_names_the_option(capsys):
     # numpy refused it as "expected non-negative integer", naming no option
     assert run_cli(capsys, "--seed", "-1", "selftest") == (

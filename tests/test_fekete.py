@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from specrad import fekete, selftest
 from specrad.fekete import PrefixSequence
+from specrad.reports import or_inf
 
 
 def seq(*values, head=False):
@@ -36,6 +39,60 @@ class TestCheckSubmultiplicative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             seq(1.0, -2.0)
+
+
+# --- the pair check against the per-pair loop ------------------------------
+# The reference is check_submultiplicative as it was before the comparisons
+# moved to numpy; the array check must return the same list, order included.
+
+
+def _reference_check_submultiplicative(a, tol_rel):
+    n = len(a)
+    violations = []
+    for j in range(1, n // 2 + 1):
+        for l in range(j, n - j + 1):
+            if a[j + l - 1] > a[j - 1] * a[l - 1] * (1.0 + tol_rel):
+                violations.append((j, l))
+    return violations
+
+
+PAIR_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-308, 1e308, math.inf]),
+    st.floats(0.0, 8.0),
+)
+
+
+class TestPairCheckAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(PAIR_ENTRIES, max_size=90),
+        st.sampled_from([0.0, 1e-9, 1e-6, -0.5]),
+        # one row per block, a few rows per block, and the default
+        st.sampled_from([7, 200, fekete._PAIR_BLOCK]),
+    )
+    def test_same_pairs_in_the_same_order(self, values, tol_rel, block):
+        want = _reference_check_submultiplicative(values, tol_rel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fekete, "_PAIR_BLOCK", block)
+            assert fekete.check_submultiplicative(seq(*values), tol_rel) == want
+
+    def test_extra_memory_is_one_block(self):
+        # all n^2 / 4 pairs at once held 64 MB at n = 4000
+        s = fekete.poly_sequence(1.0, 4000)
+        tracemalloc.start()
+        try:
+            assert fekete.check_submultiplicative(s) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_many_violations_keep_their_order(self):
+        # a_j = exp(j^2 / 1000) breaks every pair; blocks must not reorder them
+        values = [math.exp(j * j / 1000) for j in range(1, 301)]
+        want = _reference_check_submultiplicative(values, 1e-9)
+        assert len(want) == 150 * 150
+        assert fekete.check_submultiplicative(seq(*values)) == want
 
 
 class TestRootReport:
@@ -116,6 +173,34 @@ def test_generators_refuse_a_negative_length(generate):
             generate(n)
 
 
+# the generators as they were before they mapped pow and exp over the prefix,
+# with or_inf around each entry
+def _reference_generated(kind, x, n):
+    if kind == "poly":
+        values = map(or_inf, repeat(pow), map(float, range(2, n + 2)), repeat(x))
+    elif kind == "geom":
+        values = map(or_inf, repeat(pow), repeat(float(x)), range(1, n + 1))
+    else:
+        values = [or_inf(math.exp, x * j + 0.5 * math.sqrt(j)) for j in range(1, n + 1)]
+    return PrefixSequence(tuple(values), has_unit_head=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["poly", "geom", "subadd"]),
+    # entries past the float range from some index on, or none at all
+    st.one_of(st.floats(0.0, 400.0), st.sampled_from([0.0, 1e300, math.inf])),
+    st.integers(0, 1500),
+)
+def test_generators_as_per_entry_or_inf(kind, x, n):
+    generate = {
+        "poly": fekete.poly_sequence,
+        "geom": fekete.geometric_sequence,
+        "subadd": lambda c, n: fekete.subadd_sequence(c, 0.5, n),
+    }[kind]
+    assert repr(generate(x, n)) == repr(_reference_generated(kind, x, n))
+
+
 class TestSelftestGenerator:
     def test_one_scan_per_sequence(self, monkeypatch):
         scans = []
@@ -129,6 +214,73 @@ class TestSelftestGenerator:
     def test_violation_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(fekete, "subadd_sequence", lambda c, d, n: seq(1.0, 3.0))
         assert selftest.check_fekete_generator(np.random.default_rng(0)) is False
+
+
+def _reference_division_violations(a):
+    # selftest's division-bound loop as it was before it became one array
+    # comparison, collecting every broken (k, p, r) instead of stopping
+    length = len(a)
+    a1_pow = [a[0] ** r for r in range(length)]
+    broken = []
+    for k in range(2, length + 1):
+        for p in range(1, (length - 1) // k + 1):
+            ak_pow = a[k - 1] ** p
+            for r in range(1, min(k, length - p * k + 1)):
+                if a[p * k + r - 1] > ak_pow * a1_pow[r] * (1 + selftest.SLACK):
+                    broken.append((k, p, r))
+    return broken
+
+
+def _division_bounds(a):
+    # the right-hand side a_k^p * a_1^r * (1 + SLACK) of each (k, p, r)
+    length = len(a)
+    return {
+        (k, p, r): a[k - 1] ** p * a[0] ** r * (1 + selftest.SLACK)
+        for k in range(2, length + 1)
+        for p in range(1, (length - 1) // k + 1)
+        for r in range(1, min(k, length - p * k + 1))
+    }
+
+
+class TestSelftestDivisionBound:
+    def test_triples_in_loop_order(self):
+        for length in range(0, 50):
+            ks, ps, pair, n, r = selftest._division_triples(length)
+            triples = [(ks[i] + 1, ps[i], rr) for i, rr in zip(pair.tolist(), r.tolist())]
+            want = [
+                (k, p, rr)
+                for k in range(2, length + 1)
+                for p in range(1, (length - 1) // k + 1)
+                for rr in range(1, min(k, length - p * k + 1))
+            ]
+            assert triples == want
+            assert n.tolist() == [p * k + rr - 1 for k, p, rr in want]
+
+    def test_passes_as_the_loop(self):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 2])
+            assert selftest.check_fekete_division_bound(rng)
+            rng = np.random.default_rng([seed, 2])
+            for _ in range(20):
+                s = fekete.subadd_sequence(rng.uniform(-1, 1), rng.uniform(0, 1), 40)
+                assert _reference_division_violations(s.values) == []
+
+    @pytest.mark.parametrize("n", [3, 7, 12, 24, 37, 40])
+    def test_fails_on_exactly_one_broken_triple(self, monkeypatch, n):
+        # raise a_n just past its tightest bound a_k^p * a_1^r: that one
+        # (k, p, r) breaks, and a larger a_n only loosens the triples where
+        # it stands as a_k
+        a = list(fekete.subadd_sequence(0.1, 0.6, 40).values)
+        bound = min(x for (k, p, r), x in _division_bounds(a).items() if p * k + r == n)
+        a[n - 1] = math.nextafter(bound, math.inf)
+        [(k, p, r)] = _reference_division_violations(a)
+        assert p * k + r == n
+        monkeypatch.setattr(fekete, "subadd_sequence", lambda c, d, n: seq(*a, head=True))
+        assert selftest.check_fekete_division_bound(np.random.default_rng(0)) is False
+        a[n - 1] = bound
+        assert _reference_division_violations(a) == []
+        assert selftest.check_fekete_division_bound(np.random.default_rng(0)) is True
+
 
 
 class TestBinomialConvolve:

@@ -177,8 +177,9 @@ class TestOpNormEmpirical:
 
 # --- window products and trial draws against the per-weight loops --------------
 # The references are apply_power and op_norm_empirical as they were before the
-# window product became one math.prod call and the trial draws became one
-# standard_normal call; the current code must agree with them bit for bit.
+# window product became one math.prod call, the trial draws became one
+# standard_normal call and the trials stopped building FiniteVectors; the
+# current code must agree with them bit for bit.
 
 
 def _reference_apply_power(t, x, power):
@@ -233,6 +234,15 @@ POWERS_P = (st.integers(1, 60), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
 
 
 class TestAgainstPerWeightLoops:
+    @pytest.mark.parametrize("power", [1, 3, 10, 25])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_op_norm_empirical_at_the_battery_parameters(self, power, p):
+        # selftest's shift check: harmonic weights 0.5 + 1/j, 200 of them, 20 trials
+        t = shift.harmonic_weights(0.5, 1.0, 200)
+        for seed in range(0, 2**32, 2**29 + 1):  # 8 seeds across the battery's range
+            got = shift.op_norm_empirical(t, power, p, 20, seed)
+            assert repr(got) == repr(_reference_op_norm_empirical(t, power, p, 20, seed))
+
     @settings(max_examples=150, deadline=None)
     @given(SHIFTS, *POWERS_P, st.integers(0, 2**32 - 1))
     def test_op_norm_empirical(self, t, power, p, seed):
@@ -249,6 +259,45 @@ class TestAgainstPerWeightLoops:
         x = FiniteVector(values, p)
         got = shift.apply_power(t, x, power).values
         assert repr(got) == repr(_reference_apply_power(t, x, power).values)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_products_that_round_to_zero(self, p):
+        # 5e-324 times a part below 1/2 rounds to 0: an entry whose parts
+        # both do is dropped, and a trial whose entries all do has norm 0
+        t = WeightedShift((5e-324,))
+        for power in (1, 2, 3):
+            for seed in range(20):
+                got = shift.op_norm_empirical(t, power, p, 20, seed)
+                assert repr(got) == repr(_reference_op_norm_empirical(t, power, p, 20, seed))
+
+    @pytest.mark.parametrize("weight", [0.5, 1e200])
+    def test_zero_draws(self, monkeypatch, weight):
+        # a draw of exactly 0.0 (numpy's ziggurat can return one) in both
+        # parts makes a zero entry, which is no entry; were it shifted, a
+        # window product of inf (1e200^2) would turn it into nan
+        real = np.random.default_rng
+
+        class ZeroingDraws:
+            def __init__(self, seed):
+                self.rng, self.drawn = real(seed), 0
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, size=None):
+                draws = self.rng.standard_normal(1 if size is None else size)
+                # both parts of every third entry, counted across calls
+                entry = (self.drawn + np.arange(draws.size)) // 2
+                draws[entry % 3 == 0] = 0.0
+                self.drawn += draws.size
+                return float(draws[0]) if size is None else draws
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroingDraws)
+        t = WeightedShift((weight,) * 3)
+        for p in (1.0, 2.0, math.inf):
+            for seed in range(10):
+                got = shift.op_norm_empirical(t, 2, p, 20, seed)
+                assert repr(got) == repr(_reference_op_norm_empirical(t, 2, p, 20, seed))
 
 
 class TestShiftLimitExperiment:

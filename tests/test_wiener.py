@@ -886,6 +886,16 @@ class TestWienerPowerLoop:
         want = _table_and_warnings(power_norms, _Chain(cap), f, n)
         assert _table_and_warnings(power_norms, wiener.WienerAlgebra(cap), f, n) == want
 
+    def test_a_far_zero_term_keeps_the_loop(self):
+        # the cap guard reads the span of the nonzero terms: a zero term two
+        # million degrees out sent this element to the dict chain
+        f = {0: 0.6 + 0j, 1: 0.3 + 0j, -2: 0.1j}
+        far = {**f, 2_000_000: 0j}
+        assert wiener._power_logs(far, 256, wiener.COEFF_CAP) is not None
+        want = power_norms(_Chain(), far, 256).to_csv()
+        assert power_norms(wiener.WienerAlgebra(), far, 256).to_csv() == want
+        assert power_norms(wiener.WienerAlgebra(), f, 256).to_csv() == want
+
     @pytest.mark.parametrize("path", POWER_LOOP_PATHS)
     def test_each_path_runs_where_it_should(self, path):
         f, n, fused = POWER_LOOP_PATHS[path]
