@@ -17,7 +17,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import FMT17, RootReport, _json_number, build_report, csv_rows, or_inf
+from .reports import FMT17, RootReport, _strict_json, build_report, csv_rows, or_inf
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -273,8 +273,9 @@ def sequence_to_csv(seq: PrefixSequence) -> str:
 
 def sequence_to_json(seq: PrefixSequence) -> str:
     """The rows of sequence_to_csv as one line of {"k", "value"} objects."""
-    rows = ['{"k": %d, "value": %s}' % (k, _json_number(v)) for k, v in enumerate(seq.values, 1)]
-    return "[" + ", ".join(rows) + "]\n"
+    row = '{"k": %d, "value": ' + FMT17 + "}"
+    rows = [row % kv for kv in enumerate(seq.values, start=1)]
+    return _strict_json("[" + ", ".join(rows) + "]\n")
 
 
 def read_sequence_csv(text: str) -> PrefixSequence:

@@ -18,19 +18,19 @@ from itertools import accumulate, count, islice
 # 17 significant digits: every float reads back exactly
 FMT17 = "%.17g"
 
-# strict JSON has no inf/nan literals; they are written as strings
-_JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
-
 
 def fmt17(x: float) -> str:
     """Format a float with FMT17 (round-trip exact)."""
     return FMT17 % float(x)
 
 
-def _json_number(x: float) -> str:
-    """fmt17 for JSON: a non-finite number is quoted by _JSON_NON_FINITE."""
-    s = fmt17(x)
-    return _JSON_NON_FINITE.get(s, s)
+def _strict_json(text: str) -> str:
+    """JSON text whose numbers FMT17 wrote after ": ", with inf, -inf and
+    nan quoted as strings, as strict JSON has no such literals; a finite
+    number written by FMT17 holds none of these words."""
+    for word in ("inf", "-inf", "nan"):
+        text = text.replace(": " + word, ': "%s"' % word)
+    return text
 
 
 def csv_rows(text: str, header: str):
@@ -107,12 +107,7 @@ class RootReport:
     def to_json(self) -> str:
         rows = self._rows('{"k": %%d, "%s": %s, "root": %%s, "running_min": %%s}'
                           % (self.value_header, FMT17))
-        text = "[\n" + ",\n".join(rows) + "\n]\n"
-        # quote the non-finite numbers as _json_number does; a finite
-        # number written by FMT17 holds none of these words
-        for word, quoted in _JSON_NON_FINITE.items():
-            text = text.replace(": " + word, ": " + quoted)
-        return text
+        return _strict_json("[\n" + ",\n".join(rows) + "\n]\n")
 
 
 def or_inf(f, *args) -> float:

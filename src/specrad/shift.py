@@ -68,26 +68,34 @@ class FiniteVector:
 
     def norm(self) -> float:
         """The p-norm, as _p_norm takes it."""
-        return _p_norm([abs(v) for v in self.values.values()], self.p)
+        return _p_norm(self.values.values(), self.p)
 
 
-def _p_norm(mags: list[float], p: float) -> float:
-    """The p-norm of a vector whose nonzero entries have the moduli ``mags``.
-    When the sum of m^p overflows or falls below the normal range, it is
-    taken relative to the largest modulus M, as M * fsum((m/M)^p)^(1/p)."""
-    if not mags:
-        return 0.0
-    if p == math.inf:
-        return max(mags)
+def _p_norm(values, p: float) -> float:
+    """The p-norm of a vector whose nonzero entries are the complex
+    ``values``: nan with a nan modulus, in any order, and inf past the
+    float range.  When the sum of m^p overflows or falls below the normal
+    range, it is taken relative to the largest modulus M, as
+    M * fsum((m/M)^p)^(1/p)."""
     try:
-        total = math.fsum(m**p for m in mags)
-    except OverflowError:  # float pow and fsum raise past the float range
-        total = None
-    # a normal sum keeps its bits; an inf or nan modulus gives an inf or nan sum
-    if total is not None and not total < sys.float_info.min:
-        return total ** (1.0 / p)
-    big = max(mags)
-    if big == math.inf:
+        mags = list(map(abs, values))
+    except OverflowError:
+        # abs(complex) raises past the float range, and for a nan part while
+        # errno holds an earlier caught ERANGE; hypot does not, and the norm
+        # is then inf or nan, whatever the other moduli round to
+        mags = [math.hypot(z.real, z.imag) for z in values]
+    if p != math.inf:
+        try:
+            total = math.fsum(m**p for m in mags)
+        except OverflowError:  # float pow and fsum raise past the float range
+            total = None
+        # a normal sum keeps its bits; an inf or nan modulus gives an inf or nan sum
+        if total is not None and not total < sys.float_info.min:
+            return total ** (1.0 / p)
+    if any(map(math.isnan, mags)):  # max skips a nan unless it comes first
+        return math.nan
+    big = max(mags, default=0.0)
+    if p == math.inf or big == math.inf:
         return big
     return big * math.fsum((m / big) ** p for m in mags) ** (1.0 / p)
 
@@ -182,11 +190,11 @@ def op_norm_empirical(
         x = dict(zip(indices, map(complex, parts[0::2], parts[1::2])))
         if 0 in x.values():  # a zero entry is no entry, as in FiniteVector
             x = {j: v for j, v in x.items() if v != 0}
-        nx = _p_norm(list(map(abs, x.values())), p)
+        nx = _p_norm(x.values(), p)
         if nx == 0.0:
             continue
         tx = _shifted(x, power, products)
-        best = max(best, _p_norm(list(map(abs, tx.values())), p) / nx)
+        best = max(best, _p_norm(tx.values(), p) / nx)
     return attained, best
 
 

@@ -125,23 +125,11 @@ def _convolve(x, y, cap: int):
 
 def _scale(alpha: complex, a):
     """alpha * a entrywise, rounded as Python's complex product
-    (ar*vr - ai*vi) + (ar*vi + ai*vr)j; inf and nan stay as silent as in
-    Python's arithmetic.  For a finite nonzero real alpha (imaginary part
-    +0.0), numpy's complex multiply differs from it only in the sign of a
-    part whose nonzero product underflows to zero, as it fuses a multiply
-    and an add; it is used unless a nonzero part became zero, which a
-    factor of modulus above 1/2 never makes: a nonzero part p has
-    |p| >= 2^-1074, so |p * alpha| > 2^-1075 rounds to a nonzero, while
-    at exactly 1/2, 5e-324 * 0.5 ties to 0."""
+    (ar*vr - ai*vi) + (ar*vi + ai*vr)j for every alpha, signed zeros
+    included; inf and nan stay as silent as in Python's arithmetic."""
     alpha = complex(alpha)
     ar, ai = alpha.real, alpha.imag
-    parts = a.view(np.float64)
-    if ai == 0 and math.copysign(1.0, ai) > 0 and 0 < abs(ar) < math.inf:
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = a * ar
-        if abs(ar) > 0.5 or not ((out.view(np.float64) == 0) > (parts == 0)).any():
-            return out
-    pairs = parts.reshape(-1, 2)
+    pairs = a.view(np.float64).reshape(-1, 2)
     with np.errstate(invalid="ignore", over="ignore"):
         out = pairs * ar + pairs[:, ::-1] * np.array([-ai, ai])
     return out.view(np.complex128).reshape(-1)
@@ -376,11 +364,15 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     f is laid out as a trimmed array x, and each step fuses mul, norm and
     scale on trimmed arrays.  The product is multiply's kernel, _convolve.
     The norm is _l1's: _moduli_sum of the moduli, which _split_sum decides
-    on long powers.  numpy's multiply is _scale's result unless a nonzero
-    part underflowed to zero; with a normal norm every part is finite, so
-    that shows as fewer nonzero parts, and then _scale and _trimmed run.
-    As in _scale, no part underflows when 1/norm > 1/2, so the parts are
-    counted only for norms of 2 and more.
+    on long powers.  The scale is numpy's complex multiply by the real
+    1/norm, which fuses a multiply and an add, so it differs from _scale's
+    rounding only in the sign of a part whose nonzero product underflows
+    to zero; with a normal norm every part is finite, so that shows as
+    fewer nonzero parts, and then _scale and _trimmed run.  A factor c
+    above 1/2 underflows no part: a nonzero part p has |p| >= 2^-1074, so
+    |p * c| > 2^-1075 rounds to a nonzero, while at exactly 1/2,
+    5e-324 * 0.5 ties to 0.  So the parts are counted only for norms of 2
+    and more.
     """
     degrees, coeffs = _terms(f)
     if _span(degrees) > cap:

@@ -584,6 +584,60 @@ def test_wiener_fallback_table_is_unchanged(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == FALLBACK_TABLE_SHA256[spec]
 
 
+# the fused Wiener power loop's tables that CI's Console-script step pins:
+# every scale of 0:2,1:5e-324 underflows a part and takes _scale; a far
+# product end underflows and is trimmed in the 1e-200 and 1e-100 tables;
+# the span-16 table runs past n = 256; the step norms of 0:1.5,1:1.5 are 3,
+# so the loop counts the parts of each rescaled direction
+FUSED_LOOP_SHA256 = {
+    ("0:2,1:5e-324", 8): "b84ac77de5fe4a608fa7eb49878882f31f644ea05b38df99d6f858b3ccfc008c",
+    ("0:1,1:1e-200", 40): "3a51fa8594e0d279efb3c2b88edec5710ed2672a8ff29f7206db40ddb3e4ff6c",
+    ("0:1,1:1e-100", 40): "3a51fa8594e0d279efb3c2b88edec5710ed2672a8ff29f7206db40ddb3e4ff6c",
+    ("-8:0.3,0:0.2-0.1j,8:0.4", 300): (
+        "65f3dd544f598d2de49d26a62ad6a0772af7740365ecd5ee0e3f1b6044a66408"
+    ),
+    ("0:1.5,1:1.5", 400): "da2165fcc434f26564d869fc872c8c90c7a70e8767e08236958ac912ec7dea7e",
+}
+
+
+@pytest.mark.parametrize("spec, n", sorted(FUSED_LOOP_SHA256))
+def test_fused_loop_table_is_unchanged(capsys, spec, n):
+    code, out, err = run_cli(capsys, "wiener", "--f=" + spec, "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FUSED_LOOP_SHA256[spec, n]
+
+
+# CI's sub.csv, whose subnormal norm leaves the stacked matrix power loop for
+# power_norms' exact rescale (also past the first block of rows at n = 200),
+# and its 70 x 70 nilpotent nil.csv, which reaches a zero power at k = 70
+CI_MATRICES = {
+    "sub": "1e-310+0j,2e-310+0j\n0+0j,3e-310+0j\n",
+    "nil": "\n".join(
+        ",".join("0.9" if j == i + 1 else "0" for j in range(70)) for i in range(70)
+    ) + "\n",
+}
+
+CI_POWER_SHA256 = {
+    ("sub", 8, "inf"): "4278fb3ab9260e60410b0185c149c7352e286141030e125951f49c0ec13e2040",
+    ("sub", 8, "one"): "794f250632166e08807e0f4c44cc59d61f8281ff878d3ab810da417132a14d3e",
+    ("sub", 200, "inf"): "575c165c47aef7c7ed21bd21dfca2214dd9ae6531934546bc1bd39522d6cb19a",
+    ("sub", 200, "one"): "3b0650cf5cc450f60f6ffcf332cc2970ea0408773adcfc38838d19c7e193223b",
+    ("nil", 4000, "inf"): "91119c191ab5921383e6ab65152928f4bed69df2a6854948e71455e118a591d3",
+    ("nil", 4000, "one"): "91119c191ab5921383e6ab65152928f4bed69df2a6854948e71455e118a591d3",
+}
+
+
+@pytest.mark.parametrize("name, n, norm", sorted(CI_POWER_SHA256))
+def test_ci_power_table_is_unchanged(tmp_path, capsys, name, n, norm):
+    path = tmp_path / (name + ".csv")
+    path.write_text(CI_MATRICES[name])
+    code, out, err = run_cli(
+        capsys, "power", "--matrix", str(path), "--n", str(n), "--norm", norm
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_POWER_SHA256[name, n, norm]
+
+
 # "{m}" stands for a CSV file holding 1e-320 * I (2 x 2)
 SUBNORMAL_NORM_INVOCATIONS = {
     "wiener": ["wiener", "--f=3:1e-320,4:1e-320", "--n", "64"],

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from specrad import fekete
 from specrad.fekete import PrefixSequence
-from specrad.reports import RootReport, _json_number, build_report, fmt17
+from specrad.reports import RootReport, _strict_json, build_report, fmt17
 
 # the row record of the earlier implementation
 _Entry = namedtuple("_Entry", "k value root running_min")
@@ -195,4 +195,13 @@ def test_report_fields_are_keyword_only():
 @given(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True)))
 def test_number_writers_match_reference(x):
     assert fmt17(x) == _reference_fmt17(x)
-    assert _json_number(x) == _reference_json_number(x)
+    assert _strict_json('{"v": %s}' % fmt17(x)) == '{"v": %s}' % _reference_json_number(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(nonnegative, min_size=0, max_size=60))
+def test_sequence_json_matches_reference(values):
+    rows = ['{"k": %d, "value": %s}' % (k, _reference_json_number(v))
+            for k, v in enumerate(map(float, values), 1)]
+    want = "[" + ", ".join(rows) + "]\n"
+    assert fekete.sequence_to_json(PrefixSequence(tuple(values))) == want

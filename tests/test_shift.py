@@ -69,6 +69,27 @@ class TestFiniteVector:
     def test_norm_of_an_inf_entry(self):
         assert FiniteVector({1: math.inf, 2: 1e200}, 2.0).norm() == math.inf
 
+    # abs(complex) once raised OverflowError here
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_modulus_past_the_float_range_reads_inf(self, p):
+        assert FiniteVector({1: complex(1.5e308, 1.5e308)}, p).norm() == math.inf
+
+    # the caught overflow of 1e200**2 left errno at ERANGE, and abs(complex)
+    # read it for the nan part and raised
+    def test_nan_entry_after_an_overflowing_norm(self):
+        w = FiniteVector({1: 1e200}, 2.0)
+        v = FiniteVector({1: complex(math.nan, 0.0)}, 2.0)
+        norms = [w.norm(), v.norm()]
+        assert norms[0] == 1e200 and math.isnan(norms[1])
+
+    # max() once skipped a nan unless it came first; at 1e200 and p = 2 the
+    # overflow of big**2 also left errno at ERANGE for the next vector
+    @pytest.mark.parametrize("big, p", [(1.0, math.inf), (1e200, math.inf),
+                                        (math.inf, math.inf), (1e200, 2.0)])
+    def test_nan_entry_gives_nan_in_any_order(self, big, p):
+        for values in ({1: big, 2: math.nan}, {2: math.nan, 1: big}):
+            assert math.isnan(FiniteVector(values, p).norm())
+
 
 class TestApplyPower:
     def test_pure_shift(self):

@@ -905,8 +905,9 @@ class TestWienerPowerLoop:
 
 class TestUnderflowBoundary:
     """A real factor above 1/2 underflows no nonzero part; at exactly 1/2,
-    5e-324 * 0.5 ties to 0.  Both _scale's shortcut and the power loop's
-    part count must treat 1/2 as a factor that can underflow."""
+    5e-324 * 0.5 ties to 0.  _scale must round such parts as Python does,
+    and the power loop's part count must treat 1/2 as a factor that can
+    underflow."""
 
     def test_scale_by_one_half_rounds_as_python(self):
         # numpy's fused product gives the first real part -0.0, Python's +0.0
