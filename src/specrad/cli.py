@@ -22,6 +22,18 @@ from .algebra import DEFAULT_MAX_TERMS, neumann_inverse, power_norms, resolvent
 from .errors import BudgetExceeded, NotConvergent, Singular
 
 SEQUENCE_GENERATORS = "poly:c | geom:r | subadd:c,d"
+# work budgets of the length options, checked before anything is laid out: a
+# table of more than MAX_ROWS rows, or a convolve --n whose n^2 pair sums pass
+# MAX_PAIR_SUMS, is refused with BudgetExceeded.  Both sit far above every size
+# in use (20000 rows, convolve --n 1000); at MAX_ROWS the slowest table,
+# wiener --f 0:0.5, takes about 21 s (2 vCPUs)
+MAX_ROWS = 10**6
+MAX_PAIR_SUMS = 10**8
+
+
+def _check_rows(option: str, n: int) -> None:
+    if n > MAX_ROWS:
+        raise BudgetExceeded("%s %d exceeds the row budget MAX_ROWS=%d" % (option, n, MAX_ROWS))
 
 
 def _parse_sequence_gen(spec: str, n: int, option: str | None = None) -> fekete.PrefixSequence:
@@ -58,11 +70,14 @@ def _parse_weights(spec: str, m: int) -> shift.WeightedShift:
     return shift.harmonic_weights(a, b, m)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text) -> None:
+    """Write a string, or each string of an iterable in turn, to --out or stdout."""
+    parts = [text] if isinstance(text, str) else text
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _report_text(args, report) -> str:
@@ -88,6 +103,7 @@ def run_fekete(args) -> int:
     if args.gen is not None:
         if args.n < 1:
             raise ValueError("need n >= 1")
+        _check_rows("--n", args.n)
         seq = _parse_sequence_gen(args.gen, args.n)
     else:
         seq = fekete.read_sequence_csv(Path(args.input).read_text())
@@ -96,6 +112,9 @@ def run_fekete(args) -> int:
 
 
 def run_convolve(args) -> int:
+    if args.n > 0 and args.n * args.n > MAX_PAIR_SUMS:
+        raise BudgetExceeded("--n %d takes %d pair sums, over the budget MAX_PAIR_SUMS=%d"
+                             % (args.n, args.n * args.n, MAX_PAIR_SUMS))
     a = _parse_sequence_gen(args.a, args.n, "a")
     b = _parse_sequence_gen(args.b, args.n, "b")
     for name, spec, seq in (("a", args.a, a), ("b", args.b, b)):
@@ -109,6 +128,7 @@ def run_convolve(args) -> int:
 
 
 def run_power(args) -> int:
+    _check_rows("--n", args.n)
     a = matrix.read_matrix(Path(args.matrix).read_text())
     alg = matrix.MatrixAlgebra(a.shape[0], args.norm)
     _emit(args, _report_text(args, power_norms(alg, a, args.n)))
@@ -140,11 +160,12 @@ def run_resolvent(args) -> int:
 def run_spectrum(args) -> int:
     a = matrix.read_matrix(Path(args.matrix).read_text())
     spec = matrix.GridSpec(args.re_min, args.re_max, args.im_min, args.im_max, args.step)
-    _emit(args, matrix.spectrum_scan(a, spec, norm_kind=args.norm).to_csv())
+    _emit(args, matrix.spectrum_scan(a, spec, norm_kind=args.norm).csv_blocks())
     return 0
 
 
 def run_wiener(args) -> int:
+    _check_rows("--n", args.n)
     f = wiener.parse_inline(args.f)
     _emit(args, _report_text(args, wiener.wiener_spectral_radius(f, args.n)))
     return 0
@@ -153,6 +174,7 @@ def run_wiener(args) -> int:
 def run_shift(args) -> int:
     if args.l < 1:
         raise ValueError("need l >= 1")
+    _check_rows("--l", args.l)
     if args.m < 0:  # --m 0 means "default to --l"
         raise ValueError("need m >= 0")
     if args.weights_file:

@@ -20,8 +20,9 @@ from .reports import FMT17, RootReport, build_report, fmt17
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB,
-# and writes its CSV in blocks of this many rows; stacks four times larger
-# cost 12% more peak memory in a matrix workload
+# tests them against its eigenvalue disks this many distances at a time, and
+# writes its CSV in blocks of this many rows; stacks four times larger cost
+# 12% more peak memory in a matrix workload
 SCAN_BLOCK_ENTRIES = 2**14
 # a spectrum grid holds at most this many cells: scanning that many for a
 # 1 x 1 matrix takes 6 s and 370 MB (2 cores, numpy 2.4.6)
@@ -166,6 +167,74 @@ def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
     if big.any():
         floors[big] = _norms(stack[big] * PIVOT_RTOL, norm_kind)
     return floors
+
+
+# --- certified eigenvalue disks ------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+# a computed distance times this, rounded, is below the exact distance:
+# the two part differences and hypot err by at most (1 + u)(1 + 2u)
+DISTANCE_DOWN = 1.0 - 8 * UNIT_ROUNDOFF
+
+
+def _up(x: float) -> float:
+    """The float above x: it bounds the exact result of one operation
+    that x is the nearest float to, since they differ by at most half an ulp."""
+    return math.nextafter(x, math.inf)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) rounded up: its numerator and denominator
+    are exact floats for k < 2^52, so only the quotient rounds."""
+    u = UNIT_ROUNDOFF
+    return _up(k * u / (1.0 - k * u))
+
+
+def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Disks that hold every eigenvalue of the d x d matrix a: their centres
+    w and one radius r, with every eigenvalue of a within r of some w_i; or
+    None where no such r is proved.
+
+    LAPACK's eig gives (w, V), a guess that is not trusted.  With R = inv(V),
+    E = A V - V diag(w) and F = I - R V, in the infinity norm: if ||F|| < 1,
+    then R V is invertible, so V is, with ||V^-1|| <= ||R|| / (1 - ||F||).
+    As V^-1 A V = diag(w) + V^-1 E, by Bauer-Fike every eigenvalue of A
+    lies within ||V^-1 E|| <= r = ||R|| ||E|| / (1 - ||F||) of some w_i.
+    A bad guess only gives a large r, or ||F|| >= 1.
+
+    Rounding, in the standard model (Higham, 2002, sections 3.1 and 3.6):
+    a complex product errs by at most sqrt(2) gamma_2 and a sum by u.  Each
+    entry of E and F is a sum of d + 1 products (I's entry counting as
+    one), so it errs by at most sqrt(2) gamma_(d+2) times the sum of the
+    moduli of its products; summed over a row, by sqrt(2) gamma_(d+2)
+    ||V|| (||A|| + max|w|) for E and sqrt(2) gamma_(d+2) (||R|| ||V|| + 1)
+    for F.  A computed norm sums d moduli, each within an ulp (2u), in
+    d - 1 sums, so the exact norm is at most 1 + gamma_(d+1) times it.
+    Products and moduli that underflow err by at most 2^-1074 each,
+    (d + 1)^2 2^-1072 over a row, which is added to every norm.  Each
+    scalar step is rounded up with nextafter, 1 - ||F|| down.  None on a
+    LinAlgError, a non-finite entry or a non-finite r.
+    """
+    d = a.shape[0]
+    try:
+        w, v = np.linalg.eig(a)
+        r = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        e = a @ v - v * w
+        f = np.eye(d) - r @ v
+        rows = [np.hypot(x.real, x.imag).sum(axis=-1).max() for x in (a, v, r, e, f)]
+        w_max = float(np.hypot(w.real, w.imag).max())
+    grow, tiny = _up(1.0 + _gamma(d + 1)), _up((d + 1) ** 2 * 2.0**-1072)
+    na, nv, nr, ne, nf = (_up(_up(float(x) * grow) + tiny) for x in rows)
+    g = _up(_up(math.sqrt(2.0)) * _gamma(d + 2))
+    ne = _up(ne + _up(_up(g * _up(nv * _up(na + _up(w_max * grow)))) + tiny))
+    nf = _up(nf + _up(_up(g * _up(_up(nr * nv) + 1.0)) + tiny))
+    if not nf < 1.0:  # also a nan
+        return None
+    radius = _up(_up(nr * ne) / math.nextafter(1.0 - nf, 0.0))
+    return (w, radius) if math.isfinite(radius) else None
 
 
 def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
@@ -377,38 +446,46 @@ class GridSpec:
 class SpectrumGrid:
     """A scan as row-major columns (re ascending outer, im ascending inner):
     each lambda, whether lambda*I - A is invertible, and its margin.  The
-    margin is the smallest absolute pivot of an eliminated cell, or the
-    certificate slack |lambda| - radius_bound of a cell skipped by the bound.
+    margin is the smallest absolute pivot of an eliminated cell, the
+    certificate slack |lambda| - radius_bound of a cell skipped by the bound,
+    or the distance to the nearest eigenvalue disk of a cell skipped by the
+    disks: the distance to the nearest centre, rounded down, minus r.
     """
 
     cells: np.ndarray
     invertible: np.ndarray
     margin: np.ndarray
 
-    def to_csv(self) -> str:
-        """One row per cell, written SCAN_BLOCK_ENTRIES rows at a time."""
+    def csv_blocks(self):
+        """Yield the CSV: its header, then one string per SCAN_BLOCK_ENTRIES
+        rows, one row per cell."""
         row = "%s,%s,%%s,%s\n" % (FMT17, FMT17, FMT17)
-        blocks = ["re,im,invertible,margin\n"]
+        yield "re,im,invertible,margin\n"
         for start in range(0, len(self.cells), SCAN_BLOCK_ENTRIES):
             part = slice(start, start + SCAN_BLOCK_ENTRIES)
             lams = self.cells[part]
             flags = np.where(self.invertible[part], "true", "false")
             rows = zip(lams.real.tolist(), lams.imag.tolist(), flags.tolist(),
                        self.margin[part].tolist())
-            blocks.append("".join([row % r for r in rows]))
-        return "".join(blocks)
+            yield "".join([row % r for r in rows])
+
+    def to_csv(self) -> str:
+        """The whole CSV as one string."""
+        return "".join(self.csv_blocks())
 
 
 def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     """Classify every grid point as resolvent or spectrum candidate.
 
     Cells with |lambda| above the certified radius bound are marked
-    invertible without elimination.  The rest are eliminated in blocks
-    of about SCAN_BLOCK_ENTRIES matrix entries, a stack of lambda*I - A
-    at a time, without the identity half: a cell is noninvertible when a
-    pivot falls below 1e-12 * norm(lambda*I - A), as in direct_inverse.
-    Flags and margins are bit-identical to eliminating each cell on its
-    own.
+    invertible without elimination, and so are the cells outside every
+    disk of _eigen_disks, where it proves some: their distance to each
+    centre, rounded down (DISTANCE_DOWN), exceeds the disk radius r.  The rest are
+    eliminated in blocks of about SCAN_BLOCK_ENTRIES matrix entries, a
+    stack of lambda*I - A at a time, without the identity half: a cell is
+    noninvertible when a pivot falls below 1e-12 * norm(lambda*I - A), as
+    in direct_inverse.  Their flags and margins are bit-identical to
+    eliminating each cell on its own.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -428,6 +505,20 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
     invertible = radius > upper
     margin = radius - upper
     inside = np.flatnonzero(~invertible)
+    disks = _eigen_disks(a) if inside.size else None
+    if disks is not None:
+        centres, r = disks
+        block, near = max(1, SCAN_BLOCK_ENTRIES // n), []
+        for start in range(0, inside.size, block):
+            index = inside[start : start + block]
+            lams = cells[index, None]
+            with np.errstate(over="ignore"):
+                gap = np.hypot(lams.real - centres.real, lams.imag - centres.imag)
+            gap = gap.min(axis=1) * DISTANCE_DOWN
+            far = gap > r
+            invertible[index[far]], margin[index[far]] = True, gap[far] - r
+            near.append(index[~far])
+        inside = np.concatenate(near) if near else inside
     eye = np.eye(n, dtype=complex)
     block = max(1, SCAN_BLOCK_ENTRIES // (n * n))
     for start in range(0, inside.size, block):

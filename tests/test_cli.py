@@ -419,8 +419,8 @@ GOLDEN_SHA256 = {
     ("selftest", "json"): "5f3ad9ffc0b89d3a0c9ffde262a1358475dee6e2735c90c37bbf083d89d2698b",
     ("shift", "csv"): "56120a04eaf50f5e4e1dbefcf2e59668b59a7d0c3c67eb4360716b9c36b35e05",
     ("shift", "json"): "d0a8401a078dac72e8ee5911c27aabc13dbb190ff2cba520cc86fc949c6db307",
-    ("spectrum", "csv"): "874834afe2aec8d9d332b248b1d98adedcf0678dde16dadf30040957dffbb8cc",
-    ("spectrum", "json"): "874834afe2aec8d9d332b248b1d98adedcf0678dde16dadf30040957dffbb8cc",
+    ("spectrum", "csv"): "a471a3e2ad444090a503671ddc152ad4f9b820665bdc4e9128216b8584763154",
+    ("spectrum", "json"): "a471a3e2ad444090a503671ddc152ad4f9b820665bdc4e9128216b8584763154",
     ("wiener", "csv"): "364fc66b08d65ebb78f55b32379c449837a5cae91432621033581f3e830b76b1",
     ("wiener", "json"): "135604a1496489d9cfa59a015be6fb068c2bc02571e2251dc5ce203cfc3bbdd9",
 }
@@ -441,7 +441,7 @@ def test_readme_invocation_output_is_unchanged(tmp_path, capsys, name, fmt):
 NORM_ONE_SHA256 = {
     ("power", "csv"): "e44541031d1434a85efa2c9ad0668d410031c65ef2889cf92bdabaafefe61990",
     ("power", "json"): "e235cad3e3e68da60917f6f064ec3409204b546c8e9a2bfab9aff0296ff8fbf5",
-    ("spectrum", "csv"): "afe47d8256b259791bf630e080fc9c767e2c515df36e678e5eff94bd027c820d",
+    ("spectrum", "csv"): "ed021fea5eda755954c5032075f78a7c72b0a35da7585ea4b52682c8b3e2ad33",
 }
 
 
@@ -816,10 +816,12 @@ def benchmark_scan_argv(path, n: int, seed: int) -> list[str]:
             "--im-min", repr(-half), "--im-max", repr(half), "--step", repr(step)]
 
 
-# recorded with the per-cell Gauss-Jordan scan that the batched one replaced
+# recorded with the eigenvalue disks, which skip every cell of these scans that
+# the per-cell Gauss-Jordan scan eliminated; they moved the margins of those
+# cells only
 BENCHMARK_SCAN_SHA256 = {
-    16: "fe4847286aaed3ec85b073940d71bad4b5fbf08e9656b78bf9775ae650b9b696",
-    32: "19df420e752db212c0ba9e174762048ff0bc5cb30c2bcb63f2fd5511f2084ac1",
+    16: "36adab6c51926202b3d7e07729f18483fa0f9d092a9860e0ebbbdcccf8bfe92f",
+    32: "9c7626dfcfa4e8315bc1b2a10cc6e66c9827b48920b26e444fa0edb4a3c67c62",
 }
 
 
@@ -829,6 +831,29 @@ def test_benchmark_scan_output_is_unchanged(tmp_path, capsys, n):
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + 40 * 40
     assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_SCAN_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(BENCHMARK_SCAN_SHA256))
+def test_benchmark_scan_eliminates_no_cell(tmp_path, capsys, monkeypatch, n):
+    # every cell inside the radius bound lies outside the eigenvalue disks;
+    # eliminated as before the disks, each is invertible, as the disks prove
+    argv = benchmark_scan_argv(tmp_path / "a.csv", n, seed=n)
+    eliminated, gauss_inverse = [], matrix._gauss_inverse
+
+    def counted(stack, floors, rhs=None):
+        eliminated.append(len(stack))
+        return gauss_inverse(stack, floors, rhs)
+
+    monkeypatch.setattr(matrix, "_gauss_inverse", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, eliminated) == (0, "", [])
+    monkeypatch.setattr(matrix, "_eigen_disks", lambda a: None)
+    code, full, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sum(eliminated) > 250
+    flags = [line.split(",")[2] for line in full.splitlines()[1:]]
+    assert flags == [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert set(flags) == {"true"}
 
 
 # python -m specrad, reporting its peak RSS in KB on stderr once it exits
@@ -853,7 +878,7 @@ def test_capped_grid_scan_is_unchanged_and_bounded(tmp_path):
         check=True,
     )
     assert hashlib.sha256(run.stdout).hexdigest() == (
-        "d396cf12010e989263fe10721344e37c042321cdeba110e0a58846993b454b63"
+        "ce8dcff5c72dcaa3c2a2c93bec034c8a7e5e52d1f7473c2dc625799689a27d73"
     )
     assert int(run.stderr) < 250 * 1024
 
@@ -917,6 +942,39 @@ def test_bad_input_exits_one_with_its_message(tmp_path, capsys, argv, message):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / token) if token.endswith(".csv") else token for token in argv]
     assert run_cli(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+
+# --- work budgets of the length options ------------------------------------------
+
+ROWS = "exceeds the row budget MAX_ROWS=1000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fekete", "--gen", "geom:0.5", "--n", "999999999999"], "--n 999999999999 " + ROWS),
+        (["fekete", "--gen", "geom:0.5", "--n", "1000001"], "--n 1000001 " + ROWS),
+        (
+            ["convolve", "--a", "geom:0.5", "--b", "geom:0.5", "--n", "999999999999"],
+            "--n 999999999999 takes 999999999998000000000001 pair sums, "
+            "over the budget MAX_PAIR_SUMS=100000000",
+        ),
+        (
+            ["convolve", "--a", "geom:0.5", "--b", "geom:0.5", "--n", "10001"],
+            "--n 10001 takes 100020001 pair sums, over the budget MAX_PAIR_SUMS=100000000",
+        ),
+        (["shift", "--weights", "harmonic:0.5,1", "--l", "999999999999"],
+         "--l 999999999999 " + ROWS),
+        (["power", "--matrix", "one.csv", "--n", "999999999999"], "--n 999999999999 " + ROWS),
+        (["wiener", "--f", "0:0.5", "--n", "999999999999"], "--n 999999999999 " + ROWS),
+    ],
+)
+def test_length_past_its_budget_exits_two(tmp_path, capsys, argv, message):
+    # refused before anything is laid out: at 10^12 these ended in a
+    # MemoryError traceback or ran for hours
+    (tmp_path / "one.csv").write_text("0.5+0j\n")
+    argv = [str(tmp_path / token) if token.endswith(".csv") else token for token in argv]
+    assert run_cli(capsys, *argv) == (2, "", "BudgetExceeded: %s\n" % message)
 
 
 # --- Wiener supports wider than the coefficient cap ------------------------------

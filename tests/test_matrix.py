@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import math
 import sys
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -328,6 +331,97 @@ class TestSpectrumScan:
         assert lines[1] == "0,0,false,0"
 
 
+# --- certified eigenvalue disks ----------------------------------------------------
+
+
+def kahan(n, theta=1.2):
+    """Kahan's upper triangular matrix diag(s^0, ..., s^(n-1)) (I - c T), with T
+    the strict upper triangle of ones, s = sin(theta) and c = cos(theta)."""
+    s, c = math.sin(theta), math.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def in_a_disk(z, disks) -> bool:
+    """Whether z lies in one of the disks, decided exactly in Fractions."""
+    centres, r = disks
+    z = complex(z)
+    return any(
+        (Fraction(z.real) - Fraction(w.real)) ** 2 + (Fraction(z.imag) - Fraction(w.imag)) ** 2
+        <= Fraction(r) ** 2
+        for w in centres.tolist()
+    )
+
+
+# a guess (w, V) and an inverse R of V that are off on purpose, each with a
+# matrix whose eigenvalues, its diagonal, are exact
+WRONG_GUESSES = {
+    # A V - V diag(w) rounds to half its exact value, 2^-53 for 2^-52: the
+    # eigenvalue 1 + 2^-52 lies in the disk only with the product rounding terms
+    "rounded-residual": ([[1 + 2**-52]], [1.0], [[1 - 2**-53]], None),
+    # R = inv(V) / 2, so ||F|| = 1/2: the eigenvalues 1 and 2 lie in the disks
+    # only with the factor 1 / (1 - ||F||)
+    "half-inverse": (np.diag([1.0, 2.0]), [1 + 2**-10, 2 + 2**-10], np.eye(2), 0.5 * np.eye(2)),
+}
+
+# recorded before the scan had disks: where _eigen_disks proves none, every
+# cell inside the radius bound is eliminated, as then
+FALLBACK_MATRICES = {"jordan-32": 0.5 * np.eye(32) + np.eye(32, k=1), "kahan-64": kahan(64)}
+FALLBACK_SCAN_SHA256 = {
+    "jordan-32": "2837812fcd3c36b2d1c06338a7ff9619c70ec66887779320ba1b848c04d1db3a",
+    "kahan-64": "97d9684acdc864654433a32d08ecd0671b0b822e65ae7e45604ee1e09029d6bb",
+}
+
+
+class TestEigenDisks:
+    @pytest.mark.parametrize("kind", ["diagonal", "upper", "lower"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 32])
+    def test_exact_eigenvalues_of_triangular_matrices(self, n, kind):
+        rng = np.random.default_rng(n)
+        a = random_matrix(rng, n)
+        a = {"diagonal": np.diag(np.diag(a)), "upper": np.triu(a), "lower": np.tril(a)}[kind]
+        disks = matrix._eigen_disks(a)
+        assert all(in_a_disk(z, disks) for z in np.diag(a))
+
+    def test_exact_eigenvalues_of_kahans_matrix(self):
+        # non-normal, so its disks are wide, but at n = 32 they are proved
+        a = kahan(32).astype(complex)
+        disks = matrix._eigen_disks(a)
+        assert 1e-5 < disks[1] < 1e-3
+        assert all(in_a_disk(z, disks) for z in np.diag(a))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_50_digit_eigenvalues_of_random_matrices(self, n):
+        rng = np.random.default_rng(71 + n)
+        for _ in range(5):
+            a = random_matrix(rng, n)
+            centres, r = matrix._eigen_disks(a)
+            assert r < 1e-12
+            with mpmath.workdps(50):
+                for z in _mp_eigenvalues(a):
+                    assert min(abs(z - mpmath.mpc(w)) for w in centres.tolist()) <= r
+
+    @pytest.mark.parametrize("name", sorted(WRONG_GUESSES))
+    def test_a_wrong_guess_still_gives_disks_that_hold(self, monkeypatch, name):
+        a, w, v, r = WRONG_GUESSES[name]
+        a, w, v = (np.array(x, dtype=complex) for x in (a, w, v))
+        monkeypatch.setattr(np.linalg, "eig", lambda x: (w, v))
+        if r is not None:
+            monkeypatch.setattr(np.linalg, "inv", lambda x: np.array(r, dtype=complex))
+        disks = matrix._eigen_disks(a)
+        assert all(in_a_disk(z, disks) for z in np.diag(a))
+
+    def test_a_singular_guess_proves_nothing(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", lambda x: (np.zeros(2), np.zeros((2, 2))))
+        assert matrix._eigen_disks(np.eye(2, dtype=complex)) is None
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_SCAN_SHA256))
+    def test_non_normal_matrices_fall_back_to_elimination(self, name):
+        a = FALLBACK_MATRICES[name]
+        assert matrix._eigen_disks(a.astype(complex)) is None
+        text = matrix.spectrum_scan(a, matrix.GridSpec(-2, 2, -2, 2, 0.25)).to_csv()
+        assert hashlib.sha256(text.encode()).hexdigest() == FALLBACK_SCAN_SHA256[name]
+
+
 # reference writers with one format call per entry part; the row-template
 # writers must match them byte for byte, signs of zeros and nans included
 EDGE_FLOATS = [
@@ -394,8 +488,10 @@ class TestMatrixIO:
 
 # --- the batched kernel against the per-cell loop it replaced ---------------------
 # The references below are the one-matrix Gauss-Jordan loop, direct_inverse and
-# spectrum_scan as they were before elimination was batched.  The batched code
-# must agree with them bit for bit: flags, margins, inverses and messages.
+# spectrum_scan as they were before elimination was batched; the scan skips the
+# cells outside _eigen_disks' disks, as spectrum_scan does, but tests each one
+# on its own.  The batched code must agree with them bit for bit: flags,
+# margins, inverses and messages.
 
 
 def _reference_gauss_inverse(a, pivot_floor):
@@ -453,6 +549,7 @@ def _reference_spectrum_scan(a, grid, norm_kind="inf"):
     norm = matrix.NORMS[norm_kind]
     upper = spectral_radius_upper(_Chain(n, norm_kind), a, DEFAULT_PROBE_DEPTH)
     upper *= 1.0 + 1e-12
+    disks = matrix._eigen_disks(a)
     eye = np.eye(n, dtype=complex)
     rows = []
     for i in range(len(grid.re_points())):
@@ -461,6 +558,12 @@ def _reference_spectrum_scan(a, grid, norm_kind="inf"):
             if abs(lam) > upper:
                 rows.append((lam, True, abs(lam) - upper))
                 continue
+            if disks is not None:
+                centres, r = disks
+                gap = min(abs(lam - complex(w)) for w in centres) * matrix.DISTANCE_DOWN
+                if gap > r:
+                    rows.append((lam, True, gap - r))
+                    continue
             shifted = lam * eye - a
             inv, pivot = _reference_gauss_inverse(shifted, matrix.PIVOT_RTOL * norm(shifted))
             rows.append((lam, inv is not None, pivot))
@@ -511,6 +614,20 @@ def scan_inputs(draw):
 BLOCK_ROWS = matrix.SCAN_BLOCK_ENTRIES  # rows per block of SpectrumGrid.to_csv
 
 
+def no_disks():
+    """A scan in which _eigen_disks proves no disk, so that every cell inside
+    the radius bound is eliminated."""
+    return mock.patch.object(matrix, "_eigen_disks", lambda a: None)
+
+
+def assert_scan_matches_reference(a, grid, norm_kind="inf"):
+    """spectrum_scan against the per-cell reference, with its disks and without."""
+    for context in (contextlib.nullcontext(), no_disks()):
+        with context:
+            want = _reference_spectrum_scan(a, grid, norm_kind)
+            assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
+
+
 class TestBatchedElimination:
     @settings(max_examples=60, deadline=None)
     @given(scan_inputs(), st.just(SCAN_GRID))
@@ -522,8 +639,7 @@ class TestBatchedElimination:
              matrix.GridSpec(-1e300, 1e300, -1e300, 1e300, 1e300))
     def test_scan_matches_per_cell_elimination(self, case, grid):
         a, norm_kind = case
-        want = _reference_spectrum_scan(a, grid, norm_kind)
-        assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
+        assert_scan_matches_reference(a, grid, norm_kind)
 
     @pytest.mark.parametrize("norm_kind", sorted(matrix.NORMS))
     @pytest.mark.parametrize("n", [16, 32])
@@ -532,8 +648,7 @@ class TestBatchedElimination:
         a = random_matrix(rng, n)
         a /= matrix.inf_norm(a)
         grid = matrix.GridSpec(-1.0, 1.0, -1.0, 1.0, 2.0 / 19)
-        want = _reference_spectrum_scan(a, grid, norm_kind)
-        assert matrix.spectrum_scan(a, grid, norm_kind).to_csv() == want
+        assert_scan_matches_reference(a, grid, norm_kind)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("n", [4, 16, 32])
@@ -547,9 +662,11 @@ class TestBatchedElimination:
         rng = np.random.default_rng(count)
         a = np.triu(random_matrix(rng, n), 1)
         a[np.diag_indices(n)] = [4.0, points[0], points[count // 2], points[-1]] * (n // 4)
-        scan = matrix.spectrum_scan(a, grid)
-        assert scan.to_csv() == _reference_spectrum_scan(a, grid)
-        assert len(noninvertible(scan)) == 3
+        for context in (contextlib.nullcontext(), no_disks()):
+            with context:
+                scan = matrix.spectrum_scan(a, grid)
+                assert scan.to_csv() == _reference_spectrum_scan(a, grid)
+                assert len(noninvertible(scan)) == 3
 
     @settings(max_examples=100, deadline=None)
     @given(
