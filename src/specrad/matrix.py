@@ -586,11 +586,20 @@ def matrix_to_json(a) -> str:
 
 
 def read_matrix_json(text: str) -> np.ndarray:
+    """Rows of [re, im] cells, each exactly two JSON numbers.  A cell must
+    unpack into two values, and complex() refuses every JSON value but a
+    number or a boolean; with no string left in the text, a "true" or
+    "false" in it can only be a boolean."""
     import json
 
-    data = json.loads(text)
     try:
-        rows = [[complex(cell[0], cell[1]) for cell in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON matrix input nested too deeply") from None
+    try:
+        rows = [[complex(re, im) for re, im in row] for row in data]
+        if "true" in text or "false" in text:
+            raise TypeError("true and false are not numbers")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("expected a JSON array of rows of [re, im] pairs: %s" % exc) from None
     return _finite_matrix(rows)

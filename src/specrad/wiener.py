@@ -51,13 +51,6 @@ def _terms(f: Element):
     return degrees[keep], coeffs[keep]
 
 
-def _element(degrees, coeffs) -> Element:
-    """The element with the nonzero entries of ``coeffs``, at the matching
-    entries of the int iterable ``degrees``."""
-    keep = coeffs.astype(bool)
-    return dict(zip(compress(degrees, keep.tolist()), coeffs[keep].tolist()))
-
-
 # --- kernels on trimmed arrays -----------------------------------------------
 #
 # A trimmed element is a pair (lo, a): a 1-D complex128 array a whose entry i
@@ -72,10 +65,10 @@ def _span(degrees) -> int:
     return int(degrees.max()) - int(degrees.min()) + 1 if degrees.size else 0
 
 
-def _check_span(span: int, cap: int) -> None:
-    if span > cap:
+def _check_span(span: int) -> None:
+    if span > COEFF_CAP:
         raise BudgetExceeded(
-            "product support span %d exceeds coefficient cap %d" % (span, cap)
+            "product support span %d exceeds coefficient cap %d" % (span, COEFF_CAP)
         )
 
 
@@ -107,32 +100,20 @@ def _content_key(lo: int, a):
     return (len(items), items)
 
 
-def _convolve(x, y, cap: int):
+def _convolve(x, y):
     """Product of nonzero trimmed elements: coefficient convolution, trimmed.
 
     numpy's convolve puts the longer operand first; for operands of equal
     span the order is canonicalized before convolving, so that x*y and
     y*x are the same float computation, making commutativity exact
     coefficient-wise.  Raises BudgetExceeded when the product span would
-    exceed ``cap``.
+    exceed COEFF_CAP.
     """
     (lo_x, a), (lo_y, b) = x, y
-    _check_span(a.size + b.size - 1, cap)
+    _check_span(a.size + b.size - 1)
     if a.size == b.size and _content_key(lo_y, b) < _content_key(lo_x, a):
         a, b = b, a
     return _trimmed(lo_x + lo_y, np.convolve(a, b))
-
-
-def _scale(alpha: complex, a):
-    """alpha * a entrywise, rounded as Python's complex product
-    (ar*vr - ai*vi) + (ar*vi + ai*vr)j for every alpha, signed zeros
-    included; inf and nan stay as silent as in Python's arithmetic."""
-    alpha = complex(alpha)
-    ar, ai = alpha.real, alpha.imag
-    pairs = a.view(np.float64).reshape(-1, 2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = pairs * ar + pairs[:, ::-1] * np.array([-ai, ai])
-    return out.view(np.complex128).reshape(-1)
 
 
 # Arrays of at least this many moduli are summed by _split_sum, shorter
@@ -217,19 +198,20 @@ def _l1(a) -> float:
 # --- the dict API ------------------------------------------------------------
 
 
-def multiply(f: Element, g: Element, cap: int = COEFF_CAP) -> Element:
+def multiply(f: Element, g: Element) -> Element:
     """Coefficient convolution (f*g)_k = sum_j f_j g_{k-j}.
 
     Exactly commutative coefficient-wise (see ``_convolve``).  Raises
-    BudgetExceeded when the output support span would exceed ``cap``,
+    BudgetExceeded when the output support span would exceed COEFF_CAP,
     before either operand is laid out as an array.
     """
     (df, cf), (dg, cg) = _terms(f), _terms(g)
     if not cf.size or not cg.size:
         return {}
-    _check_span(_span(df) + _span(dg) - 1, cap)
-    lo, a = _convolve(_laurent(df, cf), _laurent(dg, cg), cap)
-    return _element(range(lo, lo + a.size), a)
+    _check_span(_span(df) + _span(dg) - 1)
+    lo, a = _convolve(_laurent(df, cf), _laurent(dg, cg))
+    keep = a.astype(bool)  # nonzero, NaN included
+    return dict(zip(compress(range(lo, lo + a.size), keep.tolist()), a[keep].tolist()))
 
 
 def add(f: Element, g: Element) -> Element:
@@ -240,7 +222,9 @@ def add(f: Element, g: Element) -> Element:
 
 
 def scale(alpha: complex, f: Element) -> Element:
-    return _element(f, _scale(alpha, np.fromiter(f.values(), np.complex128, len(f))))
+    """alpha * f: Python's complex product on each coefficient, zeros pruned."""
+    alpha = complex(alpha)
+    return {k: z for k, v in f.items() if (z := alpha * complex(v))}
 
 
 def l1_norm(f: Element) -> float:
@@ -262,11 +246,8 @@ def evaluate(f: Element, theta: float) -> complex:
 class WienerAlgebra(Algebra):
     """The Wiener algebra as an engine instance on the API's clean dicts,
     through the dict functions; ``mul`` is ``multiply``, which refuses a
-    product past ``cap`` before laying out any array.  Trimmed arrays live
-    only inside the kernels and ``_power_logs``."""
-
-    def __init__(self, cap: int = COEFF_CAP):
-        self.cap = cap
+    product past COEFF_CAP before laying out any array.  Trimmed arrays
+    live only inside the kernels and ``_power_logs``."""
 
     add, scale, norm = staticmethod(add), staticmethod(scale), staticmethod(l1_norm)
 
@@ -279,13 +260,13 @@ class WienerAlgebra(Algebra):
         return {}
 
     def mul(self, x, y):
-        return multiply(x, y, self.cap)
+        return multiply(x, y)
 
     def is_zero(self, x) -> bool:
         return not any(x.values())
 
     def power_logs(self, x, n: int):
-        return _power_logs(x, n, self.cap)
+        return _power_logs(x, n)
 
 
 @dataclass(frozen=True)
@@ -353,29 +334,29 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 
-def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
+def _power_logs(f: Element, n: int) -> list[float] | None:
     """The log column of norm(f^k), k = 1..n >= 1, for a clean f, bit for
-    bit as power_norms' generic chain on WienerAlgebra(cap), or None for an
-    f whose nonzero terms span more than ``cap`` degrees (it is never laid
-    out; a zero term does not widen the span, as in multiply), and once a
-    norm leaves the normal range (zero, subnormal, inf or nan), where the
-    chain refuses, stops, rescales or warns.
+    bit as power_norms' generic chain on WienerAlgebra(), or None where the
+    loop cannot match the chain, which then gives the table: for an f whose
+    nonzero terms span more than COEFF_CAP degrees (it is never laid out;
+    a zero term does not widen the span, as in multiply), once a norm
+    leaves the normal range (zero, subnormal, inf or nan), where the chain
+    refuses, stops, rescales or warns, and once a rescale zeroes a part.
 
     f is laid out as a trimmed array x, and each step fuses mul, norm and
     scale on trimmed arrays.  The product is multiply's kernel, _convolve.
     The norm is _l1's: _moduli_sum of the moduli, which _split_sum decides
     on long powers.  The scale is numpy's complex multiply by the real
-    1/norm, which fuses a multiply and an add, so it differs from _scale's
-    rounding only in the sign of a part whose nonzero product underflows
-    to zero; with a normal norm every part is finite, so that shows as
-    fewer nonzero parts, and then _scale and _trimmed run.  A factor c
-    above 1/2 underflows no part: a nonzero part p has |p| >= 2^-1074, so
-    |p * c| > 2^-1075 rounds to a nonzero, while at exactly 1/2,
-    5e-324 * 0.5 ties to 0.  So the parts are counted only for norms of 2
-    and more.
+    1/norm, which fuses a multiply and an add, so it differs from scale's
+    Python product only in the sign of a part whose nonzero product
+    underflows to zero; with a normal norm every part is finite, so that
+    shows as fewer nonzero parts.  A factor c above 1/2 underflows no
+    part: a nonzero part p has |p| >= 2^-1074, so |p * c| > 2^-1075 rounds
+    to a nonzero, while at exactly 1/2, 5e-324 * 0.5 ties to 0.  So the
+    parts are counted only for norms of 2 and more.
     """
     degrees, coeffs = _terms(f)
-    if _span(degrees) > cap:
+    if _span(degrees) > COEFF_CAP:
         return None
     lo, w = x = _laurent(degrees, coeffs)
     normal, hi = sys.float_info.min, sys.float_info.max
@@ -384,7 +365,7 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
     with np.errstate(all="ignore"):
         for k in range(n):
             if k:
-                lo, w = _convolve((lo, d), x, cap)
+                lo, w = _convolve((lo, d), x)
             try:
                 nw = _moduli_sum(hypot(w.real, w.imag))
             except OverflowError:
@@ -395,21 +376,19 @@ def _power_logs(f: Element, n: int, cap: int) -> list[float] | None:
             inv = 1.0 / nw
             d = w * inv
             if inv <= 0.5 and count(d.view(float)) != count(w.view(float)):
-                lo, d = _trimmed(lo, _scale(inv, w))
+                return None
     return list(accumulate(map(math.log, norms)))
 
 
-def wiener_spectral_radius(
-    f: Element, n: int, cap: int = COEFF_CAP
-) -> RootReport:
-    """power_norms(WienerAlgebra(cap), f, n): the running minimum of the
+def wiener_spectral_radius(f: Element, n: int) -> RootReport:
+    """power_norms(WienerAlgebra(), f, n): the running minimum of the
     roots converges to the sup norm of f (downward, being an upper bound
-    at every k).  An f whose own support span exceeds ``cap`` runs on the
-    dict, and its first product raises BudgetExceeded."""
-    return power_norms(WienerAlgebra(cap), clean(f), n)
+    at every k).  An f whose own support span exceeds COEFF_CAP runs on
+    the dict, and its first product raises BudgetExceeded."""
+    return power_norms(WienerAlgebra(), clean(f), n)
 
 
-def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Element:
+def wiener_inverse(f: Element, tol: float = 1e-10) -> Element:
     """Reciprocal in the Wiener algebra with l1 residual below tol.
 
     Factors f = c * (e - g) with c the degree-0 coefficient, widening the
@@ -418,7 +397,7 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
     1; the factorization needs a nonzero degree-0 coefficient to
     start.  The series is summed by repeated squaring until its tail bound
     meets ``tol``, so the partial sum's support doubles with each step;
-    ``cap`` bounds the support span of every product (BudgetExceeded),
+    COEFF_CAP bounds the support span of every product (BudgetExceeded),
     alongside the term budget of neumann_inverse.  NotConvergent is also
     raised when a coefficient of the reciprocal passes the float range
     (a tiny c), as no float element then meets the residual contract.
@@ -430,7 +409,7 @@ def wiener_inverse(f: Element, tol: float = 1e-10, cap: int = COEFF_CAP) -> Elem
             "degree-0 coefficient is zero; cannot factor f = c*(e - g)"
         )
     g = {k: -v / c for k, v in f.items() if k != 0}
-    y = scale(1.0 / c, neumann_inverse(WienerAlgebra(cap), g, tol))
+    y = scale(1.0 / c, neumann_inverse(WienerAlgebra(), g, tol))
     if not all(map(cmath.isfinite, y.values())):
         raise NotConvergent(
             "reciprocal has a coefficient past the float range (1/c = %r)" % (1.0 / c)

@@ -365,6 +365,29 @@ def test_matrix_json_wrong_shape_exits_one(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+# a cell is exactly two JSON numbers, and JSON nested past the parser's
+# recursion limit is bad input too: each exits 1 with one error line, which
+# starts with the message given here (the rest is Python's own wording)
+PAIRS = "expected a JSON array of rows of [re, im] pairs: "
+MALFORMED_JSON_MATRICES = {
+    "object cell": ('[[{"0": 1, "1": 2}]]', PAIRS),
+    "nested 100000 deep": ("[" * 100000 + "]" * 100000, "JSON matrix input nested too deeply\n"),
+    "three numbers": ("[[[1, 2, 3]]]", PAIRS),
+    "booleans": ("[[[true, false]]]", PAIRS + "true and false are not numbers\n"),
+    "int past the float range": ("[[[1%s, 0]]]" % ("0" * 400), PAIRS),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_JSON_MATRICES)
+def test_matrix_json_malformed_cell_exits_one(tmp_path, capsys, case):
+    text, message = MALFORMED_JSON_MATRICES[case]
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "power", "--matrix", str(path), "--n", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_convolve_json_non_finite_parses(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "convolve", "--a", "geom:3e102", "--b", "geom:3e102",
@@ -584,8 +607,9 @@ def test_wiener_fallback_table_is_unchanged(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == FALLBACK_TABLE_SHA256[spec]
 
 
-# the fused Wiener power loop's tables that CI's Console-script step pins:
-# every scale of 0:2,1:5e-324 underflows a part and takes _scale; a far
+# the Wiener power tables that CI's Console-script step pins, all but one
+# from the fused loop: every scale of 0:2,1:5e-324 underflows a part, so
+# the loop leaves that table to power_norms' chain; a far
 # product end underflows and is trimmed in the 1e-200 and 1e-100 tables;
 # the span-16 table runs past n = 256; the step norms of 0:1.5,1:1.5 are 3,
 # so the loop counts the parts of each rescaled direction

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import _mp_eigenvalues
 
 from specrad import matrix
 from specrad.algebra import DEFAULT_PROBE_DEPTH, power_norms, spectral_radius_upper
@@ -187,13 +188,6 @@ class TestEigenOracle:
             for lam in matrix.eigen_oracle(a):
                 sigma_min = np.linalg.svd(lam * np.eye(n) - a, compute_uv=False)[-1]
                 assert sigma_min <= 1e-12 * max(1.0, matrix.inf_norm(a))
-
-
-def _mp_eigenvalues(a):
-    """Eigenvalues of a at 50 digits; mpmath.eig returns a tuple for n = 1."""
-    with mpmath.workdps(50):
-        values = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
-    return values[0] if isinstance(values, tuple) else values
 
 
 class TestOracleAccuracy:

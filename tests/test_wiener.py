@@ -3,14 +3,16 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import _DictWiener, _exact_l1, _exact_residual_l1, _reference_multiply
 
 from specrad import wiener
-from specrad.algebra import Algebra, power_norms
+from specrad.algebra import power_norms
 from specrad.errors import BudgetExceeded, NotConvergent
 
 E = {0: 1.0 + 0j}
@@ -29,10 +31,6 @@ nonnegative_elements = st.dictionaries(
     min_size=1,
     max_size=7,
 )
-
-
-def _exact_l1(f) -> Fraction:
-    return sum(Fraction(v.real) for v in f.values())
 
 
 # as nonnegative_elements, with moduli from 1e-30 up, so that tails vanish
@@ -94,8 +92,9 @@ class TestMultiply:
 
     def test_support_cap(self):
         wide = {0: 1.0 + 0j, 500: 1.0 + 0j}
-        with pytest.raises(BudgetExceeded, match="cap"):
-            wiener.multiply(wide, wide, cap=900)
+        with mock.patch.object(wiener, "COEFF_CAP", 900):
+            with pytest.raises(BudgetExceeded, match="cap"):
+                wiener.multiply(wide, wide)
 
     def test_zero_terms_are_not_in_the_span(self):
         # laid out, the zero term at degree 2*10^6 would pass the cap
@@ -357,8 +356,9 @@ class TestWienerSpectralRadius:
             assert r == pytest.approx(2.0, rel=1e-12)
 
     def test_budget_on_support_growth(self):
-        with pytest.raises(BudgetExceeded):
-            wiener.wiener_spectral_radius({0: 1.0 + 0j, 1000: 1.0 + 0j}, 64, cap=5000)
+        with mock.patch.object(wiener, "COEFF_CAP", 5000):
+            with pytest.raises(BudgetExceeded):
+                wiener.wiener_spectral_radius({0: 1.0 + 0j, 1000: 1.0 + 0j}, 64)
 
     def test_running_min_approaches_sup(self):
         rng = np.random.default_rng(73)
@@ -489,84 +489,6 @@ class TestIO:
 # --- bit identity of the array kernels with their dict-loop definitions -------
 
 
-def _reference_multiply(f, g, cap=wiener.COEFF_CAP):
-    """The dict-loop product the array kernel replaced, kept as its oracle."""
-
-    def span(h):
-        return max(h) - min(h) + 1 if h else 0
-
-    def content_key(h):
-        return (len(h), tuple(sorted((k, v.real, v.imag) for k, v in h.items())))
-
-    f, g = wiener.clean(f), wiener.clean(g)
-    if not f or not g:
-        return {}
-    if span(f) + span(g) - 1 > cap:
-        raise BudgetExceeded("product support span exceeds coefficient cap")
-    if content_key(g) < content_key(f):
-        f, g = g, f
-    off_f, off_g = min(f), min(g)
-    arr_f = np.zeros(span(f), dtype=complex)
-    for k, v in f.items():
-        arr_f[k - off_f] = v
-    arr_g = np.zeros(span(g), dtype=complex)
-    for k, v in g.items():
-        arr_g[k - off_g] = v
-    conv = np.convolve(arr_f, arr_g)
-    base = off_f + off_g
-    return {base + i: complex(z) for i, z in enumerate(conv) if z != 0}
-
-
-class _DictWiener(Algebra):
-    """The Wiener algebra on coefficient dicts, through the public dict
-    functions: the reference engine instance for WienerAlgebra."""
-
-    def __init__(self, cap: int = wiener.COEFF_CAP):
-        self.cap = cap
-
-    @property
-    def one(self):
-        return {0: 1.0 + 0j}
-
-    @property
-    def zero(self):
-        return {}
-
-    def add(self, x, y):
-        return wiener.add(x, y)
-
-    def scale(self, alpha, x):
-        return wiener.scale(alpha, x)
-
-    def mul(self, x, y):
-        return wiener.multiply(x, y, cap=self.cap)
-
-    def norm(self, x) -> float:
-        return wiener.l1_norm(x)
-
-    def is_zero(self, x) -> bool:
-        return all(v == 0 for v in x.values())
-
-
-def _exact_residual_l1(f, y) -> Fraction:
-    """The l1 norm of f*y - 1 from exact products and sums, each modulus
-    rounded up to a multiple of 2^-2148 (floats are multiples of 2^-1074)."""
-    def fixed(z):
-        return int(Fraction(z.real) * 2**1074), int(Fraction(z.imag) * 2**1074)
-
-    def ceil_sqrt(n):
-        return math.isqrt(n - 1) + 1 if n else 0
-
-    out = {0: (-(2**2148), 0)}
-    for j, u in f.items():
-        ur, ui = fixed(u)
-        for k, v in y.items():
-            vr, vi = fixed(v)
-            re, im = out.get(j + k, (0, 0))
-            out[j + k] = (re + ur * vr - ui * vi, im + ur * vi + ui * vr)
-    return Fraction(sum(ceil_sqrt(re * re + im * im) for re, im in out.values()), 2**2148)
-
-
 def _outcome(call, *args):
     """The CSV of a table, the sorted-items repr of an element (reprs keep
     signed zeros and NaN), or the exception's type and message."""
@@ -639,8 +561,9 @@ class TestKernelsMatchDictLoops:
     @example(1e-10, [complex(-1e-320, -1.0825896458679949)])
     def test_scale_real_rounds_as_python(self, alpha, values):
         # reprs, which tell the signed zeros apart and show every nan
-        got = wiener._scale(alpha, np.array(values, np.complex128)).tolist()
-        assert repr(got) == repr([complex(alpha) * z for z in values])
+        got = wiener.scale(alpha, dict(enumerate(values)))
+        want = {k: z for k, v in enumerate(values) if (z := complex(alpha) * v)}
+        assert repr(got) == repr(want)
 
     def test_add_keeps_signed_zeros(self):
         # dict == treats -0.0 as 0.0, so compare the reprs
@@ -752,8 +675,9 @@ class TestPowerTablesOnArrays:
         assert peak < 2**20
 
     def test_first_product_past_the_cap(self):
-        with pytest.raises(BudgetExceeded, match="span 1001 exceeds coefficient cap 900"):
-            wiener.wiener_spectral_radius({0: 1.0 + 0j, 500: 1.0 + 0j}, 2, cap=900)
+        with mock.patch.object(wiener, "COEFF_CAP", 900):
+            with pytest.raises(BudgetExceeded, match="span 1001 exceeds coefficient cap 900"):
+                wiener.wiener_spectral_radius({0: 1.0 + 0j, 500: 1.0 + 0j}, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(elements, elements)
@@ -814,7 +738,9 @@ def _table_and_warnings(call, *args):
 # (f, n, whether _power_logs gives the table) for each path of the loop
 POWER_LOOP_PATHS = {
     "monomial: every step is _convolve": ({0: 2.0 + 0j}, 1100, True),
-    "each scale underflows a part: _scale": ({0: 2.0 + 0j, 1: 5e-324 + 0j}, 8, True),
+    "each scale underflows a part: power_norms runs the chain": (
+        {0: 2.0 + 0j, 1: 5e-324 + 0j}, 8, False
+    ),
     "an underflowed end of equal-size operands, trimmed by _convolve": (
         {0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, True
     ),
@@ -857,8 +783,9 @@ class TestWienerPowerLoop:
     @example({0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, 3)
     @example({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, 5)
     def test_table_and_warnings_as_power_norms(self, f, n, cap):
-        want = _table_and_warnings(power_norms, _Chain(cap), wiener.clean(f), n)
-        assert _table_and_warnings(wiener.wiener_spectral_radius, f, n, cap) == want
+        with mock.patch.object(wiener, "COEFF_CAP", cap):
+            want = _table_and_warnings(power_norms, _Chain(), wiener.clean(f), n)
+            assert _table_and_warnings(wiener.wiener_spectral_radius, f, n) == want
 
     def test_power_norms_runs_the_loop_without_multiply(self, monkeypatch):
         # the README's element: no dict product is left to run
@@ -883,15 +810,16 @@ class TestWienerPowerLoop:
     def test_unclean_dict_as_the_chain(self, f, n, cap):
         # the engine instance takes dicts with zero terms, which are never
         # laid out: they widen neither an array nor a product's span
-        want = _table_and_warnings(power_norms, _Chain(cap), f, n)
-        assert _table_and_warnings(power_norms, wiener.WienerAlgebra(cap), f, n) == want
+        with mock.patch.object(wiener, "COEFF_CAP", cap):
+            want = _table_and_warnings(power_norms, _Chain(), f, n)
+            assert _table_and_warnings(power_norms, wiener.WienerAlgebra(), f, n) == want
 
     def test_a_far_zero_term_keeps_the_loop(self):
         # the cap guard reads the span of the nonzero terms: a zero term two
         # million degrees out sent this element to the dict chain
         f = {0: 0.6 + 0j, 1: 0.3 + 0j, -2: 0.1j}
         far = {**f, 2_000_000: 0j}
-        assert wiener._power_logs(far, 256, wiener.COEFF_CAP) is not None
+        assert wiener._power_logs(far, 256) is not None
         want = power_norms(_Chain(), far, 256).to_csv()
         assert power_norms(wiener.WienerAlgebra(), far, 256).to_csv() == want
         assert power_norms(wiener.WienerAlgebra(), f, 256).to_csv() == want
@@ -899,35 +827,40 @@ class TestWienerPowerLoop:
     @pytest.mark.parametrize("path", POWER_LOOP_PATHS)
     def test_each_path_runs_where_it_should(self, path):
         f, n, fused = POWER_LOOP_PATHS[path]
-        logs = wiener._power_logs(f, n, wiener.COEFF_CAP)
+        logs = wiener._power_logs(f, n)
         assert (logs is not None) == fused
 
 
 class TestUnderflowBoundary:
     """A real factor above 1/2 underflows no nonzero part; at exactly 1/2,
-    5e-324 * 0.5 ties to 0.  _scale must round such parts as Python does,
-    and the power loop's part count must treat 1/2 as a factor that can
-    underflow."""
+    5e-324 * 0.5 ties to 0.  The power loop's own product w * inv keeps
+    every part above 1/2, so it counts the parts only from 1/2 down, and
+    there the count catches the tie; scale rounds as Python does."""
 
     def test_scale_by_one_half_rounds_as_python(self):
         # numpy's fused product gives the first real part -0.0, Python's +0.0
         values = [complex(-5e-324, -1.0), complex(5e-324, 1.0), complex(-1.0, 5e-324)]
-        got = wiener._scale(0.5, np.array(values)).tolist()
-        assert repr(got) == repr([0.5 * z for z in values])
+        got = wiener.scale(0.5, dict(enumerate(values)))
+        assert repr(list(got.values())) == repr([0.5 * z for z in values])
+        w = np.array(values)
+        d = w * 0.5
+        assert np.count_nonzero(d.view(float)) < np.count_nonzero(w.view(float))
 
     @pytest.mark.parametrize("alpha", [math.nextafter(0.5, 1.0), -math.nextafter(0.5, 1.0)])
     def test_scale_just_above_one_half_keeps_every_part(self, alpha):
         values = [complex(5e-324, -5e-324), complex(-5e-324, 1.0)]
-        got = wiener._scale(alpha, np.array(values)).tolist()
-        assert repr(got) == repr([alpha * z for z in values])
+        with np.errstate(all="ignore"):
+            got = (np.array(values) * alpha).tolist()
         assert all(z.real and z.imag for z in got)
 
     def test_power_loop_rescales_by_one_half_as_power_norms(self):
         # norm(f) = 2, so 1/norm is 1/2 and the far term 5e-324 / 2 ties to
         # 0; kept as a zero end, the direction would make x^2 pass the cap
         f = {0: 2.0 + 0j, 1: 5e-324 + 0j}
-        want = power_norms(_Chain(2), f, 8).to_csv()
-        assert wiener.wiener_spectral_radius(f, 8, cap=2).to_csv() == want
+        with mock.patch.object(wiener, "COEFF_CAP", 2):
+            want = power_norms(_Chain(), f, 8).to_csv()
+            assert wiener._power_logs(f, 8) is None
+            assert wiener.wiener_spectral_radius(f, 8).to_csv() == want
 
 
 # --- Neumann inverses on trimmed arrays ----------------------------------------
@@ -969,7 +902,8 @@ class TestInverseOnArrays:
         # finite terms on a narrow support, and a c that is not tiny, must
         # be inverted
         try:
-            y = wiener.wiener_inverse(f, tol, cap)
+            with mock.patch.object(wiener, "COEFF_CAP", cap):
+                y = wiener.wiener_inverse(f, tol)
         except (BudgetExceeded, NotConvergent):
             # then |y_k| <= 2 / |c| stays below the float range
             c = f[0]
