@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, compress
 
 import numpy as np
@@ -276,9 +278,9 @@ class SupEstimate:
     grid_max, the max of |f| over the sampling grid, is a lower bound for
     the sup up to float rounding.  upper is grid_max plus the derivative
     bound certified_upper_error = (pi/M) * sum |j*a_j| for grid size M and
-    a bound on the rounding of the samples, rounded up, and clipped at the
-    l1 norm rounded outward (``l1_norm`` rounds to nearest); both are at
-    least the sup."""
+    a bound on the rounding of the samples, rounded up, and clipped at an
+    upper bound of the exact l1 norm (``l1_norm`` rounds to nearest); both
+    are at least the sup."""
 
     grid_max: float
     certified_upper_error: float
@@ -293,44 +295,55 @@ class SupEstimate:
         return 0.5 * (self.grid_max + self.upper)
 
 
+@lru_cache(maxsize=4)
+def _unit_roots(grid_size: int):
+    """The read-only table e^{2 pi i r / M}, r = 0..M-1, for grid size M."""
+    roots = np.exp(1j * (2.0 * math.pi * np.arange(grid_size) / grid_size))
+    roots.flags.writeable = False  # shared by every later call
+    return roots
+
+
 def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
-    """Sample |f| on an equispaced circle grid and certify the sup bracket."""
-    if grid_size < 8:
-        raise ValueError("grid_size must be >= 8")
+    """Sample |f| on an equispaced circle grid and certify the sup bracket.
+    grid_size is an integer >= 8 (a numpy integer too)."""
+    m = operator.index(grid_size) if hasattr(type(grid_size), "__index__") else 0
+    if m < 8:
+        raise ValueError("grid_size must be an integer >= 8, got %r" % (grid_size,))
     f = clean(f)
     if not f:
         return SupEstimate(0.0, 0.0, 0.0)
     l1 = l1_norm(f)
     degrees, values = zip(*sorted(f.items()))
-    # e^{2 pi i j k / M} depends on k mod M only: take the remainder k' in
-    # [-M/2, M/2), in exact integers, so a huge degree keeps its phase
-    half = grid_size // 2
-    degs = np.array([(k + half) % grid_size - half for k in degrees], dtype=float)
-    coeffs = np.array(values, dtype=complex)
-    theta = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    samples = np.abs(np.exp(1j * np.outer(theta, degs)) @ coeffs)
+    # the phase of degree k at point j is the table's e^{2 pi i r / M}, r = (j * (k mod M))
+    # mod M in exact integers (M^2 < 2^63): a huge degree keeps its phase
+    residues = np.array([k % m for k in degrees], dtype=np.int64)
+    phases = _unit_roots(m)[np.outer(np.arange(m), residues) % m]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf samples near the float max
+        samples = np.abs(phases @ np.array(values, dtype=complex))
     # |f| <= l1 pointwise; any float excess in the samples is rounding noise
     grid_max = min(float(samples.max()), l1)
     # D = sum |k a_k|; past the float range it reads inf, leaving upper at l1
     moment = or_inf(math.fsum, (abs(k * v) for k, v in f.items()))
-    err = (math.pi / grid_size) * moment
-    # Rounding in the samples, bounded a priori (u = 2**-53, n terms): each
-    # circle point is within pi/M of an exact grid point theta_j, |f| is
-    # D-Lipschitz, and err is at most pi u D low.  The samples approximate
-    # f(theta_j): k' is exact as a float, the computed theta_j is within
-    # 6 pi u of theta_j, and the phase theta_j * k' rounds by 2 pi u |k'|,
-    # so e^{i theta_j k'} is within 8 pi u |k'| <= 8 pi u |k|: in all
-    # 9 pi u D < 29 u D.  exp and abs cost 2u l1 each, the complex dot
-    # product sqrt(2) gamma_{n+2} l1 (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 3.6), with gamma_{n+2} <= 1.01 (n + 2) u.  The
-    # constants leave room for rounding the bound and the first sum;
-    # nextafter covers the second.
+    err = (math.pi / m) * moment
+    # Rounding in the samples, bounded a priori (u = 2**-53, n terms): each circle
+    # point is within pi/M of a grid point theta_j, |f| is D-Lipschitz, and err is at
+    # most pi u D low.  The samples approximate f(theta_j): a table entry exp(i t), with
+    # t = 2 pi r / M computed within 6 pi u, is within 6 pi u + 2u < 22u of its unit
+    # root, inside 8 pi u |k| for every k != 0 mod M, and exactly 1 for k = 0 mod M:
+    # in all 9 pi u D < 29 u D.  abs costs 2u l1, the complex dot product sqrt(2)
+    # gamma_{n+2} l1 (Higham, Accuracy and Stability of Numerical Algorithms, 3.6),
+    # with gamma_{n+2} <= 1.01 (n + 2) u.  The constants leave room for rounding the
+    # bound and the first sum; nextafter covers the second.
     rounding = 2.0**-53 * (37 * moment + (3 * len(f) + 12) * l1)
     grid_up = math.nextafter(grid_max + err + rounding, math.inf)
-    # the sign of the exact remainder says whether l1 was rounded down
+    # the exact l1 is at most the sum of the moduli rounded up (hypot is within an
+    # ulp, and exact with a zero part), which the sign of its remainder rounds up
     l1_up = l1
-    if math.isfinite(l1) and math.fsum([-l1, *map(abs, f.values())]) > 0:
-        l1_up = math.nextafter(l1, math.inf)
+    if math.isfinite(l1):
+        up = [math.nextafter(abs(v), math.inf) if v.real and v.imag else abs(v) for v in f.values()]
+        l1_up = or_inf(math.fsum, up)
+        if l1_up < math.inf and math.fsum([-l1_up, *up]) > 0:
+            l1_up = math.nextafter(l1_up, math.inf)
     return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 

@@ -3,12 +3,13 @@
 Each is a slow, plainly written definition that a kernel of specrad must
 match: the exact l1 norm of a nonnegative Wiener element, the dict-loop
 Wiener product, the Wiener engine instance on the public dict functions,
-the exact l1 residual of a Wiener reciprocal and 50-digit matrix
-eigenvalues.
+the exact l1 residual of a Wiener reciprocal, 30-digit samples of a
+Wiener element on a circle grid and 50-digit matrix eigenvalues.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -103,3 +104,23 @@ def _mp_eigenvalues(a):
     with mpmath.workdps(50):
         values = mpmath.eig(mpmath.matrix(a.tolist()), left=False, right=False)
     return values[0] if isinstance(values, tuple) else values
+
+
+@lru_cache(maxsize=None)
+def _mp_unit_roots(grid_size):
+    """e^{2 pi i r / M} for r = 0..M-1 at 30 digits."""
+    with mpmath.workdps(30):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * r) / grid_size) for r in range(grid_size))
+
+
+def _mp_grid_samples(f, grid_size):
+    """|f| at the M = grid_size circle points 2 pi j / M at 30 digits.  The
+    phase of degree k at point j is the unit root of r = j * k mod M, taken
+    in exact integers, so any degree is sampled at its true phase."""
+    roots = _mp_unit_roots(grid_size)
+    with mpmath.workdps(30):
+        terms = [(k, mpmath.mpc(v)) for k, v in f.items()]
+        return [
+            abs(mpmath.fsum(v * roots[j * k % grid_size] for k, v in terms))
+            for j in range(grid_size)
+        ]

@@ -332,6 +332,26 @@ def test_selftest_digest_over_200_seeds():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+def test_selftest_draw_streams():
+    # the digest sees only PASS lines: pin the battery's operands, bit for
+    # bit, to the per-coefficient and two-array draws they replaced, and
+    # the stream to the same position after each draw
+    def bits(x):
+        return np.asarray(x, complex).tobytes()
+
+    for seed in range(200):
+        for n in range(1, 5):
+            rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            got = cli.selftest._random_wiener(rng, n)
+            want = {j: complex(ref.uniform(-1, 1), ref.uniform(-1, 1)) for j in range(-n, n + 1)}
+            assert list(got) == list(want)
+            assert bits(list(got.values())) == bits(list(want.values()))
+            got = cli.selftest._random_matrix(rng, n)
+            want = ref.uniform(-1, 1, (n, n)) + 1j * ref.uniform(-1, 1, (n, n))
+            assert got.shape == (n, n) and bits(got) == bits(want)
+            assert rng.random() == ref.random()
+
+
 def test_selftest_negative_seed_names_the_option(capsys):
     # numpy refused it as "expected non-negative integer", naming no option
     assert run_cli(capsys, "--seed", "-1", "selftest") == (

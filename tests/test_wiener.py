@@ -1,15 +1,23 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import _DictWiener, _exact_l1, _exact_residual_l1, _reference_multiply
+from oracles import (
+    _DictWiener,
+    _exact_l1,
+    _exact_residual_l1,
+    _mp_grid_samples,
+    _reference_multiply,
+)
 
 from specrad import wiener
 from specrad.algebra import power_norms
@@ -263,6 +271,20 @@ class TestEvaluate:
             )
 
 
+@st.composite
+def grid_elements(draw):
+    """A grid size M and an element on negative degrees, degrees past 2^53
+    and multiples of M."""
+    m = draw(st.sampled_from([8, 12, 64, 100]))
+    degree = st.one_of(
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=2**53, max_value=2**62),
+        st.integers(min_value=-(2**62), max_value=-(2**53)),
+        st.integers(min_value=-(10**6), max_value=10**6).map(lambda q: q * m),
+    )
+    return m, wiener.clean(draw(st.dictionaries(degree, coeff, min_size=1, max_size=6)))
+
+
 class TestSupNorm:
     def test_identity_exact(self):
         est = wiener.sup_norm(E)
@@ -287,6 +309,43 @@ class TestSupNorm:
         with pytest.raises(ValueError):
             wiener.sup_norm(E, 4)
 
+    @pytest.mark.parametrize("grid_size", [512.5, 512.0, "512", None, True])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        # a float grid size sampled 513 points at spacing 2 pi / 512.5
+        with pytest.raises(ValueError, match=re.escape(repr(grid_size))):
+            wiener.sup_norm(COS, grid_size)
+
+    def test_numpy_integer_grid_size(self):
+        f = {0: 0.5 + 0j, 3: 0.25 - 1j}
+        assert wiener.sup_norm(f, np.int64(100)) == wiener.sup_norm(f, 100)
+        assert wiener.sup_norm(f, np.uint16(512)) == wiener.sup_norm(f, 512)
+
+    def test_samples_near_the_float_max_warn_nothing(self):
+        # the samples overflow to inf; numpy's overflow warnings leaked here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = wiener.sup_norm({0: 1e308 + 0j, 1: 1e308 + 0j}, 64)
+        assert est.grid_max == math.inf and est.upper == math.inf
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_elements())
+    @example((8, {0: 1.0 + 0j, 8 * 10**6: -1.0 + 0j}))  # k = 0 mod M: every phase is 1
+    @example((64, {-(2**55) - 3: 1.0 + 1.0j, 2**60 + 1: 0.5 + 0j}))
+    @example((8, {0: 1.5 + 1j}))  # hypot rounds the lone modulus down
+    def test_table_samples_against_exact_grid(self, grid_f):
+        # grid_max is within the rounding term of the 30-digit grid maximum,
+        # and upper is at least the sup sampled densely at 30 digits, less
+        # the oracle's own rounding (1e-31 relative on a lone term)
+        m, f = grid_f
+        est = wiener.sup_norm(f, m)
+        with mpmath.workdps(30):
+            moduli = [abs(mpmath.mpc(v)) for v in f.values()]
+            l1 = mpmath.fsum(moduli)
+            moment = mpmath.fsum(abs(k) * a for k, a in zip(f, moduli))
+            rounding = mpmath.ldexp(37 * moment + (3 * len(f) + 12) * l1, -53)
+            assert abs(est.grid_max - max(_mp_grid_samples(f, m))) <= rounding
+            assert est.upper >= max(_mp_grid_samples(f, 1021)) - l1 * mpmath.mpf(10) ** -25
+
     @settings(max_examples=40, deadline=None)
     @given(elements)
     def test_dominated_by_l1(self, f):
@@ -306,6 +365,11 @@ class TestSupNorm:
         est = wiener.sup_norm({0: 1.0 + 0j, 1: 1e-20 + 0j})
         assert est.grid_max == 1.0
         assert Fraction(est.upper) >= 1 + Fraction(1e-20)
+
+    def test_l1_end_not_below_a_complex_modulus(self):
+        # hypot rounds |1.5 + i| = sqrt(3.25) down, and the l1 end was that float
+        est = wiener.sup_norm({0: 1.5 + 1j}, 8)
+        assert Fraction(est.upper) ** 2 >= Fraction(13, 4)
 
     def test_degree_past_2_to_53(self):
         # float(2**60 + 1) is 2**60, so coefficients are not looked up by float degree
