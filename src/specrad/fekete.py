@@ -17,7 +17,10 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import FMT17, RootReport, _strict_json, build_report, csv_rows, or_inf
+from .reports import (
+    FMT17, RootReport, all_finite, build_report, column_route, csv_rows, index_field, number_field,
+    or_inf, rows_text,
+)
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -265,6 +268,14 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
 # --- CSV and JSON interface ----------------------------------------------
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
+    n = len(seq.values)
+    if column_route(n):
+        value = np.asarray(seq.values, dtype=np.float64)
+
+        def parts(i, j):
+            return [index_field(i, j), ",", number_field(value[i:j]), "\n"]
+
+        return "k,value\n" + rows_text(n, parts)
     row = "%d," + FMT17
     lines = ["k,value"]
     lines += [row % kv for kv in enumerate(seq.values, start=1)]
@@ -273,9 +284,18 @@ def sequence_to_csv(seq: PrefixSequence) -> str:
 
 def sequence_to_json(seq: PrefixSequence) -> str:
     """The rows of sequence_to_csv as one line of {"k", "value"} objects."""
+    n = len(seq.values)
+    if column_route(n) or not all_finite(seq.values):
+        value = np.asarray(seq.values, dtype=np.float64)
+
+        def parts(i, j):
+            return ['{"k": ', index_field(i, j), ', "value": ', number_field(value[i:j], quote=True),
+                    "}, "]
+
+        return "[" + rows_text(n, parts)[:-2] + "]\n"
     row = '{"k": %d, "value": ' + FMT17 + "}"
     rows = [row % kv for kv in enumerate(seq.values, start=1)]
-    return _strict_json("[" + ", ".join(rows) + "]\n")
+    return "[" + ", ".join(rows) + "]\n"
 
 
 def read_sequence_csv(text: str) -> PrefixSequence:

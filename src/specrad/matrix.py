@@ -16,7 +16,9 @@ import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular
-from .reports import FMT17, RootReport, build_report, fmt17
+from .reports import (
+    FMT17, RootReport, build_report, column_route, fmt17, number_field, rows_text, text_field,
+)
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB,
@@ -464,6 +466,16 @@ class SpectrumGrid:
         for start in range(0, len(self.cells), SCAN_BLOCK_ENTRIES):
             part = slice(start, start + SCAN_BLOCK_ENTRIES)
             lams = self.cells[part]
+            if column_route(lams.size):
+                flags, margin = self.invertible[part], self.margin[part]
+
+                def parts(i, j):
+                    return [number_field(lams.real[i:j]), ",", number_field(lams.imag[i:j]), ",",
+                            text_field(["false", "true"], flags[i:j]), ",",
+                            number_field(margin[i:j]), "\n"]
+
+                yield rows_text(lams.size, parts)
+                continue
             flags = np.where(self.invertible[part], "true", "false")
             rows = zip(lams.real.tolist(), lams.imag.tolist(), flags.tolist(),
                        self.margin[part].tolist())
@@ -545,7 +557,16 @@ def _rows(template: str, real: np.ndarray, imag: np.ndarray) -> list[str]:
 def matrix_to_csv(a) -> str:
     """One line per row, each entry written by _CSV_CELL."""
     a = as_matrix(a)
-    rows = _rows(",".join([_CSV_CELL] * a.shape[0]), a.real, a.imag + 0.0)
+    n = a.shape[0]
+    if column_route(n * n):
+        re, im = a.real.ravel(), (a.imag + 0.0).ravel()
+
+        def parts(i, j):
+            return [number_field(re[i:j]), number_field(im[i:j], plus=True), "j",
+                    text_field([",", "\n"], np.arange(i, j) % n == n - 1)]
+
+        return rows_text(n * n, parts)
+    rows = _rows(",".join([_CSV_CELL] * n), a.real, a.imag + 0.0)
     return "\n".join(rows) + "\n"
 
 
@@ -578,10 +599,22 @@ def read_matrix(text: str) -> np.ndarray:
 
 
 def matrix_to_json(a) -> str:
-    """One [re, im] pair per entry, both written by FMT17."""
+    """One [re, im] pair per entry, both written by FMT17; inf and nan are
+    quoted, as json17 writes them."""
     a = as_matrix(a)
+    n = a.shape[0]
+    if column_route(n * n) or not np.isfinite(a).all():
+        re, im = a.real.ravel(), a.imag.ravel()
+
+        def parts(i, j):
+            column = np.arange(i, j) % n
+            return [text_field([", [", "  [["], column == 0), number_field(re[i:j], quote=True),
+                    ", ", number_field(im[i:j], quote=True),
+                    text_field(["]", "]],\n"], column == n - 1)]
+
+        return "[\n" + rows_text(n * n, parts)[:-2] + "\n]\n"
     cell = "[%s, %s]" % (FMT17, FMT17)
-    rows = _rows("  [%s]" % ", ".join([cell] * a.shape[0]), a.real, a.imag)
+    rows = _rows("  [%s]" % ", ".join([cell] * n), a.real, a.imag)
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 

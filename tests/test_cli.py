@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrad import cli, matrix
+from specrad import cli, matrix, reports
 from specrad.cli import main
 
 NILPOTENT_CSV = "0+0j,1+0j\n0+0j,0+0j\n"
@@ -779,6 +779,84 @@ def test_report_tables_at_size_are_unchanged(capsys, name, fmt):
     code, out, err = run_cli(capsys, "--format", fmt, *AT_SIZE_INVOCATIONS[name])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == AT_SIZE_SHA256[name, fmt]
+
+
+# --- the column route of the writers, byte for byte ------------------------------
+# Digests taken before the column route existed, for outputs the pins above do
+# not reach: exponent-form values up to e+117, "%+.17g" imaginary parts of a
+# matrix on the route, a spectrum grid on the route, and the shift tables at
+# the route size and one row below it.  "{m}" is a CSV file of _hashed_matrix(32).
+
+
+def _hashed_matrix(n):
+    """A fixed dense complex n x n matrix from a multiplicative hash."""
+    i = np.arange(n * n)
+    re = (i * 2654435761 % 2**32) / 2**32 - 0.5
+    im = ((i + n * n) * 2654435761 % 2**32) / 2**32 - 0.5
+    return ((re + 1j * im) / 8).reshape(n, n)
+
+
+COLUMN_ROUTE_INVOCATIONS = {
+    "fekete-subadd": ["fekete", "--gen", "subadd:0.01,0.5", "--n", "20000"],
+    "resolvent-32": ["resolvent", "--matrix", "{m}", "--lam", "2+0.5j"],
+    "spectrum-40": [
+        "spectrum", "--matrix", "{m}", "--re-min=-2.5", "--re-max", "2.375",
+        "--im-min=-2.5", "--im-max", "2.375", "--step", "0.125",
+    ],
+    "shift-route": ["shift", "--weights", "harmonic:0.5,1", "--m", "2048", "--l", "1024"],
+    "shift-below": ["shift", "--weights", "harmonic:0.5,1", "--m", "2048", "--l", "1023"],
+}
+
+COLUMN_ROUTE_SHA256 = {
+    ("fekete-subadd", "csv"): "adc9bd050923c0ebd477de2431cd2fc341eba055d171db2f842afbcad02ce068",
+    ("fekete-subadd", "json"): "b39799002fa7a05156b5e39e2ea6088dcd7cca5b2e35023e22c01823bc6f0cf7",
+    ("resolvent-32", "csv"): "c76d7799145f622e0faf3d4f00a60bbae6646ae2a5da20266d092ec426ab25d1",
+    ("resolvent-32", "json"): "7ca02d3a2c4b484ce9f16289350db960b4113069aee5475037bc94de66b852ff",
+    ("spectrum-40", "csv"): "7b019a13d03e5422fd890684beba85a6273727608d4e86da03ba5bcf1b43f3da",
+    ("shift-route", "csv"): "b82b82152da396e3079bc755e586f8b7a60963e4e1ddc8bb80f5cbc46f241a30",
+    ("shift-route", "json"): "d33ffb69fde1dfc4158a227df9b572a93177f08bcf968d28ec600ba55a6141ea",
+    ("shift-below", "csv"): "89c1f2fae44bcb8538fd72a5bca0de16579a9beefb91b61aa58b1f766d6afa77",
+    ("shift-below", "json"): "744276f6dd7641814e37e089b77cb9dd2366cf96d64925ab87c1703290ecf0c6",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(COLUMN_ROUTE_SHA256))
+def test_column_route_output_is_unchanged(tmp_path, capsys, name, fmt):
+    path = tmp_path / "m.csv"
+    path.write_text(matrix.matrix_to_csv(_hashed_matrix(32)))
+    argv = [arg.replace("{m}", str(path)) for arg in COLUMN_ROUTE_INVOCATIONS[name]]
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COLUMN_ROUTE_SHA256[name, fmt]
+
+
+def _pinned_outputs(tmp_path):
+    """(argv, digest) of every pinned output above."""
+    golden, hashed = tmp_path / "golden.csv", tmp_path / "hashed.csv"
+    golden.write_text(matrix.matrix_to_csv(GOLDEN_MATRIX))
+    hashed.write_text(matrix.matrix_to_csv(_hashed_matrix(32)))
+    for (name, fmt), digest in GOLDEN_SHA256.items():
+        yield ["--format", fmt, *README_INVOCATIONS[name]], golden, digest
+    for (name, fmt), digest in NORM_ONE_SHA256.items():
+        yield ["--format", fmt, *README_INVOCATIONS[name], "--norm", "one"], golden, digest
+    for (norm, fmt), digest in BLOCKED_POWER_SHA256.items():
+        argv = ["--format", fmt, "power", "--matrix", "{m}", "--n", "4000", "--norm", norm]
+        yield argv, golden, digest
+    for (name, fmt), digest in AT_SIZE_SHA256.items():
+        yield ["--format", fmt, *AT_SIZE_INVOCATIONS[name]], golden, digest
+    for (name, fmt), digest in COLUMN_ROUTE_SHA256.items():
+        yield ["--format", fmt, *COLUMN_ROUTE_INVOCATIONS[name]], hashed, digest
+
+
+def test_pinned_outputs_without_long_double(tmp_path, capsys, monkeypatch):
+    # where long double has other than 64 significand bits, every number of the column
+    # route goes to CPython's %.17g: switch the guard off and read every pin
+    monkeypatch.setattr(reports, "_column_tables", lambda: None)
+    for argv, path, digest in _pinned_outputs(tmp_path):
+        argv = [arg.replace("{m}", str(path)) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 # --- one-pass Neumann ----------------------------------------------------------

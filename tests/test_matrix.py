@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import math
 import sys
 import warnings
@@ -434,8 +435,14 @@ def _per_entry_csv(a):
     return "\n".join(",".join(_format_complex(z) for z in row) for row in a) + "\n"
 
 
+def _json_number(x):
+    # strict JSON has no inf or nan: those are written as strings
+    return "%.17g" % x if math.isfinite(x) else '"%.17g"' % x
+
+
 def _per_entry_json(a):
-    rows = [", ".join("[%.17g, %.17g]" % (z.real, z.imag) for z in row) for row in a]
+    rows = [", ".join("[%s, %s]" % (_json_number(z.real), _json_number(z.imag)) for z in row)
+            for row in a]
     return "[\n" + ",\n".join("  [%s]" % r for r in rows) + "\n]\n"
 
 
@@ -478,6 +485,44 @@ class TestMatrixIO:
         a = parts.view(np.complex128)[..., 0]
         assert matrix.matrix_to_csv(a) == _per_entry_csv(a)
         assert matrix.matrix_to_json(a) == _per_entry_json(a)
+
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_json_of_non_finite_entries_is_strict(self, n):
+        # 40 x 40 takes the column route, 2 x 2 the per-entry writer
+        a = np.eye(n, dtype=complex)
+        a[0, 0], a[1, 0], a[-1, -1] = math.inf, complex(1, math.nan), complex(-math.inf, -0.0)
+
+        def refuse(constant):
+            raise ValueError("non-strict JSON constant %s" % constant)
+
+        data = json.loads(matrix.matrix_to_json(a), parse_constant=refuse)
+        assert data[0][0] == ["inf", 0] and data[1][0] == [1, "nan"]
+        assert data[-1][-1] == ["-inf", -0.0] and data[0][1] == [0, 0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(32, 40).flatmap(
+            lambda n: arrays(
+                np.float64, (n, n, 2), elements=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+            )
+        )
+    )
+    def test_column_route_writers_match_the_per_entry_writers(self, parts):
+        a = parts.view(np.complex128)[..., 0]
+        assert matrix.matrix_to_csv(a) == _per_entry_csv(a)
+        assert matrix.matrix_to_json(a) == _per_entry_json(a)
+
+    def test_spectrum_csv_routes_agree(self):
+        rng = np.random.default_rng(7)
+        cells = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+        cells[:6] = [0.0, complex(-0.0, 1e-300), complex(5e-324, -1e17), 1e16, complex(0.5, -0.0), 2**-25]
+        margin = np.concatenate([[math.inf, -0.0, math.nan], rng.standard_normal(1497) * 1e-9])
+        grid = matrix.SpectrumGrid(cells, rng.random(1500) < 0.5, margin)
+        with mock.patch.object(matrix, "column_route", lambda rows: False):
+            want = grid.to_csv()
+        assert grid.to_csv() == want
+        assert want.count("\n") == 1501
 
 
 # --- the batched kernel against the per-cell loop it replaced ---------------------
