@@ -17,10 +17,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .reports import (
-    FMT17, RootReport, all_finite, build_report, column_route, csv_rows, index_field, number_field,
-    or_inf, rows_text,
-)
+from .reports import Floats, RootReport, build_report, csv_rows, or_inf, table_blocks
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -269,33 +266,14 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
     n = len(seq.values)
-    if column_route(n):
-        value = np.asarray(seq.values, dtype=np.float64)
-
-        def parts(i, j):
-            return [index_field(i, j), ",", number_field(value[i:j]), "\n"]
-
-        return "k,value\n" + rows_text(n, parts)
-    row = "%d," + FMT17
-    lines = ["k,value"]
-    lines += [row % kv for kv in enumerate(seq.values, start=1)]
-    return "\n".join(lines) + "\n"
+    return "k,value\n" + "".join(table_blocks(n, [range(1, n + 1), ",", Floats(seq.values), "\n"]))
 
 
 def sequence_to_json(seq: PrefixSequence) -> str:
     """The rows of sequence_to_csv as one line of {"k", "value"} objects."""
     n = len(seq.values)
-    if column_route(n) or not all_finite(seq.values):
-        value = np.asarray(seq.values, dtype=np.float64)
-
-        def parts(i, j):
-            return ['{"k": ', index_field(i, j), ', "value": ', number_field(value[i:j], quote=True),
-                    "}, "]
-
-        return "[" + rows_text(n, parts)[:-2] + "]\n"
-    row = '{"k": %d, "value": ' + FMT17 + "}"
-    rows = [row % kv for kv in enumerate(seq.values, start=1)]
-    return "[" + ", ".join(rows) + "]\n"
+    fields = ['{"k": ', range(1, n + 1), ', "value": ', Floats(seq.values), "}, "]
+    return "[" + "".join(table_blocks(n, fields, quote=True))[:-2] + "]\n"
 
 
 def read_sequence_csv(text: str) -> PrefixSequence:

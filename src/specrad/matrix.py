@@ -16,15 +16,12 @@ import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular
-from .reports import (
-    FMT17, RootReport, build_report, column_route, fmt17, number_field, rows_text, text_field,
-)
+from .reports import FMT17, Choice, Floats, RootReport, build_report, fmt17, table_blocks
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB,
-# tests them against its eigenvalue disks this many distances at a time, and
-# writes its CSV in blocks of this many rows; stacks four times larger cost
-# 12% more peak memory in a matrix workload
+# and tests them against its eigenvalue disks this many distances at a time;
+# stacks four times larger cost 12% more peak memory in a matrix workload
 SCAN_BLOCK_ENTRIES = 2**14
 # a spectrum grid holds at most this many cells: scanning that many for a
 # 1 x 1 matrix takes 6 s and 370 MB (2 cores, numpy 2.4.6)
@@ -459,27 +456,11 @@ class SpectrumGrid:
     margin: np.ndarray
 
     def csv_blocks(self):
-        """Yield the CSV: its header, then one string per SCAN_BLOCK_ENTRIES
-        rows, one row per cell."""
-        row = "%s,%s,%%s,%s\n" % (FMT17, FMT17, FMT17)
+        """Yield the CSV: its header, then the blocks of table_blocks, one row per cell."""
         yield "re,im,invertible,margin\n"
-        for start in range(0, len(self.cells), SCAN_BLOCK_ENTRIES):
-            part = slice(start, start + SCAN_BLOCK_ENTRIES)
-            lams = self.cells[part]
-            if column_route(lams.size):
-                flags, margin = self.invertible[part], self.margin[part]
-
-                def parts(i, j):
-                    return [number_field(lams.real[i:j]), ",", number_field(lams.imag[i:j]), ",",
-                            text_field(["false", "true"], flags[i:j]), ",",
-                            number_field(margin[i:j]), "\n"]
-
-                yield rows_text(lams.size, parts)
-                continue
-            flags = np.where(self.invertible[part], "true", "false")
-            rows = zip(lams.real.tolist(), lams.imag.tolist(), flags.tolist(),
-                       self.margin[part].tolist())
-            yield "".join([row % r for r in rows])
+        yield from table_blocks(len(self.cells), [
+            Floats(self.cells.real), ",", Floats(self.cells.imag), ",",
+            Choice(("false", "true"), self.invertible), ",", Floats(self.margin), "\n"])
 
     def to_csv(self) -> str:
         """The whole CSV as one string."""
@@ -542,32 +523,19 @@ def spectrum_scan(a, grid: GridSpec, norm_kind: str = "inf") -> SpectrumGrid:
 
 # --- I/O -------------------------------------------------------------------
 
-# one complex entry as re+imj: "%+" signs the imaginary part, "+" for nan;
-# the writers add 0.0 to it, which turns -0.0 into 0.0 and changes nothing else
+# one complex entry as re+imj, as matrix_to_csv writes it, for _finite_matrix's
+# message: "%+" signs the imaginary part, "+" for nan; adding 0.0 to it turns
+# -0.0 into 0.0 and changes nothing else
 _CSV_CELL = FMT17 + FMT17.replace("%", "%+", 1) + "j"
 
 
-def _rows(template: str, real: np.ndarray, imag: np.ndarray) -> list[str]:
-    """Each row as template % (re, im, re, im, ...) over its entries."""
-    n = real.shape[0]
-    pairs = np.stack((real, imag), axis=-1).reshape(n, 2 * n).tolist()
-    return [template % tuple(row) for row in pairs]
-
-
 def matrix_to_csv(a) -> str:
-    """One line per row, each entry written by _CSV_CELL."""
+    """One line per row, each entry written as _CSV_CELL writes it."""
     a = as_matrix(a)
-    n = a.shape[0]
-    if column_route(n * n):
-        re, im = a.real.ravel(), (a.imag + 0.0).ravel()
-
-        def parts(i, j):
-            return [number_field(re[i:j]), number_field(im[i:j], plus=True), "j",
-                    text_field([",", "\n"], np.arange(i, j) % n == n - 1)]
-
-        return rows_text(n * n, parts)
-    rows = _rows(",".join([_CSV_CELL] * n), a.real, a.imag + 0.0)
-    return "\n".join(rows) + "\n"
+    n, z = a.shape[0], a.ravel()
+    last = ([False] * (n - 1) + [True]) * n
+    fields = [Floats(z.real), Floats(z.imag + 0.0, plus=True), "j", Choice((",", "\n"), last)]
+    return "".join(table_blocks(z.size, fields))
 
 
 def _finite_matrix(rows) -> np.ndarray:
@@ -602,20 +570,11 @@ def matrix_to_json(a) -> str:
     """One [re, im] pair per entry, both written by FMT17; inf and nan are
     quoted, as json17 writes them."""
     a = as_matrix(a)
-    n = a.shape[0]
-    if column_route(n * n) or not np.isfinite(a).all():
-        re, im = a.real.ravel(), a.imag.ravel()
-
-        def parts(i, j):
-            column = np.arange(i, j) % n
-            return [text_field([", [", "  [["], column == 0), number_field(re[i:j], quote=True),
-                    ", ", number_field(im[i:j], quote=True),
-                    text_field(["]", "]],\n"], column == n - 1)]
-
-        return "[\n" + rows_text(n * n, parts)[:-2] + "\n]\n"
-    cell = "[%s, %s]" % (FMT17, FMT17)
-    rows = _rows("  [%s]" % ", ".join([cell] * n), a.real, a.imag)
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    n, z = a.shape[0], a.ravel()
+    # each entry ends with the opening of the next; the last one's is trimmed
+    last = ([False] * (n - 1) + [True]) * n
+    fields = [Floats(z.real), ", ", Floats(z.imag), Choice(("], [", "]],\n  [["), last)]
+    return "[\n  [[" + "".join(table_blocks(z.size, fields, quote=True))[:-6] + "\n]\n"
 
 
 def read_matrix_json(text: str) -> np.ndarray:

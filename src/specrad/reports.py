@@ -3,17 +3,19 @@
 Every convergence table in the package is a RootReport: the columns
 ``value``, ``root`` = value^(1/k) and ``running_min`` of the roots, with
 step k at index k - 1.  The running minimum is the certified upper bound
-for the limit of the root sequence after k steps.  The number writers,
-among them the exact column route of the large tables, and the
+for the limit of the root sequence after k steps.  The one table writer,
+table_blocks, which writes every CSV and JSON table from a single row
+layout by either of its two routes, its exact FMT17 column kernel and the
 headed-CSV row reader that the other modules share live here too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -34,32 +36,8 @@ def json17(x: float) -> str:
     return text if math.isfinite(x) else '"%s"' % text
 
 
-def all_finite(column) -> bool:
-    """Whether the sum of a column is finite: it is not when an entry is inf
-    or nan, and rarely when the sum overflows.  A JSON writer that finds a
-    column not all finite takes the column route, which quotes per number."""
-    return math.isfinite(sum(column))
-
-
 # --- exact FMT17 columns ------------------------------------------------------
-#
-# A table of at least COLUMN_ROUTE_SIZE rows (matrix entries, grid cells)
-# writes each float column with number_field and joins its rows with
-# rows_text; a smaller one formats value by value.  Both write the bytes of
-# FMT17.  The column route's fixed cost is about 0.25 ms a column, so it
-# overtakes the per-value writers at about 300 rows for a RootReport, 500
-# for a sequence or a spectrum grid and 24 x 24 = 576 entries for a matrix
-# (2-vCPU Xeon, numpy 2.4.6); at 1024 rows each writer is 15-40% faster
-COLUMN_ROUTE_SIZE = 1024
 
-
-def column_route(rows: int) -> bool:
-    """Whether a table of this many rows takes the column route."""
-    return rows >= COLUMN_ROUTE_SIZE
-
-
-# rows_text writes a table this many rows at a time
-_BLOCK_ROWS = 4096
 # the longest %+.17g text: -1.2345678901234567e-308
 _WIDTH = 24
 # how far the fraction of the scaled value must lie from 1/2 (see number_field)
@@ -213,41 +191,105 @@ def number_field(x: np.ndarray, plus: bool = False, quote: bool = False) -> np.n
     return out
 
 
-def index_field(start: int, stop: int) -> np.ndarray:
-    """The decimal texts of start + 1 .. stop, one NUL-padded row each."""
-    k = np.arange(start + 1, stop + 1)
-    powers = 10 ** np.arange(len(str(stop)) - 1, -1, -1)
+# --- the table writer ---------------------------------------------------------
+#
+# table_blocks writes every table from one row layout, by one of two routes
+# that write the same bytes.  A table of at least COLUMN_ROUTE_SIZE rows
+# (matrix entries, grid cells), and a quoted (JSON) table with inf or nan in
+# a number column, takes the column route: number_field writes each float
+# column and the rows are joined _BLOCK_ROWS at a time.  A smaller table is
+# one % over its row template repeated n times.  The column route's fixed
+# cost is about 0.25 ms a column, so it overtakes the per-value route at
+# about 300 rows for a RootReport, 500 for a sequence or a spectrum grid and
+# 24 x 24 = 576 entries for a matrix (2-vCPU Xeon, numpy 2.4.6); at 1024
+# rows each writer is 15-40% faster
+COLUMN_ROUTE_SIZE = 1024
+# the column route writes a table this many rows at a time, which bounds the
+# temporaries of a block near 1 MB
+_BLOCK_ROWS = 4096
+
+
+# a float column of a row layout, written by FMT17, or by "%+.17g" with
+# plus=True; where it equals the column same, laid out earlier in the row, bit
+# for bit, the column route copies that column's text
+Floats = namedtuple("Floats", "column plus same", defaults=(False, None))
+# texts[index[i]] on row i of a row layout; index holds integers or booleans
+Choice = namedtuple("Choice", "texts index")
+
+
+def table_blocks(n: int, fields: list, quote: bool = False):
+    """Yield the text of a table of n rows, each row laid out by fields: a
+    str is written on every row, a range holds the row numbers, a Floats or
+    a Choice one entry per row.  quote=True writes inf, -inf and nan as
+    json17 does.  A JSON writer ends each row with its separator and trims
+    it from the joined text."""
+    floats = [f.column for f in fields if isinstance(f, Floats)]
+    if n < COLUMN_ROUTE_SIZE and (not quote or np.isfinite(floats).all()):
+        yield _per_value_text(n, fields)
+        return
+    arrays = {id(c): np.asarray(c, dtype=np.float64) for c in floats}
+    for i in range(0, n, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, n)
+        parts, written = [], {}
+        for f in fields:
+            if isinstance(f, str):
+                part = np.frombuffer(f.encode(), np.uint8)
+            elif isinstance(f, range):
+                part = _row_numbers(f[i:j])
+            elif isinstance(f, Choice):
+                texts = np.array(f.texts, dtype="S")
+                texts = texts.view(np.uint8).reshape(texts.size, -1)
+                part = texts[np.asarray(f.index[i:j], dtype=np.intp)]
+            else:
+                x = arrays[id(f.column)][i:j]
+                if f.same is None:
+                    part = number_field(x, f.plus, quote)
+                else:
+                    part, y = written[id(f.same)], arrays[id(f.same)][i:j]
+                    rest = np.flatnonzero(x.view(np.int64) != y.view(np.int64))
+                    if rest.size:
+                        part = part.copy()
+                        part[rest] = number_field(x[rest], f.plus, quote)
+                written[id(f.column)] = part
+            parts.append(np.broadcast_to(part, (j - i, part.shape[-1])))
+        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _per_value_text(n: int, fields: list) -> str:
+    """The per-value route: the row template repeated n times, formatted by
+    one % with the entries of the rows interleaved."""
+    template, columns = [], []
+    for f in fields:
+        if isinstance(f, str):
+            template.append(f.replace("%", "%%"))
+            continue
+        if isinstance(f, range):
+            template.append("%d")
+        elif isinstance(f, Choice):
+            template.append("%s")
+            f = list(map(f.texts.__getitem__, _as_list(f.index)))
+        else:
+            template.append("%+.17g" if f.plus else FMT17)
+            f = _as_list(f.column)
+        columns.append(f)
+    flat = [None] * (n * len(columns))
+    for j, column in enumerate(columns):
+        flat[j :: len(columns)] = column
+    return ("".join(template) * n) % tuple(flat)
+
+
+def _as_list(column):
+    """A column as Python numbers: an array's entries, any other sequence as it is."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _row_numbers(rows: range) -> np.ndarray:
+    """The decimal texts of a range of positive row numbers, one NUL-padded row each."""
+    k = np.arange(rows.start, rows.stop)
+    powers = 10 ** np.arange(len(str(rows.stop - 1)) - 1, -1, -1)
     digits = (k[:, None] // powers % 10 + 48).astype(np.uint8)
     digits[k[:, None] < powers] = 0
     return digits
-
-
-def text_field(texts, index) -> np.ndarray:
-    """texts[i] for each i of an integer (or boolean) array, NUL-padded."""
-    width = max(map(len, texts))
-    table = np.array(texts, dtype="S%d" % width).view(np.uint8).reshape(-1, width)
-    return table[np.asarray(index, dtype=np.intp)]
-
-
-def rows_text(n: int, parts_of) -> str:
-    """The text of a table of n rows.  parts_of(i, j) gives the fields of
-    rows i .. j - 1 in order: a str is written on every row, an array holds
-    one NUL-padded field per row.  The rows are written _BLOCK_ROWS at a
-    time, which bounds the temporaries of a block near 1 MB."""
-    blocks = []
-    for i in range(0, n, _BLOCK_ROWS):
-        j = min(i + _BLOCK_ROWS, n)
-        parts = parts_of(i, j)
-        widths = [len(p) if isinstance(p, str) else p.shape[1] for p in parts]
-        table = np.empty((j - i, sum(widths)), np.uint8)
-        start = 0
-        for part, width in zip(parts, widths):
-            if isinstance(part, str):
-                part = np.frombuffer(part.encode(), np.uint8)
-            table[:, start : start + width] = part
-            start += width
-        blocks.append(table.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(blocks)
 
 
 def csv_rows(text: str, header: str):
@@ -297,61 +339,24 @@ class RootReport:
         """Minimum root seen: a rigorous upper bound for the limit."""
         return self.running_min[-1]
 
-    def _rows(self, template: str) -> list[str]:
-        """Each row as template % (k, value, root, running_min).
-
-        template has %s for the root and the running minimum, which are
-        written by FMT17.  A running minimum that is the root object itself
-        (the root set a new minimum, as on 84% of the report-tables rows)
-        reuses the root's string.
-        """
-        distinct = template.replace("%s", FMT17)
-        rows = []
-        append = rows.append
-        for k, v, r, m in zip(count(1), self.value, self.root, self.running_min):
-            if m is r:
-                s = FMT17 % r
-                append(template % (k, v, s, s))
-            else:
-                append(distinct % (k, v, r, m))
-        return rows
-
-    def _text(self, seps: list[str], quote: bool) -> str:
-        """The column route: each row as k, value, root and running_min
-        between the strings seps[0..4].  A running minimum that is the
-        root, bit for bit, copies its text."""
-        value, root, low = (np.asarray(c, dtype=np.float64)
-                            for c in (self.value, self.root, self.running_min))
-
-        def parts(i, j):
-            roots = number_field(root[i:j], quote=quote)
-            lows = roots.copy()
-            rest = np.flatnonzero(low[i:j].view(np.int64) != root[i:j].view(np.int64))
-            if rest.size:
-                lows[rest] = number_field(low[i:j][rest], quote=quote)
-            fields = [index_field(i, j), number_field(value[i:j], quote=quote), roots, lows]
-            return [p for pair in zip(seps, fields) for p in pair] + seps[4:]
-
-        return rows_text(len(self), parts)
+    def _columns(self) -> tuple:
+        """k, value, root and running_min as fields of table_blocks; a running
+        minimum that is the root, bit for bit (the root set a new minimum, as
+        on 84% of the report-tables rows), copies the root's text."""
+        return (range(1, len(self) + 1), Floats(self.value), Floats(self.root),
+                Floats(self.running_min, same=self.root))
 
     def to_csv(self) -> str:
-        head = "k,%s,root,running_min" % self.value_header
-        if column_route(len(self)):
-            return head + "\n" + self._text(["", ",", ",", ",", "\n"], quote=False)
-        rows = self._rows("%%d,%s,%%s,%%s" % FMT17)
-        rows.insert(0, head)
-        return "\n".join(rows) + "\n"
+        k, value, root, low = self._columns()
+        head = "k,%s,root,running_min\n" % self.value_header
+        return head + "".join(table_blocks(len(self), [k, ",", value, ",", root, ",", low, "\n"]))
 
     def to_json(self) -> str:
         """The rows as JSON objects; inf and nan are quoted, as json17 writes them."""
-        columns = (self.value, self.root, self.running_min)
-        if column_route(len(self)) or not all(map(all_finite, columns)):
-            seps = ['{"k": ', ', "%s": ' % self.value_header, ', "root": ', ', "running_min": ',
-                    "},\n"]
-            return "[\n" + self._text(seps, quote=True)[:-2] + "\n]\n"
-        rows = self._rows('{"k": %%d, "%s": %s, "root": %%s, "running_min": %%s}'
-                          % (self.value_header, FMT17))
-        return "[\n" + ",\n".join(rows) + "\n]\n"
+        k, value, root, low = self._columns()
+        fields = ['{"k": ', k, ', "%s": ' % self.value_header, value, ', "root": ', root,
+                  ', "running_min": ', low, "},\n"]
+        return "[\n" + "".join(table_blocks(len(self), fields, quote=True))[:-2] + "\n]\n"
 
 
 def or_inf(f, *args) -> float:

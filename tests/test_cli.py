@@ -830,6 +830,24 @@ def test_column_route_output_is_unchanged(tmp_path, capsys, name, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == COLUMN_ROUTE_SHA256[name, fmt]
 
 
+# Small JSON tables that reach the column route only for their inf: digests recorded
+# before the route rule moved into reports.table_blocks.
+NON_FINITE_JSON_SHA256 = {
+    ("fekete", "--gen", "geom:1e300", "--n", "3"):
+        "0e52af350247c3c05ce42150f801c50c722d632c58b8e6659b4547772126d342",
+    ("convolve", "--a", "poly:300", "--b", "poly:300", "--n", "9"):
+        "434780e9c51098ea26f3d8f79ba2cbb1ebe16098da970f75a592af4c55b06467",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(NON_FINITE_JSON_SHA256))
+def test_small_non_finite_json_is_unchanged(capsys, argv):
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    assert (code, err) == (0, "")
+    assert '"inf"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == NON_FINITE_JSON_SHA256[argv]
+
+
 def _pinned_outputs(tmp_path):
     """(argv, digest) of every pinned output above."""
     golden, hashed = tmp_path / "golden.csv", tmp_path / "hashed.csv"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import _mp_eigenvalues
 
-from specrad import matrix
+from specrad import matrix, reports
 from specrad.algebra import DEFAULT_PROBE_DEPTH, power_norms, spectral_radius_upper
 from specrad.errors import BudgetExceeded, Singular
 from specrad.reports import fmt17
@@ -487,11 +487,16 @@ class TestMatrixIO:
         assert matrix.matrix_to_json(a) == _per_entry_json(a)
 
 
-    @pytest.mark.parametrize("n", [2, 40])
-    def test_json_of_non_finite_entries_is_strict(self, n):
-        # 40 x 40 takes the column route, 2 x 2 the per-entry writer
+    @staticmethod
+    def _non_finite(n):
         a = np.eye(n, dtype=complex)
         a[0, 0], a[1, 0], a[-1, -1] = math.inf, complex(1, math.nan), complex(-math.inf, -0.0)
+        return a
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_json_of_non_finite_entries_is_strict(self, n):
+        # both take the column route: 40 x 40 by its size, 2 x 2 by its inf and nan
+        a = self._non_finite(n)
 
         def refuse(constant):
             raise ValueError("non-strict JSON constant %s" % constant)
@@ -499,6 +504,12 @@ class TestMatrixIO:
         data = json.loads(matrix.matrix_to_json(a), parse_constant=refuse)
         assert data[0][0] == ["inf", 0] and data[1][0] == [1, "nan"]
         assert data[-1][-1] == ["-inf", -0.0] and data[0][1] == [0, 0]
+
+    def test_small_json_of_non_finite_entries_is_unchanged(self):
+        # the digest was recorded before the route rule moved into reports.table_blocks
+        text = matrix.matrix_to_json(self._non_finite(2))
+        digest = "dc49af65374bf3fd3fbe1375ee6364acb0de13a5e5ad73b3a01ea49bc763a471"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -519,7 +530,7 @@ class TestMatrixIO:
         cells[:6] = [0.0, complex(-0.0, 1e-300), complex(5e-324, -1e17), 1e16, complex(0.5, -0.0), 2**-25]
         margin = np.concatenate([[math.inf, -0.0, math.nan], rng.standard_normal(1497) * 1e-9])
         grid = matrix.SpectrumGrid(cells, rng.random(1500) < 0.5, margin)
-        with mock.patch.object(matrix, "column_route", lambda rows: False):
+        with mock.patch.object(reports, "COLUMN_ROUTE_SIZE", 2**62):
             want = grid.to_csv()
         assert grid.to_csv() == want
         assert want.count("\n") == 1501
@@ -650,7 +661,7 @@ def scan_inputs(draw):
     return a, draw(st.sampled_from(sorted(matrix.NORMS)))
 
 
-BLOCK_ROWS = matrix.SCAN_BLOCK_ENTRIES  # rows per block of SpectrumGrid.to_csv
+BLOCK_ROWS = matrix.SCAN_BLOCK_ENTRIES  # a whole number of the CSV writer's blocks of rows
 
 
 def no_disks():

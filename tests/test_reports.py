@@ -135,6 +135,7 @@ log_values = st.lists(
 @example([math.nan, 0.5, 0.25], "value")  # a nan first root never becomes the minimum
 @example([-1.0, -3.0, -2.5, -10.0, -math.inf, -1.0], "norm")  # minimum not the root
 @example([1.0, 2.0, 5.0], "value")  # roots rise: the minimum stays the first root
+@example([], "value")  # the empty table: its JSON is "[\n\n]\n"
 def test_build_report_matches_reference(logs, header):
     assert_same_report(
         lambda: build_report(logs, header), lambda: _reference_build_report(logs, header)
@@ -301,6 +302,7 @@ def column_route():
 @given(log_values, st.sampled_from(["value", "norm"]))
 @example([math.nan, 0.5, 0.25], "value")
 @example([-1.0, -3.0, -2.5, -10.0, -math.inf, -1.0], "norm")
+@example([], "value")
 def test_column_route_matches_reference(logs, header):
     with column_route():
         assert_same_report(
