@@ -43,10 +43,12 @@ class PrefixSequence:
     has_unit_head: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        for i, v in enumerate(self.values):
-            if not v >= 0.0:  # also rejects NaN
-                raise BadEntry(i + 1, v)
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        v = np.fromiter(values, np.float64, len(values))
+        if not v.min(initial=0.0) >= 0.0:  # also rejects NaN, which min returns
+            i = int((~(v >= 0.0)).argmax())
+            raise BadEntry(i + 1, values[i])
 
     def __len__(self) -> int:
         return len(self.values)

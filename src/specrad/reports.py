@@ -12,6 +12,7 @@ headed-CSV row reader that the other modules share live here too.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,9 +45,9 @@ _WIDTH = 24
 _MARGIN = 0.0125
 # power-of-ten table: 10^k for k = 16 - e, e one past every float's decimal exponent
 _K_LO, _K_HI = -293, 341
-# an exponent-form value is laid out as form _EXP, zero as form _ZERO, and a
-# fixed-form value with decimal exponent e in [-4, 16] as form e + 4
-_EXP, _ZERO = 21, 22
+# the decimal exponents e of nonzero floats are -324..308, at e + _E0 in the
+# tables of number_field; zero has the slot after them
+_E0, _ZERO = 324, 633
 
 
 def _nearest_longdoubles(ks) -> np.ndarray:
@@ -69,45 +70,79 @@ def _nearest_longdoubles(ks) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
+def _digit_groups():
+    """Each 4-digit group g = 0..9999 as its text (four bytes in one uint32),
+    the same with its leading zeros as NUL, and its count of trailing zeros
+    (4 for g = 0)."""
+    d = np.arange(10000)
+    text = np.empty((10000, 4), np.uint8)
+    for j in range(4):
+        text[:, j] = d // 10 ** (3 - j) % 10 + 48
+    head = text * (d[:, None] >= 10 ** np.arange(3, -1, -1))
+    zeros = sum(d % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+    return text.view(np.uint32).ravel(), head.view(np.uint32).ravel(), zeros
+
+
+def _word(text: str, at: int) -> int:
+    """text as the bytes at, at + 1, ... of a little-endian word."""
+    return int.from_bytes(text.encode(), "little") << 8 * at
+
+
+def _fill(byte: int, lo: int, hi: int) -> int:
+    """byte in bytes lo..hi - 1 of a little-endian row, as one integer."""
+    return int.from_bytes(bytes(lo) + bytes([byte]) * (hi - lo), "little")
+
+
+@lru_cache(maxsize=1)
 def _column_tables():
     """The lookup tables of number_field, built on its first call; None where
     long double is not the x87 format of 64 significand bits, so that every
-    value goes to CPython (a wider long double is emulated in software)."""
-    if np.finfo(np.longdouble).nmant != 63:
+    value goes to CPython (a wider long double is emulated in software), or
+    where words are not little-endian.
+
+    number_field lays a value's text out in a row of 32 bytes, four
+    little-endian words, with NUL wherever nothing is written: byte 0 the
+    sign; bytes 1-5 the "0." and zeros before the digits of a fixed-form
+    value below 1, or the "0" of zero; byte 7 the first digit d0 and bytes
+    8-23 the digits d1..d16; bytes 24-28 the exponent.  A value with lead
+    digits before its point (1 in exponent form) has them moved down one
+    byte, to bytes 6..5+lead, and the point written at byte 6 + lead when
+    a digit follows it; digits past the last nonzero one are NUL.  By
+    e + _E0 (zero at _ZERO) the tables give the prefix and exponent words,
+    lead (18 for zero, which keeps no digit) and the first byte the text
+    may use; by 18 lead + last, last the count of digits up to the last
+    nonzero one, the masks of the bytes taken from the moved row and from
+    the row as it is, and the point."""
+    if np.finfo(np.longdouble).nmant != 63 or sys.byteorder != "little":
         return None
     pow10 = _nearest_longdoubles(range(_K_LO, _K_HI + 1))
-    # each 4-digit group as text, and with its trailing zeros as NUL
-    d = np.arange(10000, dtype=np.uint16)
-    full = np.empty((10000, 4), np.uint8)
-    stripped = np.empty((10000, 4), np.uint8)
-    for j in range(4):
-        full[:, j] = d // 10 ** (3 - j) % 10 + 48
-        stripped[:, j] = full[:, j] * (d % 10 ** (4 - j) != 0)
-    exponents = np.array(["e%+03d" % e for e in range(-324, 309)], dtype="S8")
-    # a row of the source block: 0-15 the digits d1..d16, 16-31 the same with
-    # trailing zeros as NUL, 32 d0, 33 the sign, 34 the point, 35 "0",
-    # 40-47 the exponent; 47 is always NUL
-    unstripped = [32] + list(range(16))
-    tail = [32] + list(range(16, 32))
-    layouts = np.full((23, _WIDTH), 47, np.intp)
-    for form in range(23):
-        if form == _ZERO:
-            lay = [33, 35]
-        elif form == _EXP:
-            lay = [33, 32, 34] + tail[1:] + [40, 41, 42, 43, 44]
-        elif form >= 4:  # d0..dX, then the point and the fraction
-            e = form - 4
-            lay = [33] + unstripped[: e + 1] + [34] + tail[e + 1 :]
-        else:  # 0.0..0 and all digits
-            lay = [33, 35, 34] + [35] * (3 - form) + tail
-        layouts[form, : len(lay)] = lay
-    return (pow10, full.view(np.uint32).ravel(), stripped.view(np.uint32).ravel(),
-            exponents.view(np.uint64), layouts)
+    prefix = np.zeros(_ZERO + 1, np.uint64)
+    exponent = np.zeros(_ZERO + 1, np.uint64)
+    lead = np.ones(_ZERO + 1, np.intp)  # exponent form
+    start = np.full(_ZERO + 1, 6)
+    for e in range(-324, 309):
+        if -4 <= e < 0:
+            lead[e + _E0], start[e + _E0] = 0, 5 + e
+            prefix[e + _E0] = _word("0." + "0" * (-e - 1), 5 + e)
+        elif 0 <= e <= 16:
+            lead[e + _E0] = e + 1
+        else:
+            exponent[e + _E0] = _word("e%+03d" % e, 0)
+    prefix[_ZERO], lead[_ZERO], start[_ZERO] = _word("0", 5), 18, 5
+    masks = np.zeros((19 * 18, 9), np.uint64)
+    for q in range(18):  # q digits before the point
+        for last in range(18):
+            moved = _fill(255, 6, 6 + q)
+            kept = _fill(255, 0, 6) | _fill(255, 7 + q, 7 + max(last, q))
+            point = _fill(46, 6 + q, 7 + q) if 0 < q < last else 0
+            masks[18 * q + last] = [w >> 64 * i & 2**64 - 1 for w in (moved, kept, point) for i in range(3)]
+    masks[18 * 18 :, 3] = _fill(255, 0, 6)  # zero: the sign and its "0"
+    return pow10, _digit_groups(), prefix, exponent, lead, start, masks
 
 
 def number_field(x: np.ndarray, plus: bool = False, quote: bool = False) -> np.ndarray:
     """The bytes of FMT17 % v (or "%+.17g" % v with plus=True) for each
-    float64 v of x, one NUL-padded row of _WIDTH bytes each; quote=True
+    float64 v of x, one NUL-padded row each, at most 29 bytes wide; quote=True
     writes the non-finite values as json17 does.
 
     Each finite nonzero |v| is scaled to D = |v| * 10^(16 - e) in [10^16,
@@ -120,18 +155,18 @@ def number_field(x: np.ndarray, plus: bool = False, quote: bool = False) -> np.n
     FMT17, correctly rounded.  The rest (about 2.5% of values, every tie
     among them), inf and nan go to CPython's FMT17, and so does every value
     where long double has other than 64 significand bits.  The digits come
-    from a table of 4-digit groups, and each value is laid out from them by
-    one gather per form: zero, exponent form, or fixed form with the point
-    at a given place.
+    from a table of 4-digit groups, and every form of text is laid out from
+    them by the same word masks (see _column_tables); the row keeps only the
+    bytes that some value of x writes.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    out = np.empty((n, _WIDTH), np.uint8)
     tables = _column_tables()
     if tables is None:
-        hand = np.arange(n)
+        out = np.empty((n, _WIDTH), np.uint8)
+        lo, hi, hand = 0, _WIDTH, np.arange(n)
     else:
-        pow10, full, stripped, exponents, layouts = tables
+        pow10, (text, _, zeros), prefix, exponent, lead, start, masks = tables
         a = np.abs(x)
         zero = a == 0
         live = np.isfinite(a) & ~zero
@@ -139,56 +174,53 @@ def number_field(x: np.ndarray, plus: bool = False, quote: bool = False) -> np.n
         e = np.floor(np.log10(a)).astype(np.int64)
         a = a.astype(np.longdouble)
         scaled = a * pow10[16 - _K_LO - e]
-        off = (scaled >= 1e17).astype(np.int64) - (scaled < 1e16)
+        whole = scaled.astype(np.int64)
+        off = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
         fix = np.flatnonzero(off)
         if fix.size:
             e[fix] += off[fix]
             scaled[fix] = a[fix] * pow10[16 - _K_LO - e[fix]]
-        whole = scaled.astype(np.int64)
+            whole[fix] = scaled[fix].astype(np.int64)
         frac = (scaled - whole).astype(np.float64)
         hand = np.flatnonzero(~(live | zero) | (np.abs(frac - 0.5) <= _MARGIN))
         whole += frac > 0.5
         carry = whole == 10**17  # rounded up to 18 digits: 10^16 at e + 1
         whole[carry], e[carry] = 10**16, e[carry] + 1
-        # the 17 digits: d0, then groups g[0..3] of 4
-        d0, rest = np.divmod(whole, 10**16)
-        g = np.empty((4, n), np.int64)
-        g[0], rest = np.divmod(rest, 10**12)
-        g[1], rest = np.divmod(rest, 10**8)
-        g[2], g[3] = np.divmod(rest, 10**4)
-        # the groups, and again with the digits after the last nonzero one as NUL
-        src = np.empty((n, 48), np.uint8)
-        words = src.view(np.uint32)
-        later_zero = np.ones(n, bool)
-        for j in (3, 2, 1, 0):
-            words[:, j] = full[g[j]]
-            words[:, 4 + j] = np.where(later_zero, stripped[g[j]], words[:, j])
-            later_zero &= g[j] == 0
-        last = 1 + np.count_nonzero(src[:, 16:32], axis=1)  # digits up to the last nonzero one
-        form = np.where((e >= -4) & (e <= 16), e + 4, _EXP)
-        form[zero] = _ZERO
-        # the point stands where a fraction digit follows it
-        lead = np.where(form == _EXP, 1, np.maximum(e + 1, 0))
-        src[:, 32] = d0 + 48
-        src[:, 33] = np.where(np.signbit(x), 45, 43 if plus else 0)
-        src[:, 34] = (last > lead) * 46
-        src[:, 35] = 48
-        src.view(np.uint64)[:, 5] = exponents[e + 324]
-        counts = np.bincount(form, minlength=23)
-        for f in np.flatnonzero(counts):
-            if counts[f] == n:
-                out[:] = np.take(src, layouts[f], axis=1)
-            else:
-                rows = np.flatnonzero(form == f)
-                out[rows] = np.take(src[rows], layouts[f], axis=1)
+        e += _E0
+        e[zero] = _ZERO
+        # the 17 digits: d0, then the 4-digit groups g0..g3 on each row of g
+        top = whole // 10**8
+        d0 = top // 10**8
+        g = np.empty((n, 4), np.int64)
+        for j, eight in ((0, top - d0 * 10**8), (2, whole - top * 10**8)):
+            g[:, j] = eight // 10**4
+            g[:, j + 1] = eight - g[:, j] * 10**4
+        # the digits up to the last nonzero one: 17 less the trailing zeros of the groups
+        z, tz = g == 0, np.take(zeros, g)
+        last = 17 - (tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0])))
+        # the row's first three words: sign, prefix and d0, then d1..d8 and d9..d16
+        sign = np.where(np.signbit(x), np.uint64(45), np.uint64(43 if plus else 0))
+        digits = np.take(text, g).view(np.uint64)
+        row = (np.take(prefix, e) | sign | (d0.view(np.uint64) + 48) << 56, digits[:, 0], digits[:, 1])
+        m = np.take(masks, np.take(lead, e) * 18 + last, axis=0)
+        words = np.take(exponent, e)
+        lo = 0 if sign.any() else np.take(start, e).min(initial=6)
+        hi = 29 if words.any() else 24
+        out = np.empty((n, 4), np.uint64)
+        for i in range(3):
+            moved = row[i] >> 8 | row[i + 1] << 56 if i < 2 else row[i] >> 8
+            out[:, i] = moved & m[:, i] | row[i] & m[:, 3 + i] | m[:, 6 + i]
+        if hi > 24:
+            out[:, 3] = words
+        out = out.view(np.uint8)
     if hand.size:
-        if quote:
-            texts = list(map(json17, x[hand].tolist()))
-        else:
-            fmt = "%+.17g" if plus else FMT17
-            texts = [fmt % v for v in x[hand].tolist()]
-        out[hand] = np.array(texts, dtype="S%d" % _WIDTH).view(np.uint8).reshape(-1, _WIDTH)
-    return out
+        fmt = "%+.17g" if plus else FMT17
+        write = (lambda v: fmt % v if math.isfinite(v) else json17(v)) if quote else fmt.__mod__
+        texts = list(map(write, x[hand].tolist()))
+        lo = min(lo, hi - max(map(len, texts)))
+        texts = np.array(texts, dtype="S%d" % (hi - lo))
+        out[hand, lo:hi] = texts.view(np.uint8).reshape(-1, hi - lo)
+    return out[:, lo:hi]
 
 
 # --- the table writer ---------------------------------------------------------
@@ -199,19 +231,19 @@ def number_field(x: np.ndarray, plus: bool = False, quote: bool = False) -> np.n
 # a number column, takes the column route: number_field writes each float
 # column and the rows are joined _BLOCK_ROWS at a time.  A smaller table is
 # one % over its row template repeated n times.  The column route's fixed
-# cost is about 0.25 ms a column, so it overtakes the per-value route at
-# about 300 rows for a RootReport, 500 for a sequence or a spectrum grid and
-# 24 x 24 = 576 entries for a matrix (2-vCPU Xeon, numpy 2.4.6); at 1024
-# rows each writer is 15-40% faster
-COLUMN_ROUTE_SIZE = 1024
+# cost is about 75 us a float column, so it overtakes the per-value route at
+# about 200 rows for a RootReport, 300 for a sequence and 200-250 for a
+# matrix or a spectrum grid (2-vCPU Xeon, numpy 2.4.6); at 512 rows each
+# writer is 30-45% faster
+COLUMN_ROUTE_SIZE = 512
 # the column route writes a table this many rows at a time, which bounds the
 # temporaries of a block near 1 MB
 _BLOCK_ROWS = 4096
 
 
 # a float column of a row layout, written by FMT17, or by "%+.17g" with
-# plus=True; where it equals the column same, laid out earlier in the row, bit
-# for bit, the column route copies that column's text
+# plus=True; where it equals the column same, laid out earlier in the row with
+# the same plus, bit for bit, the column route copies that column's text
 Floats = namedtuple("Floats", "column plus same", defaults=(False, None))
 # texts[index[i]] on row i of a row layout; index holds integers or booleans
 Choice = namedtuple("Choice", "texts index")
@@ -248,11 +280,20 @@ def table_blocks(n: int, fields: list, quote: bool = False):
                     part, y = written[id(f.same)], arrays[id(f.same)][i:j]
                     rest = np.flatnonzero(x.view(np.int64) != y.view(np.int64))
                     if rest.size:
-                        part = part.copy()
-                        part[rest] = number_field(x[rest], f.plus, quote)
+                        texts = number_field(x[rest], f.plus, quote)
+                        # the two fields may differ in width: NUL-pad both to the wider
+                        width = max(part.shape[1], texts.shape[1])
+                        part = np.pad(part, ((0, 0), (0, width - part.shape[1])))
+                        part[rest] = np.pad(texts, ((0, 0), (0, width - texts.shape[1])))
                 written[id(f.column)] = part
-            parts.append(np.broadcast_to(part, (j - i, part.shape[-1])))
-        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
+            parts.append(part)
+        # every field into its columns of one block, NULs dropped from the joined text
+        block = np.empty((j - i, sum(part.shape[-1] for part in parts)), np.uint8)
+        at = 0
+        for part in parts:
+            block[:, at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _per_value_text(n: int, fields: list) -> str:
@@ -284,12 +325,19 @@ def _as_list(column):
 
 
 def _row_numbers(rows: range) -> np.ndarray:
-    """The decimal texts of a range of positive row numbers, one NUL-padded row each."""
+    """The decimal texts of a range of positive row numbers, one NUL-padded
+    row each, from the 4-digit groups of each number."""
+    text, head, _ = _digit_groups()
     k = np.arange(rows.start, rows.stop)
-    powers = 10 ** np.arange(len(str(rows.stop - 1)) - 1, -1, -1)
-    digits = (k[:, None] // powers % 10 + 48).astype(np.uint8)
-    digits[k[:, None] < powers] = 0
-    return digits
+    width = len(str(rows.stop - 1))
+    groups = -(-width // 4)
+    out = np.empty((k.size, groups), np.uint32)
+    ahead = np.ones(k.size, bool)  # no nonzero digit yet: leading zeros are NUL
+    for j in range(groups):
+        g = k // 10 ** (4 * (groups - 1 - j)) % 10000
+        out[:, j] = np.where(ahead, head[g], text[g])
+        ahead &= g == 0
+    return out.view(np.uint8)[:, 4 * groups - width :]
 
 
 def csv_rows(text: str, header: str):

@@ -27,19 +27,22 @@ class WeightedShift:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        if not self.weights:
+        weights = tuple(map(float, self.weights))
+        object.__setattr__(self, "weights", weights)
+        if not weights:
             raise ValueError("need at least one weight")
-        prev = math.inf
-        for i, w in enumerate(self.weights):
-            if not w >= 0.0:
-                raise ValueError("weight alpha_%d = %r is negative or NaN" % (i + 1, w))
-            if w > prev:
-                raise ValueError(
-                    "weights must be nonincreasing: alpha_%d = %r > alpha_%d = %r"
-                    % (i + 1, w, i, prev)
-                )
-            prev = w
+        # the first weight that is negative or NaN, or above the one before it
+        w = np.fromiter(weights, np.float64, len(weights))
+        wrong = ~(w >= 0.0)
+        wrong[1:] |= w[1:] > w[:-1]
+        if wrong.any():
+            i = int(wrong.argmax())
+            if not weights[i] >= 0.0:
+                raise ValueError("weight alpha_%d = %r is negative or NaN" % (i + 1, weights[i]))
+            raise ValueError(
+                "weights must be nonincreasing: alpha_%d = %r > alpha_%d = %r"
+                % (i + 1, weights[i], i, weights[i - 1])
+            )
 
     @property
     def tail(self) -> float:
@@ -216,7 +219,10 @@ def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
     """alpha_j = a + b/j, decaying toward a; needs a, b >= 0."""
     if a < 0 or b < 0:
         raise ValueError("need a, b >= 0 for nonnegative nonincreasing weights")
-    return WeightedShift(tuple([a + b / j for j in range(1, m + 1)]))
+    a, b = float(a), float(b)
+    with np.errstate(over="ignore"):  # a + b/j past the float range is inf, as in Python
+        weights = a + b / np.arange(1, m + 1)
+    return WeightedShift(tuple(weights.tolist()))
 
 
 # --- CSV interface ----------------------------------------------------------

@@ -541,3 +541,25 @@ def test_binomial_convolve_zero_and_infinite_entries(monkeypatch, n):
     mixed = PrefixSequence(values, has_unit_head=True)
     assert_convolve_matches_reference(mixed, poly, n)
     assert_convolve_matches_reference(zero, mixed, n)
+
+
+def _reference_bad_entry(values):
+    """The validation loop that PrefixSequence replaced: its message, or None."""
+    for i, v in enumerate(values):
+        if not v >= 0.0:
+            return "entry a_%d = %r is negative or NaN" % (i + 1, v)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, -5e-324]) | st.floats(),
+                max_size=12))
+def test_entry_check_matches_the_loop(values):
+    try:
+        seq = PrefixSequence(tuple(values))
+    except fekete.BadEntry as exc:
+        got = str(exc)
+    else:
+        got = None
+        assert seq.values == tuple(values)
+    assert got == _reference_bad_entry(values)

@@ -10,6 +10,8 @@ including nan, inf, signed zeros and subnormals.
 
 import contextlib
 import math
+import subprocess
+import sys
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from specrad import fekete, reports
 from specrad.fekete import PrefixSequence
-from specrad.reports import RootReport, build_report, fmt17, json17, number_field
+from specrad.reports import Choice, Floats, RootReport, build_report, fmt17, json17, number_field
 
 # the row record of the earlier implementation
 _Entry = namedtuple("_Entry", "k value root running_min")
@@ -319,3 +321,120 @@ def test_column_route_sequence_writers_match_reference(values):
     with column_route():
         assert fekete.sequence_to_json(seq) == want_json
         assert fekete.sequence_to_csv(seq) == want_csv
+
+
+# --- digit edges ----------------------------------------------------------------
+
+
+def _digit_edge_corpus():
+    """For every form (fixed with e = -4..16, and exponent form) a value whose
+    16 fraction digits d1..d16 end in exactly t zeros, for each t = 0..16,
+    and floats below each power of ten whose 17 digits round up to 10^17
+    and carry into e + 1."""
+    rng = np.random.default_rng(17)
+    values = []
+    for exponents in [[e] for e in range(-4, 17)] + [[-300, -5, 17, 300]]:
+        for t in range(17):
+            for _ in range(1000):
+                e = int(rng.choice(exponents))
+                digits = "".join(map(str, rng.integers(1, 10, 2))) + "".join(map(str, rng.integers(0, 10, 14)))
+                digits = digits[: 16 - t] + "%d" % rng.integers(1, 10)  # 17 - t digits, the last nonzero
+                x = float("%s.%se%d" % (digits[0], digits[1:], e))
+                mantissa, exponent = ("%.16e" % x).split("e")
+                if int(exponent) == e and mantissa.replace(".", "").rstrip("0") == digits:
+                    values.append(x)
+                    break
+            else:
+                raise AssertionError("no value with %d trailing zeros at e in %s" % (t, exponents))
+    # the floats nearest 10^k that lie below it by less than half a unit of
+    # the 17th digit: they round up to 10^17 at e = k - 1, and carry
+    carries = [x for x in map(float, ("1e%d" % k for k in range(-323, 309)))
+               if Fraction(x) < Fraction(10) ** round(math.log10(x))
+               and ("%.16e" % x).startswith("1.0000000000000000e")]
+    assert len(carries) == 14
+    return values + carries
+
+
+def test_digit_edge_corpus_is_exact():
+    corpus = _digit_edge_corpus()
+    assert len(corpus) == 22 * 17 + 14
+    _assert_column_exact(corpus + [-v for v in corpus])
+
+
+def test_import_builds_no_column_table():
+    # the tables are built on the first column written, never at import
+    code = ("import specrad.cli; from specrad import reports; "
+            "print(reports._column_tables.cache_info().currsize, reports._digit_groups.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
+
+
+# --- the table writer -------------------------------------------------------------
+
+_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e17, 0.1]) | st.floats()
+
+
+def _reference_table(n, fields, quote):
+    """The table, row by row and field by field."""
+    out = []
+    for i in range(n):
+        for f in fields:
+            if isinstance(f, str):
+                out.append(f)
+            elif isinstance(f, range):
+                out.append("%d" % f[i])
+            elif isinstance(f, Choice):
+                out.append(f.texts[int(f.index[i])])
+            elif quote and not math.isfinite(f.column[i]):
+                out.append(json17(f.column[i]))
+            else:
+                out.append(("%+.17g" if f.plus else "%.17g") % f.column[i])
+    return "".join(out)
+
+
+@st.composite
+def _layouts(draw, n):
+    """A row layout of n rows: constants (with %), row numbers, float
+    columns (signed, or equal to an earlier column but on a few rows) and
+    choices by booleans or integers."""
+    fields, floats = [], []
+    for kind in draw(st.lists(st.sampled_from("sfrcb"), min_size=1, max_size=7)):
+        if kind == "s":
+            fields.append(draw(st.text("%,;\"{}[] x9", max_size=4)))
+        elif kind == "r":
+            start = draw(st.sampled_from([1, 9, 9997, 99999995, 10**12 - 3]) | st.integers(1, 10**9))
+            fields.append(range(start, start + n))
+        elif kind == "c":
+            texts = tuple(draw(st.lists(st.text("ab%,\n", max_size=3), min_size=1, max_size=4)))
+            fields.append(Choice(texts, draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n))))
+        elif kind == "b":
+            fields.append(Choice(("false", "true"), np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))))
+        elif floats and draw(st.booleans()):
+            same = draw(st.sampled_from(floats))
+            column = list(same.column)
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                column[i] = draw(_FLOATS)
+            fields.append(Floats(column, same.plus, same.column))
+            floats.append(fields[-1])
+        else:
+            column = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+            column = np.array(column) if draw(st.booleans()) else column
+            fields.append(Floats(column, plus=draw(st.booleans())))
+            floats.append(fields[-1])
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_table_blocks_routes_write_the_same_bytes(data, quote):
+    # blocks of 8 rows: tables of 7, 8 and 9 rows end inside, on and past a block
+    with mock.patch.object(reports, "_BLOCK_ROWS", 8):
+        for n in (7, 8, 9):
+            fields = data.draw(_layouts(n))
+            want = _reference_table(n, fields, quote)
+            with column_route():
+                assert "".join(reports.table_blocks(n, fields, quote)) == want
+            finite = all(np.isfinite(f.column).all() for f in fields if isinstance(f, Floats))
+            if finite or not quote:  # quoted inf and nan take the column route at any size
+                with mock.patch.object(reports, "COLUMN_ROUTE_SIZE", 10**9):
+                    assert "".join(reports.table_blocks(n, fields, quote)) == want

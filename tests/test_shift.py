@@ -33,6 +33,57 @@ class TestWeightedShift:
         assert t.tail == 0.5 + 1.0 / 100
 
 
+def _reference_harmonic_weights(a, b, m):
+    """The per-element comprehension that harmonic_weights replaced."""
+    return tuple([a + b / j for j in range(1, m + 1)])
+
+
+def _reference_check_weights(weights):
+    """The validation loop that WeightedShift replaced: its message, or None."""
+    if not weights:
+        return "need at least one weight"
+    prev = math.inf
+    for i, w in enumerate(weights):
+        if not w >= 0.0:
+            return "weight alpha_%d = %r is negative or NaN" % (i + 1, w)
+        if w > prev:
+            return "weights must be nonincreasing: alpha_%d = %r > alpha_%d = %r" % (i + 1, w, i, prev)
+        prev = w
+    return None
+
+
+def _message(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, allow_infinity=True), st.floats(0.0, allow_infinity=True),
+       st.integers(0, 300) | st.just(5000))
+def test_harmonic_weights_match_the_comprehension(a, b, m):
+    want = _reference_harmonic_weights(a, b, m)
+    if not want:
+        assert _message(shift.harmonic_weights, a, b, m) == "need at least one weight"
+        return
+    got = shift.harmonic_weights(a, b, m).weights
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert all(type(w) is float for w in got)
+
+
+weight_values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf, -1e-300, math.nan]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(weight_values, max_size=12) | st.lists(st.floats(0, 10), max_size=12).map(
+    lambda w: sorted(w, reverse=True)))
+def test_weight_checks_match_the_loop(weights):
+    # the same first bad index, with the same message; nonincreasing lists pass
+    assert _message(WeightedShift, tuple(weights)) == _reference_check_weights(weights)
+
+
 class TestFiniteVector:
     def test_norms(self):
         x = FiniteVector({1: 3.0, 2: -4.0}, 2.0)
