@@ -118,9 +118,11 @@ def run_convolve(args) -> int:
     a = _parse_sequence_gen(args.a, args.n, "a")
     b = _parse_sequence_gen(args.b, args.n, "b")
     for name, spec, seq in (("a", args.a, a), ("b", args.b, b)):
-        for j, v in enumerate(seq.values, 1):
-            if not math.isfinite(v):
-                raise ValueError("--%s %s: entry %s_%d = %r is not finite" % (name, spec, name, j, v))
+        bad = np.flatnonzero(~np.isfinite(seq.array))
+        if bad.size:
+            j = int(bad[0]) + 1
+            raise ValueError("--%s %s: entry %s_%d = %r is not finite"
+                             % (name, spec, name, j, seq.values[j - 1]))
     c = fekete.binomial_convolve(a, b, args.n)
     write = fekete.sequence_to_json if args.format == "json" else fekete.sequence_to_csv
     _emit(args, write(c))

@@ -11,13 +11,14 @@ be approached only at unseen indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress
 
 import numpy as np
 
-from .reports import Floats, RootReport, build_report, csv_rows, or_inf, table_blocks
+from .reports import (Floats, RootReport, build_report, csv_rows, float_tuple, map_floats, or_inf,
+                      table_blocks)
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -36,16 +37,19 @@ class PrefixSequence:
 
     ``has_unit_head`` marks the convention that an implicit a_0 = 1
     precedes the stored entries.  Index 1 always maps to values[0];
-    the head is never stored as an array entry.
+    the head is never stored as an array entry.  ``array`` holds the
+    values as a read-only float64 array, built once; it takes no part in
+    ==, hash or repr.
     """
 
     values: tuple[float, ...]
     has_unit_head: bool = False
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(map(float, self.values))
+        values, v = float_tuple(self.values)
         object.__setattr__(self, "values", values)
-        v = np.fromiter(values, np.float64, len(values))
+        object.__setattr__(self, "array", v)
         if not v.min(initial=0.0) >= 0.0:  # also rejects NaN, which min returns
             i = int((~(v >= 0.0)).argmax())
             raise BadEntry(i + 1, values[i])
@@ -98,7 +102,7 @@ def check_submultiplicative(
     blocks of pairs, the same IEEE products as (a_j * a_l) * (1 + tol_rel)
     in Python, so the extra memory stays bounded as n grows.
     """
-    a = np.array((0.0,) + seq.values)  # a[j] is a_j
+    a = np.concatenate(([0.0], seq.array))  # a[j] is a_j
     factor = 1.0 + tol_rel
     violations = []
     with np.errstate(all="ignore"):  # inf products and inf * 0, silent as in Python
@@ -108,10 +112,16 @@ def check_submultiplicative(
     return violations
 
 
-def _logs(values) -> list[float]:
-    """log of each nonnegative entry, -inf for a zero entry."""
-    log, neg_inf = math.log, -math.inf
-    return [log(v) if v > 0.0 else neg_inf for v in values]
+def _logs(seq: PrefixSequence, n: int) -> np.ndarray:
+    """math.log of a_1..a_n, -inf for a zero entry; log reads the floats of
+    seq.values, as numpy's log is not glibc's."""
+    try:
+        return map_floats(math.log, seq.values[:n])
+    except ValueError:  # math.log of a zero entry: take the positive ones alone
+        positive = seq.array[:n] > 0.0
+        logs = np.full(n, -math.inf)
+        logs[positive] = map_floats(math.log, list(compress(seq.values, positive.tolist())))
+        return logs
 
 
 def root_report(seq: PrefixSequence) -> RootReport:
@@ -123,7 +133,7 @@ def root_report(seq: PrefixSequence) -> RootReport:
     """
     if not seq.values:
         raise ValueError("need at least one entry, got an empty prefix")
-    return build_report(_logs(seq.values), value_header="value", values=seq.values)
+    return build_report(_logs(seq, len(seq)), value_header="value", values=seq.array)
 
 
 def limit_bracket(
@@ -172,8 +182,8 @@ def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> Prefi
         )
 
     # log a_j, log b_j for j = 0..n_out (head included); -inf marks a zero entry
-    log_a = np.array([0.0] + _logs(a.values[:n_out]))
-    log_b = np.array([0.0] + _logs(b.values[:n_out]))
+    log_a = np.concatenate(([0.0], _logs(a, n_out)))
+    log_b = np.concatenate(([0.0], _logs(b, n_out)))
     # accumulated log-factorials: lf[n] = log(n!)
     lf = np.array(list(accumulate(map(math.log, range(1, n_out + 1)), initial=0.0)))
 
@@ -227,14 +237,8 @@ def _check_length(n: int) -> None:
 
 
 def _mapped(f, *args) -> PrefixSequence:
-    """The prefix of f over the zipped sequences args, with unit head.
-    float pow and math.exp raise past the float range: only then does each
-    entry go through or_inf."""
-    try:
-        values = tuple(map(f, *args))
-    except OverflowError:
-        values = tuple(map(or_inf, repeat(f), *args))
-    return PrefixSequence(values, has_unit_head=True)
+    """The prefix of f over the zipped sequences args (map_floats), with unit head."""
+    return PrefixSequence(map_floats(f, *args), has_unit_head=True)
 
 
 def poly_sequence(c: float, n: int) -> PrefixSequence:
@@ -260,21 +264,22 @@ def subadd_sequence(c: float, d: float, n: int) -> PrefixSequence:
     _check_length(n)
     if d < 0:
         raise ValueError("d must be >= 0 (sqrt term must stay subadditive)")
-    sqrt = math.sqrt
-    return _mapped(math.exp, [c * j + d * sqrt(j) for j in range(1, n + 1)])
+    # numpy's sqrt is correctly rounded, as math.sqrt is, and fuses no multiply-add
+    j = np.arange(1.0, n + 1)
+    return _mapped(math.exp, (float(c) * j + float(d) * np.sqrt(j)).tolist())
 
 
 # --- CSV and JSON interface ----------------------------------------------
 
 def sequence_to_csv(seq: PrefixSequence) -> str:
     n = len(seq.values)
-    return "k,value\n" + "".join(table_blocks(n, [range(1, n + 1), ",", Floats(seq.values), "\n"]))
+    return "k,value\n" + "".join(table_blocks(n, [range(1, n + 1), ",", Floats(seq.array), "\n"]))
 
 
 def sequence_to_json(seq: PrefixSequence) -> str:
     """The rows of sequence_to_csv as one line of {"k", "value"} objects."""
     n = len(seq.values)
-    fields = ['{"k": ', range(1, n + 1), ', "value": ', Floats(seq.values), "}, "]
+    fields = ['{"k": ', range(1, n + 1), ', "value": ', Floats(seq.array), "}, "]
     return "[" + "".join(table_blocks(n, fields, quote=True))[:-2] + "]\n"
 
 

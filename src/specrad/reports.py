@@ -7,6 +7,13 @@ for the limit of the root sequence after k steps.  The one table writer,
 table_blocks, which writes every CSV and JSON table from a single row
 layout by either of its two routes, its exact FMT17 column kernel and the
 headed-CSV row reader that the other modules share live here too.
+
+A column is a read-only float64 array from the generator that makes it
+to the writer, and is never turned back into a list on the way.  Columns
+are built whole, in numpy only where numpy rounds as CPython does
+(division, left-to-right sums, fmin); exp, log and pow are CPython's,
+mapped once over a column by map_floats, as numpy's do not round as
+glibc does.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import repeat
 
 import numpy as np
 
@@ -364,35 +370,85 @@ def csv_rows(text: str, header: str):
         yield parts
 
 
-@dataclass(kw_only=True)
+def frozen_column(x) -> np.ndarray:
+    """x as a read-only float64 array: a read-only float64 array is shared,
+    as whoever froze it keeps it unchanged; anything else is copied."""
+    if not isinstance(x, np.ndarray):
+        x = np.fromiter(x, np.float64, len(x))
+    elif x.dtype == np.float64 and not x.flags.writeable:
+        return x
+    else:
+        x = np.array(x, dtype=np.float64)
+    x.setflags(write=False)
+    return x
+
+
+def float_tuple(x) -> tuple[tuple, np.ndarray]:
+    """The floats of x as a tuple and as frozen_column's array; a 1-d array
+    is read as a whole, any other sequence by float() of each entry."""
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        x = frozen_column(x)
+        return tuple(x.tolist()), x
+    x = tuple(map(float, x))
+    return x, frozen_column(x)
+
+
 class RootReport:
     """Convergence table of k-th roots with their running minimum.
 
-    The table is stored by column; row k is entry k - 1 of ``value``,
-    ``root`` and ``running_min``.  ``value_header`` names the second
+    The table is stored by column, each a read-only float64 array; row k is
+    entry k - 1 of ``value``, ``root`` and ``running_min``.  Each of those
+    three reads as a new list of Python floats, so changing a list that
+    was read changes neither the report nor what it writes: the table
+    always prints the numbers its columns read.  The constructor takes
+    its columns by keyword, as lists, tuples or arrays, and copies any that
+    is not a read-only float64 array.  ``value_header`` names the second
     column: "value" for raw sequence prefixes, "norm" for power-norm
     reports.
     """
 
-    value: list[float] | tuple[float, ...] = field(default_factory=list)
-    root: list[float] = field(default_factory=list)
-    running_min: list[float] = field(default_factory=list)
-    value_header: str = "value"
+    __slots__ = ("_value", "_root", "_running_min", "value_header")
+
+    def __init__(self, *, value=(), root=(), running_min=(), value_header: str = "value"):
+        self._value = frozen_column(value)
+        self._root = frozen_column(root)
+        self._running_min = frozen_column(running_min)
+        self.value_header = value_header
+
+    value = property(lambda self: self._value.tolist(), doc="The value column, as a new list.")
+    root = property(lambda self: self._root.tolist(), doc="The root column, as a new list.")
+    running_min = property(lambda self: self._running_min.tolist(),
+                           doc="The running minimum column, as a new list.")
 
     def __len__(self) -> int:
-        return len(self.root)
+        return len(self._root)
+
+    def __eq__(self, other):
+        """The same value_header and columns, where nan equals nan."""
+        if not isinstance(other, RootReport):
+            return NotImplemented
+        pairs = zip((self._value, self._root, self._running_min),
+                    (other._value, other._root, other._running_min))
+        return self.value_header == other.value_header and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+
+    __hash__ = None  # compared by value, and value_header can change
+
+    def __repr__(self) -> str:
+        return "RootReport(value=%r, root=%r, running_min=%r, value_header=%r)" % (
+            self.value, self.root, self.running_min, self.value_header)
 
     @property
     def certified_upper(self) -> float:
         """Minimum root seen: a rigorous upper bound for the limit."""
-        return self.running_min[-1]
+        return float(self._running_min[-1])
 
     def _columns(self) -> tuple:
         """k, value, root and running_min as fields of table_blocks; a running
         minimum that is the root, bit for bit (the root set a new minimum, as
         on 84% of the report-tables rows), copies the root's text."""
-        return (range(1, len(self) + 1), Floats(self.value), Floats(self.root),
-                Floats(self.running_min, same=self.root))
+        return (range(1, len(self) + 1), Floats(self._value), Floats(self._root),
+                Floats(self._running_min, same=self._root))
 
     def to_csv(self) -> str:
         k, value, root, low = self._columns()
@@ -415,33 +471,73 @@ def or_inf(f, *args) -> float:
         return math.inf
 
 
-def build_report(
-    values_log: list[float],
-    value_header: str = "value",
-    values: list[float] | tuple[float, ...] | None = None,
-) -> RootReport:
-    """Assemble a report from natural-log values (-inf encodes a zero entry).
+def map_floats(f, *args) -> np.ndarray:
+    """f over the zipped sequences args, as a new read-only float64 array.
+    f is a CPython function such as math.exp, math.log or pow, mapped once
+    over a whole column: numpy's exp, log and power do not round as glibc
+    does.  float pow and math.exp raise past the float range; only then is
+    f mapped again, each entry through or_inf, so args must be sequences,
+    not iterators."""
+    try:
+        out = np.fromiter(map(f, *args), np.float64)
+    except OverflowError:
+        out = np.fromiter(map(or_inf, repeat(f), *args), np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def build_report(values_log, value_header: str = "value", values=None) -> RootReport:
+    """Assemble a report from natural-log values (-inf encodes a zero entry),
+    a list, tuple or float64 array.
 
     When the raw values are available, pass them through ``values`` so the
-    value column carries them verbatim instead of an exp/log round trip;
-    a tuple is shared, a list is copied.  A value past the float range is
-    reported as inf; its root stays finite.
+    value column carries them verbatim instead of an exp/log round trip; a
+    read-only float64 array is shared, anything else copied.  A value past
+    the float range is reported as inf; its root stays finite, and a root
+    past it raises OverflowError.
+
+    Every column is built whole, and each operation keeps the bits of the
+    row-by-row CPython it replaced: lv / k is one numpy division by the
+    doubles k, exact for k < 2^53; exp is math.exp mapped over the column,
+    as numpy's exp is not glibc's; the running minimum is np.fmin.accumulate
+    from +inf, which passes over a nan root as min(running, root) does.
     """
-    n = len(values_log)
-    exp = math.exp
+    logs = np.asarray(values_log, dtype=np.float64)
+    n = logs.size
     if values is not None:
         value = values[:n]
         if len(value) < n:
             raise ValueError("values has %d entries for %d logs" % (len(value), n))
     else:
-        try:
-            value = list(map(exp, values_log))
-        except OverflowError:
-            value = [or_inf(exp, lv) for lv in values_log]
-    root = [exp(lv / k) for k, lv in enumerate(values_log, 1)]  # exp(-inf) is 0.0
-    # min(running, root) at each k, from running = inf: a nan root never
-    # becomes the minimum, and a new minimum is the root object itself
-    running_min = list(islice(accumulate(root, min, initial=math.inf), 1, None))
-    return RootReport(
-        value=value, root=root, running_min=running_min, value_header=value_header
-    )
+        value = map_floats(math.exp, _as_list(values_log))
+    root, running_min = _root_columns(logs)
+    return RootReport(value=value, root=root, running_min=running_min, value_header=value_header)
+
+
+def build_reports(rows, value_header: str = "value") -> list[RootReport]:
+    """build_report(row, value_header) for each of the equally long
+    sequences of logs in rows: each column of every row is built in the
+    same numpy calls, so many short reports cost about as much as one long
+    one."""
+    if not rows:
+        return []
+    logs = np.array(rows, dtype=np.float64)
+    value = map_floats(math.exp, logs.ravel().tolist()).reshape(logs.shape)
+    return [RootReport(value=v, root=r, running_min=m, value_header=value_header)
+            for v, r, m in zip(value, *_root_columns(logs))]
+
+
+def _root_columns(logs: np.ndarray) -> tuple:
+    """The roots exp(lv / k) of the logs lv at k = 1..n along the last axis
+    of logs, one row (n,) or c rows (c, n), and the running minimum of the
+    roots along it, as read-only arrays of that shape (see build_report)."""
+    n = logs.shape[-1]
+    # each row led by a +inf log: exp(inf) is the +inf its running minimum starts from
+    q = np.empty(logs.shape[:-1] + (n + 1,))
+    q[..., 0] = math.inf
+    np.divide(logs, np.arange(1.0, n + 1), out=q[..., 1:])
+    roots = np.fromiter(map(math.exp, q.ravel().tolist()), np.float64, q.size).reshape(q.shape)
+    running_min = np.fmin.accumulate(roots, axis=-1)
+    roots.setflags(write=False)
+    running_min.setflags(write=False)
+    return roots[..., 1:], running_min[..., 1:]

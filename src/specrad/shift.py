@@ -12,27 +12,29 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, takewhile
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reports import RootReport, build_report, csv_rows
+from .reports import RootReport, build_report, csv_rows, float_tuple, map_floats
 
 
 @dataclass(frozen=True)
 class WeightedShift:
-    """Nonincreasing weight prefix; the weight is constant past the prefix."""
+    """Nonincreasing weight prefix; the weight is constant past the prefix.
+    ``array`` holds the weights as a read-only float64 array, built once;
+    it takes no part in ==, hash or repr."""
 
     weights: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(map(float, self.weights))
+        weights, w = float_tuple(self.weights)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "array", w)
         if not weights:
             raise ValueError("need at least one weight")
         # the first weight that is negative or NaN, or above the one before it
-        w = np.fromiter(weights, np.float64, len(weights))
         wrong = ~(w >= 0.0)
         wrong[1:] |= w[1:] > w[:-1]
         if wrong.any():
@@ -153,14 +155,19 @@ def power_norm_formula(shift: WeightedShift, power: int) -> float:
     return math.exp(_log_products(shift, power)[-1])
 
 
-def _log_products(shift: WeightedShift, max_power: int) -> list[float]:
-    """log of the product of the first l weights, for l = 1..max_power."""
-    # alpha_1..alpha_L up to the first zero weight, past which (weights are
-    # nonincreasing) every weight is zero and every product is 0, log -inf
-    positive = takewhile((0.0).__lt__, chain(shift.weights, repeat(shift.tail)))
-    logs = list(accumulate(map(math.log, islice(positive, max_power)), initial=0.0))
-    del logs[0]
-    logs += [-math.inf] * (max_power - len(logs))
+def _log_products(shift: WeightedShift, max_power: int) -> np.ndarray:
+    """log of the product of the first l weights, for l = 1..max_power: the
+    sums of math.log of the weights, added left to right."""
+    # the weights are nonincreasing: the positive ones lead, and past the
+    # first zero weight every product is 0, log -inf
+    w = shift.array
+    stored = np.count_nonzero(w[:max_power])
+    positive = max_power if stored == w.size else stored  # the tail weight past the prefix
+    logs = np.full(max_power, -math.inf)
+    logs[:stored] = map_floats(math.log, shift.weights[:stored])
+    if positive > stored:
+        logs[stored:positive] = math.log(shift.tail)
+    logs[:positive] = np.add.accumulate(logs[:positive])
     return logs
 
 
@@ -222,7 +229,8 @@ def harmonic_weights(a: float, b: float, m: int) -> WeightedShift:
     a, b = float(a), float(b)
     with np.errstate(over="ignore"):  # a + b/j past the float range is inf, as in Python
         weights = a + b / np.arange(1, m + 1)
-    return WeightedShift(tuple(weights.tolist()))
+    weights.setflags(write=False)
+    return WeightedShift(weights)
 
 
 # --- CSV interface ----------------------------------------------------------

@@ -830,6 +830,39 @@ def test_column_route_output_is_unchanged(tmp_path, capsys, name, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == COLUMN_ROUTE_SHA256[name, fmt]
 
 
+# Column-route tables of special columns, digests recorded before the columns
+# became float64 arrays: values past the float range with finite roots
+# (harmonic:2,1 from k = 1019 on), -inf logs with zero values and roots, and
+# the subnormal values of geom:0.5 down to 5e-324 (k = 1074), then zeros.
+SPECIAL_COLUMN_INVOCATIONS = {
+    "shift-past-range": ["shift", "--weights", "harmonic:2,1", "--l", "1100"],
+    "fekete-zero": ["fekete", "--gen", "geom:0", "--n", "600"],
+    "shift-zero": ["shift", "--weights", "harmonic:0,0", "--l", "600"],
+    "fekete-underflow": ["fekete", "--gen", "geom:0.5", "--n", "1100"],
+}
+
+SPECIAL_COLUMN_SHA256 = {
+    ("fekete-underflow", "csv"): "09aac3bb54574d30efbb2fa08620c815afe22c2f73e3942c3f5770fc15b98437",
+    ("fekete-underflow", "json"): "1ec467c9f7f60bf7ffe8932580f2f03df340ab50d2c85459a93315c95680c0a4",
+    ("fekete-zero", "csv"): "c99edd108e5feb462cd6fc67647e24c4813d9af9d455fbd91e021e5340386793",
+    ("fekete-zero", "json"): "47f7ccf1e76d4b6de43e3409924f0c3a45aa200a292700b091a6c76654555b73",
+    ("shift-past-range", "csv"): "45c9e5d8cb5be189f51c838a64ee7a22e343b960d6f7df27a9e99dfc9234351d",
+    ("shift-past-range", "json"): "ab8aa360e2e60004047c412405b869ef954acf2e93a2ba5f82ff56f5ebb53ae4",
+    ("shift-zero", "csv"): "b1a5fa6f849bb0f8d810a7f5b767f88924821f31aea1d1f52facc38658973fe0",
+    ("shift-zero", "json"): "36b74ec1900a2ab40a678a5731fbcad767cbd8431ce94c502446eed87d4168e1",
+}
+
+
+@pytest.mark.parametrize("long_double", [True, False])
+@pytest.mark.parametrize("name, fmt", sorted(SPECIAL_COLUMN_SHA256))
+def test_special_columns_are_unchanged(capsys, monkeypatch, name, fmt, long_double):
+    if not long_double:  # every number of the column route through CPython's %.17g
+        monkeypatch.setattr(reports, "_column_tables", lambda: None)
+    code, out, err = run_cli(capsys, "--format", fmt, *SPECIAL_COLUMN_INVOCATIONS[name])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECIAL_COLUMN_SHA256[name, fmt]
+
+
 # Small JSON tables that reach the column route only for their inf: digests recorded
 # before the route rule moved into reports.table_blocks.
 NON_FINITE_JSON_SHA256 = {
@@ -918,6 +951,15 @@ def test_convolve_non_finite_input_names_the_input(capsys):
     code, out, err = run_cli(capsys, "convolve", "--a", "poly:1", "--b", "geom:inf", "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: --b geom:inf: entry b_1 = inf is not finite\n"
+
+
+@pytest.mark.parametrize("spec, first", [("geom:1e300", 2), ("poly:400", 5), ("subadd:300,300", 2)])
+def test_convolve_names_the_first_non_finite_entry(capsys, spec, first):
+    # the entries past the float range read inf from some j > 1 on; the first is named
+    for option, argv in (("a", ["--a", spec, "--b", "poly:1"]), ("b", ["--a", "poly:1", "--b", spec])):
+        code, out, err = run_cli(capsys, "convolve", *argv, "--n", "200")
+        assert (code, out) == (1, "")
+        assert err == "error: --%s %s: entry %s_%d = inf is not finite\n" % (option, spec, option, first)
 
 
 # --- sequences past the float range -----------------------------------------------

@@ -201,6 +201,15 @@ def test_generators_as_per_entry_or_inf(kind, x, n):
     assert repr(generate(x, n)) == repr(_reference_generated(kind, x, n))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 700.0]), st.floats(0.0, 30.0) | st.just(0.0),
+       st.integers(0, 300))
+def test_subadd_exponents_round_as_python(c, d, n):
+    # c*j + d*sqrt(j) in numpy: the same IEEE products and sum as Python's, no fused multiply-add
+    want = tuple(or_inf(math.exp, c * j + d * math.sqrt(j)) for j in range(1, n + 1))
+    assert repr(fekete.subadd_sequence(c, d, n).values) == repr(want)
+
+
 class TestSelftestGenerator:
     def test_one_scan_per_sequence(self, monkeypatch):
         scans = []

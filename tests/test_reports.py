@@ -22,9 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specrad import fekete, reports
+from specrad import fekete, reports, shift
 from specrad.fekete import PrefixSequence
 from specrad.reports import Choice, Floats, RootReport, build_report, fmt17, json17, number_field
+from specrad.shift import WeightedShift
 
 # the row record of the earlier implementation
 _Entry = namedtuple("_Entry", "k value root running_min")
@@ -438,3 +439,84 @@ def test_table_blocks_routes_write_the_same_bytes(data, quote):
             if finite or not quote:  # quoted inf and nan take the column route at any size
                 with mock.patch.object(reports, "COLUMN_ROUTE_SIZE", 10**9):
                     assert "".join(reports.table_blocks(n, fields, quote)) == want
+
+
+# --- columns held as read-only float64 arrays ------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(nonnegative, max_size=20), st.lists(st.floats(), max_size=5))
+def test_cached_arrays_take_no_part_in_eq_hash_repr(is_shift, values, other):
+    if is_shift:
+        values = sorted(values, reverse=True) or [1.0]
+    make = WeightedShift if is_shift else (lambda v: PrefixSequence(v, has_unit_head=True))
+    a, b = make(values), make(np.array(values, dtype=np.float64))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.array.tolist() == list(a.weights if is_shift else a.values)
+    assert "array" not in repr(a)
+    # whatever the array holds
+    object.__setattr__(b, "array", np.array(other))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_cached_arrays_are_read_only():
+    head = fekete.geometric_sequence(0.5, 4)
+    writeable = np.array([2.0, 1.0, 0.5])
+    holders = [
+        head, fekete.poly_sequence(1.0, 4), fekete.subadd_sequence(0.1, 0.2, 4),
+        fekete.binomial_convolve(head, head, 4), PrefixSequence((1.0, 2.0)), PrefixSequence(writeable),
+        shift.harmonic_weights(0.5, 1.0, 4), WeightedShift((1.0, 0.5)), WeightedShift(writeable),
+    ]
+    for holder in holders:
+        assert holder.array.dtype == np.float64 and not holder.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            holder.array[0] = 7.0
+    # a writeable array is copied: changing it afterwards changes no holder
+    writeable[0] = 7.0
+    assert holders[-4].values == holders[-1].weights == (2.0, 1.0, 0.5)
+    assert holders[-4].array.tolist() == holders[-1].array.tolist() == [2.0, 1.0, 0.5]
+
+
+def test_report_prints_the_numbers_its_columns_read():
+    # each column reads as a new list of Python floats; the report keeps
+    # read-only arrays, so no list read from it, or given to it, changes
+    # what it writes
+    logs = [0.0, -1.0, -3.0, math.nan]
+    report = build_report(logs, "norm")
+    csv, json = report.to_csv(), report.to_json()
+    for name in ("value", "root", "running_min"):
+        column = getattr(report, name)
+        assert type(column) is list and {type(v) for v in column} == {float}
+        column[0] = 7.0
+        assert getattr(report, name)[0] != 7.0
+        with pytest.raises(AttributeError):
+            setattr(report, name, [7.0] * 4)
+    assert (report.to_csv(), report.to_json()) == (csv, json)
+    assert type(report.certified_upper) is float
+    assert report == build_report(logs, "norm") != build_report(logs, "value")
+    assert report != build_report(logs[:3], "norm")
+    value, root = np.array([1.0, 2.0]), [1.0, 2.0]
+    given = RootReport(value=value, root=root, running_min=tuple(root))
+    value[0] = root[0] = 7.0
+    assert given.value == given.root == given.running_min == [1.0, 2.0]
+    assert given.to_csv() == "k,value,root,running_min\n1,1,1,1\n2,2,2,2\n"
+    assert repr(given) == ("RootReport(value=[1.0, 2.0], root=[1.0, 2.0], "
+                           "running_min=[1.0, 2.0], value_header='value')")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=n, max_size=n),
+                       min_size=1, max_size=4)))
+@example([[math.nan, 0.5], [math.nan, math.nan]])  # each row's minimum starts from its own inf
+def test_build_reports_match_build_report(rows):
+    # one set of numpy calls for all rows writes each row's report as build_report does
+    try:
+        want = [build_report(row, "norm") for row in rows]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            reports.build_reports(rows, "norm")
+        return
+    got = reports.build_reports(rows, "norm")
+    assert [(r.to_csv(), r.to_json(), repr(r)) for r in got] == [(r.to_csv(), r.to_json(), repr(r)) for r in want]
+    assert all(not c.flags.writeable for r in got for c in (r._value, r._root, r._running_min))

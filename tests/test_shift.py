@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate, chain, islice, repeat, takewhile
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrad import fekete, shift
+from specrad import fekete, reports, shift
 from specrad.shift import FiniteVector, WeightedShift
 
 
@@ -426,3 +427,27 @@ def test_weights_csv_header_required():
 def test_weights_csv_indices_must_count_up():
     with pytest.raises(ValueError, match="row 2 has index j = 3"):
         shift.read_weights_csv("j,alpha\n1,0.5\n3,0.4\n")
+
+
+def _reference_log_products(t, max_power):
+    """The running sums of math.log over the weights, the tail weight past
+    the prefix, up to the first zero weight; -inf from there on."""
+    positive = takewhile((0.0).__lt__, chain(t.weights, repeat(t.tail)))
+    logs = list(accumulate(map(math.log, islice(positive, max_power))))
+    return logs + [-math.inf] * (max_power - len(logs))
+
+
+_WEIGHTS = st.lists(st.sampled_from([0.0, 5e-324, 1.0, 1e308, math.inf]) | st.floats(0.0, 1e300),
+                    min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHTS, st.integers(1, 60))
+def test_log_products_are_the_running_sums_of_logs(weights, max_power):
+    # prefixes shorter and longer than max_power, zero weights inside or at
+    # the tail, and inf weights; shift_limit_experiment builds on these sums
+    t = WeightedShift(sorted(weights, reverse=True))
+    want = _reference_log_products(t, max_power)
+    assert repr(shift._log_products(t, max_power).tolist()) == repr(want)
+    assert repr(shift.shift_limit_experiment(t, max_power).value) == repr(
+        [reports.or_inf(math.exp, lv) for lv in want])

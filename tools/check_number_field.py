@@ -23,8 +23,11 @@ import numpy as np
 
 from specrad.reports import json17, number_field
 
-# values per number_field call: its temporaries take about 600 bytes a value
+# random values per draw; the draws fix which values are checked
 _CHUNK = 65536
+# values per number_field call, as table_blocks makes them: its temporaries
+# take about 600 bytes a value, and a larger call spends its time in page faults
+_SLICE = 4096
 
 
 def boundaries() -> np.ndarray:
@@ -52,11 +55,13 @@ def matches(x: np.ndarray) -> bool:
     values = x.tolist()
     for plus, quote, write in ((False, False, "%.17g".__mod__), (True, False, "%+.17g".__mod__),
                                (False, True, json17)):
-        field = number_field(x, plus, quote)
-        rows = np.empty((x.size, field.shape[1] + 1), np.uint8)
-        rows[:, :-1] = field
-        rows[:, -1] = 10
-        got = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+        got = []
+        for lo in range(0, x.size, _SLICE):
+            field = number_field(x[lo : lo + _SLICE], plus, quote)
+            rows = np.empty((field.shape[0], field.shape[1] + 1), np.uint8)
+            rows[:, :-1] = field
+            rows[:, -1] = 10
+            got += rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
         want = list(map(write, values))
         if got != want:
             i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
