@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -112,16 +112,10 @@ def check_submultiplicative(
     return violations
 
 
-def _logs(seq: PrefixSequence, n: int) -> np.ndarray:
-    """math.log of a_1..a_n, -inf for a zero entry; log reads the floats of
-    seq.values, as numpy's log is not glibc's."""
-    try:
-        return map_floats(math.log, seq.values[:n])
-    except ValueError:  # math.log of a zero entry: take the positive ones alone
-        positive = seq.array[:n] > 0.0
-        logs = np.full(n, -math.inf)
-        logs[positive] = map_floats(math.log, list(compress(seq.values, positive.tolist())))
-        return logs
+def _logs(values) -> list[float]:
+    """log of each nonnegative entry, -inf for a zero entry."""
+    log, neg_inf = math.log, -math.inf
+    return [log(v) if v > 0.0 else neg_inf for v in values]
 
 
 def root_report(seq: PrefixSequence) -> RootReport:
@@ -133,7 +127,7 @@ def root_report(seq: PrefixSequence) -> RootReport:
     """
     if not seq.values:
         raise ValueError("need at least one entry, got an empty prefix")
-    return build_report(_logs(seq, len(seq)), value_header="value", values=seq.array)
+    return build_report(_logs(seq.values), value_header="value", values=seq.array)
 
 
 def limit_bracket(
@@ -155,7 +149,7 @@ def limit_bracket(
             % (j + l, j, l, len(violations))
         )
     report = root_report(seq)
-    return report.certified_upper, report.root[-1]
+    return report.certified_upper, float(report._root[-1])
 
 
 _CONVOLVE_BLOCK = 32  # output rows per block: under 2 MB of temporaries at n = 1000
@@ -182,8 +176,8 @@ def binomial_convolve(a: PrefixSequence, b: PrefixSequence, n_out: int) -> Prefi
         )
 
     # log a_j, log b_j for j = 0..n_out (head included); -inf marks a zero entry
-    log_a = np.concatenate(([0.0], _logs(a, n_out)))
-    log_b = np.concatenate(([0.0], _logs(b, n_out)))
+    log_a = np.array([0.0] + _logs(a.values[:n_out]))
+    log_b = np.array([0.0] + _logs(b.values[:n_out]))
     # accumulated log-factorials: lf[n] = log(n!)
     lf = np.array(list(accumulate(map(math.log, range(1, n_out + 1)), initial=0.0)))
 

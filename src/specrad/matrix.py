@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular
-from .reports import FMT17, Choice, Floats, RootReport, build_reports, fmt17, table_blocks
+from .reports import FMT17, Choice, Floats, RootReport, build_report, fmt17, table_blocks
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB,
@@ -333,8 +333,7 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     order: the matrices of each dimension run as one (c, d, d) stack through
     _power_logs, and no row depends on the other matrices.  A matrix whose
     norm is 0, subnormal, inf or nan at some step runs through power_norms
-    alone, with its numpy warnings; the tables of the others are built
-    together, by build_reports.
+    alone, with its numpy warnings.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -348,10 +347,8 @@ def stacked_power_norms(mats, n: int, norm_kind: str = "inf") -> list[RootReport
     for index in by_dim.values():
         stack = np.stack([mats[i] for i in index])
         logs.update(zip(index, _power_logs(stack, n, SUM_AXIS[norm_kind])))
-    stacked = [i for i in range(len(mats)) if logs[i] is not None]
-    reports = dict(zip(stacked, build_reports([logs[i] for i in stacked], "norm")))
-    return [reports[i] if i in reports else power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n)
-            for i, x in enumerate(mats)]
+    return [power_norms(MatrixAlgebra(x.shape[0], norm_kind), x, n) if logs.get(i) is None
+            else build_report(logs[i], value_header="norm") for i, x in enumerate(mats)]
 
 
 # --- eigenvalue oracle (independent of the power-norm machinery) ---------

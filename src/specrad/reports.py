@@ -12,8 +12,7 @@ A column is a read-only float64 array from the generator that makes it
 to the writer, and is never turned back into a list on the way.  Columns
 are built whole, in numpy only where numpy rounds as CPython does
 (division, left-to-right sums, fmin); exp, log and pow are CPython's,
-mapped once over a column by map_floats, as numpy's do not round as
-glibc does.
+mapped once over a whole column, as numpy's do not round as glibc does.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
+from operator import truediv
 
 import numpy as np
 
@@ -478,10 +478,11 @@ def map_floats(f, *args) -> np.ndarray:
     does.  float pow and math.exp raise past the float range; only then is
     f mapped again, each entry through or_inf, so args must be sequences,
     not iterators."""
+    n = min(map(len, args))
     try:
-        out = np.fromiter(map(f, *args), np.float64)
+        out = np.fromiter(map(f, *args), np.float64, n)
     except OverflowError:
-        out = np.fromiter(map(or_inf, repeat(f), *args), np.float64)
+        out = np.fromiter(map(or_inf, repeat(f), *args), np.float64, n)
     out.setflags(write=False)
     return out
 
@@ -496,48 +497,26 @@ def build_report(values_log, value_header: str = "value", values=None) -> RootRe
     the float range is reported as inf; its root stays finite, and a root
     past it raises OverflowError.
 
-    Every column is built whole, and each operation keeps the bits of the
-    row-by-row CPython it replaced: lv / k is one numpy division by the
-    doubles k, exact for k < 2^53; exp is math.exp mapped over the column,
-    as numpy's exp is not glibc's; the running minimum is np.fmin.accumulate
-    from +inf, which passes over a nan root as min(running, root) does.
+    Every column is built whole and keeps the bits of the row-by-row
+    CPython it replaced.  The values and roots are math.exp of lv and of
+    CPython's lv / k, mapped once over the column, as numpy's exp is not
+    glibc's.  The running minimum is the one numpy step: np.fmin.accumulate
+    over the roots led by a +inf, the running value min(running, root)
+    starts from; fmin passes over a nan root as that min does.
     """
-    logs = np.asarray(values_log, dtype=np.float64)
-    n = logs.size
+    logs = _as_list(values_log)
+    n = len(logs)
     if values is not None:
         value = values[:n]
         if len(value) < n:
             raise ValueError("values has %d entries for %d logs" % (len(value), n))
     else:
-        value = map_floats(math.exp, _as_list(values_log))
-    root, running_min = _root_columns(logs)
-    return RootReport(value=value, root=root, running_min=running_min, value_header=value_header)
-
-
-def build_reports(rows, value_header: str = "value") -> list[RootReport]:
-    """build_report(row, value_header) for each of the equally long
-    sequences of logs in rows: each column of every row is built in the
-    same numpy calls, so many short reports cost about as much as one long
-    one."""
-    if not rows:
-        return []
-    logs = np.array(rows, dtype=np.float64)
-    value = map_floats(math.exp, logs.ravel().tolist()).reshape(logs.shape)
-    return [RootReport(value=v, root=r, running_min=m, value_header=value_header)
-            for v, r, m in zip(value, *_root_columns(logs))]
-
-
-def _root_columns(logs: np.ndarray) -> tuple:
-    """The roots exp(lv / k) of the logs lv at k = 1..n along the last axis
-    of logs, one row (n,) or c rows (c, n), and the running minimum of the
-    roots along it, as read-only arrays of that shape (see build_report)."""
-    n = logs.shape[-1]
-    # each row led by a +inf log: exp(inf) is the +inf its running minimum starts from
-    q = np.empty(logs.shape[:-1] + (n + 1,))
-    q[..., 0] = math.inf
-    np.divide(logs, np.arange(1.0, n + 1), out=q[..., 1:])
-    roots = np.fromiter(map(math.exp, q.ravel().tolist()), np.float64, q.size).reshape(q.shape)
-    running_min = np.fmin.accumulate(roots, axis=-1)
-    roots.setflags(write=False)
+        value = map_floats(math.exp, logs)
+    # exp(inf) is the +inf that leads the roots; exp(-inf) is a zero root
+    root = np.fromiter(map(math.exp, chain((math.inf,), map(truediv, logs, range(1, n + 1)))),
+                       np.float64, n + 1)
+    running_min = np.fmin.accumulate(root)
+    root.setflags(write=False)
     running_min.setflags(write=False)
-    return roots[..., 1:], running_min[..., 1:]
+    root, running_min = root[1:], running_min[1:]
+    return RootReport(value=value, root=root, running_min=running_min, value_header=value_header)

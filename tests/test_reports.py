@@ -504,19 +504,9 @@ def test_report_prints_the_numbers_its_columns_read():
                            "running_min=[1.0, 2.0], value_header='value')")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 12).flatmap(
-    lambda n: st.lists(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=n, max_size=n),
-                       min_size=1, max_size=4)))
-@example([[math.nan, 0.5], [math.nan, math.nan]])  # each row's minimum starts from its own inf
-def test_build_reports_match_build_report(rows):
-    # one set of numpy calls for all rows writes each row's report as build_report does
-    try:
-        want = [build_report(row, "norm") for row in rows]
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            reports.build_reports(rows, "norm")
-        return
-    got = reports.build_reports(rows, "norm")
-    assert [(r.to_csv(), r.to_json(), repr(r)) for r in got] == [(r.to_csv(), r.to_json(), repr(r)) for r in want]
-    assert all(not c.flags.writeable for r in got for c in (r._value, r._root, r._running_min))
+def test_leading_nan_roots_leave_the_running_minimum_at_inf():
+    # min(inf, nan) is inf: each nan root before the first number keeps the start
+    logs = [math.nan, math.nan, 0.5, math.nan, -3.0]
+    report = build_report(logs)
+    assert report.running_min == [math.inf, math.inf, report.root[2], report.root[2], report.root[4]]
+    assert_same_report(lambda: build_report(logs), lambda: _reference_build_report(logs))
