@@ -85,9 +85,7 @@ def _report_text(args, report) -> str:
 
 
 def _matrix_text(args, m) -> str:
-    if args.format == "json":
-        return matrix.matrix_to_json(m)
-    return matrix.matrix_to_csv(m)
+    return matrix.matrix_to_json(m) if args.format == "json" else matrix.matrix_to_csv(m)
 
 
 def _finite_tol(args) -> float:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .algebra import DEFAULT_PROBE_DEPTH, Algebra, power_norms, spectral_radius_upper
 from .errors import BudgetExceeded, Singular
-from .reports import FMT17, Choice, Floats, RootReport, build_report, fmt17, table_blocks
+from .reports import (FMT17, UNIT_ROUNDOFF, Choice, Floats, RootReport, build_report, fmt17,
+                      gamma_k, round_up, table_blocks)
 
 PIVOT_RTOL = 1e-12
 # a scan eliminates its cells in stacks of about this many entries, 256 KB,
@@ -170,23 +171,9 @@ def _pivot_floors(stack: np.ndarray, norm_kind: str) -> np.ndarray:
 
 # --- certified eigenvalue disks ------------------------------------------------
 
-UNIT_ROUNDOFF = 2.0**-53
 # a computed distance times this, rounded, is below the exact distance:
 # the two part differences and hypot err by at most (1 + u)(1 + 2u)
 DISTANCE_DOWN = 1.0 - 8 * UNIT_ROUNDOFF
-
-
-def _up(x: float) -> float:
-    """The float above x: it bounds the exact result of one operation
-    that x is the nearest float to, since they differ by at most half an ulp."""
-    return math.nextafter(x, math.inf)
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u) rounded up: its numerator and denominator
-    are exact floats for k < 2^52, so only the quotient rounds."""
-    u = UNIT_ROUNDOFF
-    return _up(k * u / (1.0 - k * u))
 
 
 def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -201,8 +188,7 @@ def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     lies within ||V^-1 E|| <= r = ||R|| ||E|| / (1 - ||F||) of some w_i.
     A bad guess only gives a large r, or ||F|| >= 1.
 
-    Rounding, in the standard model (Higham, 2002, sections 3.1 and 3.6):
-    a complex product errs by at most sqrt(2) gamma_2 and a sum by u.  Each
+    Rounding, in the standard model of reports (u, gamma_k, round_up): each
     entry of E and F is a sum of d + 1 products (I's entry counting as
     one), so it errs by at most sqrt(2) gamma_(d+2) times the sum of the
     moduli of its products; summed over a row, by sqrt(2) gamma_(d+2)
@@ -211,7 +197,7 @@ def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
     d - 1 sums, so the exact norm is at most 1 + gamma_(d+1) times it.
     Products and moduli that underflow err by at most 2^-1074 each,
     (d + 1)^2 2^-1072 over a row, which is added to every norm.  Each
-    scalar step is rounded up with nextafter, 1 - ||F|| down.  None on a
+    scalar step is rounded up with round_up, 1 - ||F|| down.  None on a
     LinAlgError, a non-finite entry or a non-finite r.
     """
     d = a.shape[0]
@@ -225,14 +211,15 @@ def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
         f = np.eye(d) - r @ v
         rows = [np.hypot(x.real, x.imag).sum(axis=-1).max() for x in (a, v, r, e, f)]
         w_max = float(np.hypot(w.real, w.imag).max())
-    grow, tiny = _up(1.0 + _gamma(d + 1)), _up((d + 1) ** 2 * 2.0**-1072)
-    na, nv, nr, ne, nf = (_up(_up(float(x) * grow) + tiny) for x in rows)
-    g = _up(_up(math.sqrt(2.0)) * _gamma(d + 2))
-    ne = _up(ne + _up(_up(g * _up(nv * _up(na + _up(w_max * grow)))) + tiny))
-    nf = _up(nf + _up(_up(g * _up(_up(nr * nv) + 1.0)) + tiny))
+    grow, tiny = round_up(1.0 + gamma_k(d + 1)), round_up((d + 1) ** 2 * 2.0**-1072)
+    na, nv, nr, ne, nf = (round_up(round_up(float(x) * grow) + tiny) for x in rows)
+    g = round_up(round_up(math.sqrt(2.0)) * gamma_k(d + 2))
+    e_err = round_up(g * round_up(nv * round_up(na + round_up(w_max * grow))))
+    f_err = round_up(g * round_up(round_up(nr * nv) + 1.0))
+    ne, nf = round_up(ne + round_up(e_err + tiny)), round_up(nf + round_up(f_err + tiny))
     if not nf < 1.0:  # also a nan
         return None
-    radius = _up(_up(nr * ne) / math.nextafter(1.0 - nf, 0.0))
+    radius = round_up(round_up(nr * ne) / math.nextafter(1.0 - nf, 0.0))
     return (w, radius) if math.isfinite(radius) else None
 
 

@@ -4,9 +4,9 @@ Every convergence table in the package is a RootReport: the columns
 ``value``, ``root`` = value^(1/k) and ``running_min`` of the roots, with
 step k at index k - 1.  The running minimum is the certified upper bound
 for the limit of the root sequence after k steps.  The one table writer,
-table_blocks, which writes every CSV and JSON table from a single row
-layout by either of its two routes, its exact FMT17 column kernel and the
-headed-CSV row reader that the other modules share live here too.
+table_blocks, with its exact FMT17 column kernel, the headed-CSV row reader
+and the rounding model of every certified bound (u, gamma_k and round_up)
+live here too, shared by the other modules.
 
 A column is a read-only float64 array from the generator that makes it
 to the writer, and is never turned back into a list on the way.  Columns
@@ -41,6 +41,27 @@ def json17(x: float) -> str:
     strings, as strict JSON has no such literals."""
     text = FMT17 % x
     return text if math.isfinite(x) else '"%s"' % text
+
+
+# --- the rounding model -------------------------------------------------------
+# u, in the standard model (N. J. Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sections 3.1 and 3.6): a float +, -, * or / is exact times
+# 1 + delta, |delta| <= u, unless it under- or overflows; so is a complex sum,
+# and a complex product errs by at most sqrt(2) gamma_2
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def round_up(x: float) -> float:
+    """The float above x (inf stays inf), which bounds every real that rounds to x."""
+    return math.nextafter(x, math.inf)
+
+
+def gamma_k(k: int) -> float:
+    """gamma_k = k u / (1 - k u) rounded up: k chained roundings err by at most
+    gamma_k, and gamma_j and gamma_k compound to gamma_(j+k).  k u and 1 - k u
+    are exact floats for k < 2^52, so only the quotient rounds."""
+    u = UNIT_ROUNDOFF
+    return round_up(k * u / (1.0 - k * u))
 
 
 # --- exact FMT17 columns ------------------------------------------------------

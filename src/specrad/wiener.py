@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Algebra, neumann_inverse, power_norms
 from .errors import BudgetExceeded, NotConvergent
-from .reports import RootReport, or_inf
+from .reports import UNIT_ROUNDOFF, RootReport, or_inf, round_up
 
 Element = dict[int, complex]
 
@@ -325,25 +325,24 @@ def sup_norm(f: Element, grid_size: int = DEFAULT_GRID) -> SupEstimate:
     # D = sum |k a_k|; past the float range it reads inf, leaving upper at l1
     moment = or_inf(math.fsum, (abs(k * v) for k, v in f.items()))
     err = (math.pi / m) * moment
-    # Rounding in the samples, bounded a priori (u = 2**-53, n terms): each circle
-    # point is within pi/M of a grid point theta_j, |f| is D-Lipschitz, and err is at
-    # most pi u D low.  The samples approximate f(theta_j): a table entry exp(i t), with
-    # t = 2 pi r / M computed within 6 pi u, is within 6 pi u + 2u < 22u of its unit
-    # root, inside 8 pi u |k| for every k != 0 mod M, and exactly 1 for k = 0 mod M:
-    # in all 9 pi u D < 29 u D.  abs costs 2u l1, the complex dot product sqrt(2)
-    # gamma_{n+2} l1 (Higham, Accuracy and Stability of Numerical Algorithms, 3.6),
-    # with gamma_{n+2} <= 1.01 (n + 2) u.  The constants leave room for rounding the
-    # bound and the first sum; nextafter covers the second.
-    rounding = 2.0**-53 * (37 * moment + (3 * len(f) + 12) * l1)
-    grid_up = math.nextafter(grid_max + err + rounding, math.inf)
+    # Rounding in the samples, bounded a priori (n terms, in the model of reports):
+    # each circle point is within pi/M of a grid point theta_j, |f| is D-Lipschitz,
+    # and err is at most pi u D low.  The samples approximate f(theta_j): a table
+    # entry exp(i t), with t = 2 pi r / M computed within 6 pi u, is within
+    # 6 pi u + 2u < 22u of its unit root, inside 8 pi u |k| for every k != 0 mod M,
+    # and exactly 1 for k = 0 mod M: in all 9 pi u D < 29 u D.  abs costs 2u l1, the
+    # complex dot product sqrt(2) gamma_{n+2} l1 <= 1.01 sqrt(2) (n + 2) u l1.  The
+    # constants leave room for rounding the bound and the first sum; round_up, the second.
+    rounding = UNIT_ROUNDOFF * (37 * moment + (3 * len(f) + 12) * l1)
+    grid_up = round_up(grid_max + err + rounding)
     # the exact l1 is at most the sum of the moduli rounded up (hypot is within an
     # ulp, and exact with a zero part), which the sign of its remainder rounds up
     l1_up = l1
     if math.isfinite(l1):
-        up = [math.nextafter(abs(v), math.inf) if v.real and v.imag else abs(v) for v in f.values()]
+        up = [round_up(abs(v)) if v.real and v.imag else abs(v) for v in f.values()]
         l1_up = or_inf(math.fsum, up)
         if l1_up < math.inf and math.fsum([-l1_up, *up]) > 0:
-            l1_up = math.nextafter(l1_up, math.inf)
+            l1_up = round_up(l1_up)
     return SupEstimate(grid_max, err, min(grid_up, l1_up))
 
 

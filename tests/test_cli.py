@@ -322,6 +322,18 @@ def test_selftest_passes(capsys):
     assert all(ln.startswith("PASS") for ln in lines[:-1])
 
 
+def test_selftest_prints_a_failing_check_and_exits_one(capsys, monkeypatch):
+    # an inverse off by 1e-8 relative breaks the residual contract of one check
+    inverse = matrix.direct_inverse
+    monkeypatch.setattr(matrix, "direct_inverse", lambda x, tol=1e-10: inverse(x, tol) * (1.0 + 1e-8))
+    code, out, err = run_cli(capsys, "selftest")
+    names = [name for name, _ in cli.selftest.CHECKS]
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        ("FAIL " if name == "matrix-inverse-residual" else "PASS ") + name for name in names
+    ] + ["selftest: 13/14 checks passed"]
+
+
 def test_selftest_digest_over_200_seeds():
     # the battery's output over seeds 0..199, as before its pair checks and
     # shift trials ran as array kernels: every check, every seed, every byte

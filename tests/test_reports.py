@@ -10,6 +10,7 @@ including nan, inf, signed zeros and subnormals.
 
 import contextlib
 import math
+import struct
 import subprocess
 import sys
 from collections import namedtuple
@@ -510,3 +511,44 @@ def test_leading_nan_roots_leave_the_running_minimum_at_inf():
     report = build_report(logs)
     assert report.running_min == [math.inf, math.inf, report.root[2], report.root[2], report.root[4]]
     assert_same_report(lambda: build_report(logs), lambda: _reference_build_report(logs))
+
+
+# --- the rounding model ---------------------------------------------------------
+
+def _next_above(x):
+    # the float above x from its bit pattern: one step up in magnitude for
+    # x > 0 (the max float's step is inf), one step down for x < 0
+    if x == 0:
+        return 5e-324
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return struct.unpack("<d", struct.pack("<q", bits + 1 if x > 0 else bits - 1))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, sys.float_info.max]))
+def test_round_up_is_the_next_float_above(x):
+    up = reports.round_up(x)
+    assert up == _next_above(x)
+    assert Fraction(up) > Fraction(x) if up < math.inf else x == sys.float_info.max
+
+
+def test_round_up_keeps_inf():
+    assert reports.round_up(math.inf) == math.inf
+    assert reports.round_up(-math.inf) == -sys.float_info.max
+
+
+# the k of a sum of d + 1 or d + 2 terms for every dimension d <= 64, and
+# sampled k up to 2^20
+GAMMA_KS = sorted({d + j for d in range(65) for j in (1, 2)}
+                  | set(np.random.default_rng(38).integers(1, 2**20, 200).tolist()) | {2**20})
+
+
+def test_gamma_k_bounds_k_u_over_one_minus_k_u_within_two_ulps():
+    u = Fraction(reports.UNIT_ROUNDOFF)
+    assert u == Fraction(1, 2**53)
+    for k in GAMMA_KS:
+        exact = k * u / (1 - k * u)
+        g = reports.gamma_k(k)
+        assert Fraction(g) >= exact, k
+        assert Fraction(g) - exact <= 2 * Fraction(math.ulp(g)), k
