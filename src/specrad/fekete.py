@@ -58,35 +58,21 @@ class PrefixSequence:
         return len(self.values)
 
 
-_PAIR_BLOCK = 1 << 15  # pairs per block: about 1.5 MB of temporaries
 _CACHED_N = 40  # prefixes up to this length reuse their pair indices
-
-
-def _pairs(n: int, j0: int, j1: int):
-    """Index arrays j, l, j + l of the pairs j <= l <= n - j with
-    j0 <= j < j1, in the order of increasing j, then l."""
-    j = np.arange(j0, j1)
-    counts = n - 2 * j + 1
-    j = np.repeat(j, counts)
-    l = np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts) + j
-    return j, l, j + l
 
 
 @lru_cache(maxsize=None)
 def _cached_pairs(n: int):
-    pairs = _pairs(n, 1, n // 2 + 1)
+    """Index arrays j, l, j + l of the pairs j <= l <= n - j, in the order
+    of increasing j, then l."""
+    j = np.arange(1, n // 2 + 1)
+    counts = n - 2 * j + 1
+    j = np.repeat(j, counts)
+    l = np.arange(j.size) - np.repeat(np.cumsum(counts) - counts, counts) + j
+    pairs = (j, l, j + l)
     for index in pairs:
         index.flags.writeable = False  # shared by every later call
-    return (pairs,)
-
-
-def _pair_blocks(n: int):
-    """_pairs over every row j, in blocks of at most _PAIR_BLOCK pairs (or
-    one row, when a row has more)."""
-    if n <= _CACHED_N:
-        return _cached_pairs(n)
-    rows = max(1, _PAIR_BLOCK // n)
-    return (_pairs(n, j0, min(j0 + rows, n // 2 + 1)) for j0 in range(1, n // 2 + 1, rows))
+    return pairs
 
 
 def check_submultiplicative(
@@ -98,17 +84,25 @@ def check_submultiplicative(
     of a submultiplicative sequence.  The relative tolerance absorbs
     representation error in user-supplied floating data; (l, j) mirrors
     are omitted since the product a_j * a_l is symmetric.  Pairs come in
-    the order of increasing j, then l.  The comparisons run in numpy over
-    blocks of pairs, the same IEEE products as (a_j * a_l) * (1 + tol_rel)
-    in Python, so the extra memory stays bounded as n grows.
+    the order of increasing j, then l.  The comparisons run in numpy, the
+    same IEEE products as (a_j * a_l) * (1 + tol_rel) in Python: on
+    prefixes up to _CACHED_N all pairs at once, on cached indices; on
+    longer ones one row j at a time, as two contiguous slices, so the
+    extra memory stays bounded as n grows.
     """
+    n = len(seq.values)
     a = np.concatenate(([0.0], seq.array))  # a[j] is a_j
     factor = 1.0 + tol_rel
-    violations = []
     with np.errstate(all="ignore"):  # inf products and inf * 0, silent as in Python
-        for j, l, jl in _pair_blocks(len(seq.values)):
+        if n <= _CACHED_N:
+            j, l, jl = _cached_pairs(n)
             hit = np.flatnonzero(a[jl] > a[j] * a[l] * factor)
-            violations += zip(j[hit].tolist(), l[hit].tolist())
+            return list(zip(j[hit].tolist(), l[hit].tolist()))
+        violations = []
+        for j in range(1, n // 2 + 1):
+            # the pairs (j, l), j <= l <= n - j
+            hit = np.flatnonzero(a[2 * j : n + 1] > a[j] * a[j : n - j + 1] * factor)
+            violations += [(j, l) for l in (hit + j).tolist()]
     return violations
 
 

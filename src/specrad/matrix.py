@@ -47,8 +47,9 @@ SUM_AXIS = {"inf": -1, "one": -2}
 
 
 def _norms(a: np.ndarray, kind: str) -> np.ndarray:
-    """NORMS[kind] of each matrix over the last two axes of a, bit for bit."""
-    return np.abs(a).sum(axis=SUM_AXIS[kind]).max(axis=-1)
+    """NORMS[kind] of each matrix over the last two axes of a, bit for bit;
+    the ufunc reductions themselves, without ndarray.sum's and .max's wrappers."""
+    return np.maximum.reduce(np.add.reduce(np.absolute(a), SUM_AXIS[kind]), -1)
 
 
 def inf_norm(a) -> float:
@@ -224,32 +225,46 @@ def _eigen_disks(a: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 
 def direct_inverse(a, tol: float = 1e-10, norm_kind: str = "inf") -> np.ndarray:
-    """Matrix inverse by partial-pivot elimination, with a residual contract.
+    """Matrix inverse by partial-pivot elimination, with a residual contract,
+    of one matrix or of each matrix of a (c, n, n) stack, all at once: a
+    matrix is a stack of one, and each member's inverse and message are
+    bit-identical to its own call's.
 
     Raises Singular when a pivot falls below 1e-12 * norm(a) (a
     scale-invariant cutoff, finite when the norm overflows; see
     _pivot_floors) or when the computed inverse fails the
-    residual bound norm(a @ inv - I) <= tol; ValueError for a tol outside (0, inf).
+    residual bound norm(a @ inv - I) <= tol, with the message of the first
+    member to fail: a pivot before any residual.  ValueError for a tol
+    outside (0, inf), for a shape that is neither a square matrix nor
+    such a stack and for an unknown norm_kind.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % tol)
-    a = as_matrix(a)
-    norm = MatrixAlgebra(a.shape[0], norm_kind).norm
-    floors = _pivot_floors(a[None], norm_kind)
-    eye = np.eye(a.shape[0], dtype=complex)
-    ok, margin, inv = _gauss_inverse(a[None], floors, eye[None])
-    min_pivot, inv = margin[0], inv[0]
-    if not ok[0]:
-        raise Singular(
-            "pivot magnitude %.6g below threshold %.6g" % (min_pivot, floors[0])
-        )
-    residual = norm(a @ inv - eye)
-    if not residual <= tol:
+    a = np.asarray(a, dtype=complex, order="C")
+    if a.ndim != 3:
+        stack = as_matrix(a)[None]
+    elif a.shape[0] and a.shape[1] == a.shape[2] >= 1:
+        stack = a
+    else:
+        raise ValueError("expected a (c, n, n) stack of square matrices, got shape %r"
+                         % (a.shape,))
+    if norm_kind not in NORMS:
+        raise ValueError("norm_kind must be one of %s" % sorted(NORMS))
+    floors = _pivot_floors(stack, norm_kind)
+    eye = np.eye(stack.shape[1], dtype=complex)
+    ok, margin, inv = _gauss_inverse(stack, floors, eye[None].repeat(len(stack), 0))
+    if not all(ok):
+        i = ok.argmin()  # the first member that failed
+        raise Singular("pivot magnitude %.6g below threshold %.6g" % (margin[i], floors[i]))
+    residual = _norms(stack @ inv - eye, norm_kind)
+    within = residual <= tol  # False for a nan
+    if not all(within):
+        i = within.argmin()
         raise Singular(
             "inverse residual %.6g exceeds tol %.6g (min pivot %.6g)"
-            % (residual, tol, min_pivot)
+            % (residual[i], tol, margin[i])
         )
-    return inv
+    return inv if a.ndim == 3 else inv[0]
 
 
 # --- power tables of matrix stacks ----------------------------------------

@@ -356,12 +356,20 @@ def _power_logs(f: Element, n: int) -> list[float] | None:
     refuses, stops, rescales or warns, and once a rescale zeroes a part.
 
     f is laid out as a trimmed array x, and each step fuses mul, norm and
-    scale on trimmed arrays.  The product is multiply's kernel, _convolve.
+    scale on trimmed arrays.  The product is multiply's kernel: _convolve
+    for the first product, whose equal spans need its canonical order, for
+    a direction trimmed back to the span of x and for a product past
+    COEFF_CAP, which it refuses.  Once the direction d is longer than x
+    (so x has two or more terms), np.convolve(d, x) is numpy's correlate
+    kernel on (d, x reversed); so is np.correlate(d, conj(x reversed)), as
+    np.correlate conjugates its second operand, with the taps conj(x
+    reversed) laid out once, and _trimmed runs only where an end is zero.
     The norm is _l1's: _moduli_sum of the moduli, which _split_sum decides
     on long powers.  The scale is numpy's complex multiply by the real
-    1/norm, which fuses a multiply and an add, so it differs from scale's
-    Python product only in the sign of a part whose nonzero product
-    underflows to zero; with a normal norm every part is finite, so that
+    1/norm, in place on each step's own product (never on x), which
+    fuses a multiply and an add, so it differs from scale's Python
+    product only in the sign of a part whose nonzero product underflows
+    to zero; with a normal norm every part is finite, so that
     shows as fewer nonzero parts.  A factor c above 1/2 underflows no
     part: a nonzero part p has |p| >= 2^-1074, so |p * c| > 2^-1075 rounds
     to a nonzero, while at exactly 1/2, 5e-324 * 0.5 ties to 0.  So the
@@ -370,14 +378,21 @@ def _power_logs(f: Element, n: int) -> list[float] | None:
     degrees, coeffs = _terms(f)
     if _span(degrees) > COEFF_CAP:
         return None
-    lo, w = x = _laurent(degrees, coeffs)
+    lo_x, a = x = _laurent(degrees, coeffs)
+    taps = np.conj(a[::-1])
+    lo, w = lo_x, a.copy()  # rescaled in place, as every later product is
     normal, hi = sys.float_info.min, sys.float_info.max
-    count, hypot = np.count_nonzero, np.hypot
+    count, hypot, correlate = np.count_nonzero, np.hypot, np.correlate
     norms = []
     with np.errstate(all="ignore"):
         for k in range(n):
-            if k:
-                lo, w = _convolve((lo, d), x)
+            if k:  # w is the direction
+                if a.size < w.size and a.size + w.size - 1 <= COEFF_CAP:
+                    lo, w = lo + lo_x, correlate(w, taps, "full")
+                    if not (w[0] and w[-1]):
+                        lo, w = _trimmed(lo, w)
+                else:
+                    lo, w = _convolve((lo, w), x)
             try:
                 nw = _moduli_sum(hypot(w.real, w.imag))
             except OverflowError:
@@ -386,8 +401,9 @@ def _power_logs(f: Element, n: int) -> list[float] | None:
                 return None
             norms.append(nw)
             inv = 1.0 / nw
-            d = w * inv
-            if inv <= 0.5 and count(d.view(float)) != count(w.view(float)):
+            parts = count(w.view(float)) if inv <= 0.5 else None
+            w *= inv
+            if parts is not None and count(w.view(float)) != parts:
                 return None
     return list(accumulate(map(math.log, norms)))
 

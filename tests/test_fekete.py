@@ -4,7 +4,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad import fekete, selftest
@@ -65,16 +65,19 @@ PAIR_ENTRIES = st.one_of(
 class TestPairCheckAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(PAIR_ENTRIES, max_size=90),
+        # cached pair indices up to _CACHED_N entries, row slices past it
+        st.one_of(
+            st.lists(PAIR_ENTRIES, max_size=fekete._CACHED_N),
+            st.lists(PAIR_ENTRIES, min_size=fekete._CACHED_N + 1, max_size=90),
+        ),
         st.sampled_from([0.0, 1e-9, 1e-6, -0.5]),
-        # one row per block, a few rows per block, and the default
-        st.sampled_from([7, 200, fekete._PAIR_BLOCK]),
     )
-    def test_same_pairs_in_the_same_order(self, values, tol_rel, block):
+    # (a_1 * a_1) * (1 + 1e-9) is an ulp above a_1 * (a_1 * (1 + 1e-9)),
+    # and a_2 is the first: the product order decides the pair (1, 1)
+    @example([4.029369475335374, 16.235818385000286] + [0.0] * 40, 1e-9)
+    def test_same_pairs_in_the_same_order(self, values, tol_rel):
         want = _reference_check_submultiplicative(values, tol_rel)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fekete, "_PAIR_BLOCK", block)
-            assert fekete.check_submultiplicative(seq(*values), tol_rel) == want
+        assert fekete.check_submultiplicative(seq(*values), tol_rel) == want
 
     def test_extra_memory_is_one_block(self):
         # all n^2 / 4 pairs at once held 64 MB at n = 4000

@@ -58,6 +58,16 @@ class TestNorms:
                 alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 assert norm(alpha * x) == pytest.approx(abs(alpha) * norm(x), rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.sampled_from(sorted(matrix.SUM_AXIS)), st.data())
+    def test_ufunc_reductions_match_sum_and_max(self, c, d, kind, data):
+        # past 8 entries numpy sums rows pairwise; nan, inf and -0.0 pass through
+        part = st.one_of(st.floats(-4, 4), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+        a = data.draw(arrays(np.complex128, (c, d, d), elements=st.builds(complex, part, part)))
+        want = np.abs(a).sum(axis=matrix.SUM_AXIS[kind]).max(axis=-1)
+        got = matrix._norms(a, kind)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_algebra_refuses_dimension_zero(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             matrix.MatrixAlgebra(0)
@@ -110,6 +120,40 @@ class TestDirectInverse:
         assert floor == 2e296
         inv = matrix.direct_inverse(a, norm_kind=norm_kind)
         assert np.allclose(inv, [[1e-308, -1e-308], [0, 1e-308]], rtol=1e-15, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 9),
+        st.sampled_from(sorted(matrix.NORMS)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_inverts_each_member_as_its_own_call(self, c, n, norm_kind, seed):
+        # diagonally dominant members, scaled across the float range
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-300, 300, (c, 1, 1))
+        stack = (random_matrix(rng, n) + (2.0 + n) * np.eye(n)) * scales
+        got = matrix.direct_inverse(stack, norm_kind=norm_kind)
+        want = np.stack([matrix.direct_inverse(x, norm_kind=norm_kind) for x in stack])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_singular_member_raises_its_own_pivot_message(self):
+        stack = np.array([np.eye(2), [[1, 1], [1, 1]], np.diag([1.0, 1e-13])], dtype=complex)
+        with pytest.raises(Singular) as alone:
+            matrix.direct_inverse(stack[1])
+        with pytest.raises(Singular) as stacked:
+            matrix.direct_inverse(stack)
+        assert str(alone.value).startswith("pivot magnitude")
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (0, 2, 2), (2, 0, 0)])
+    def test_a_stack_of_non_square_matrices_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"stack of square matrices, got shape"):
+            matrix.direct_inverse(np.ones(shape))
+
+    def test_an_unknown_norm_kind_is_refused_on_a_stack(self):
+        with pytest.raises(ValueError, match=r"norm_kind must be one of \['inf', 'one'\]"):
+            matrix.direct_inverse(np.stack([np.eye(2)] * 3), norm_kind="two")
 
     @settings(max_examples=30, deadline=None)
     @given(

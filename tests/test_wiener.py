@@ -809,9 +809,32 @@ POWER_LOOP_PATHS = {
         {0: 1.0 + 0j, 1: 1e-200 + 0j}, 40, True
     ),
     "an underflowed end of a longer direction, trimmed": ({0: 1.0 + 0j, 1: 1e-100 + 0j}, 40, True),
+    "the README element: a longer direction runs np.correlate": (
+        {-1: 0.5 + 0j, 1: 0.5 + 0j}, 64, True
+    ),
     "subnormal norm: power_norms rescales": ({0: 1e-310 + 0j}, 4, False),
     "norm past the float range": ({0: 1e308 + 0j, 1: 1e308 + 0j}, 4, False),
 }
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_coeffs.filter(len), edge_coeffs.filter(lambda x: len(x) >= 2))
+@example([complex(1.0, -0.0), 5e-324 + 0j, complex(math.nan, -1.0)], [complex(-0.0, math.inf), 1j])
+def test_correlate_with_conjugate_taps_is_convolve_bitwise(d, x):
+    # _power_logs' products of a direction d longer than x: np.correlate
+    # conjugates its second operand back, and runs the kernel np.convolve
+    # runs on (d, x reversed); nan, inf, signed zero and subnormal parts too.
+    # x has two or more terms there (a one-term x keeps every direction at
+    # one term); np.convolve hands its kernel a one-term x reversed, a view
+    # with a negative stride, which takes another dot path: there inf and
+    # nan products can differ
+    if len(d) <= len(x):
+        d = d + x
+    d, x = np.array(d, np.complex128), np.array(x, np.complex128)
+    with np.errstate(all="ignore"):
+        got = np.correlate(d, np.conj(x[::-1]), "full")
+        want = np.convolve(d, x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class _Chain(wiener.WienerAlgebra):
